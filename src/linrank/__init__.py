@@ -15,12 +15,10 @@ command-line front end and `loopfile` for the input grammar.
 from .constraints import (
     ConstraintError,
     ConstraintSystem,
-    GeqMatrixForm,
     LeqMatrixForm,
     LinConstraint,
     LoopModel,
     VarSpace,
-    is_satisfiable,
     loop_system,
     merge_guarded,
     to_geq_matrix,
@@ -43,7 +41,6 @@ from .ms import (
     Verdict,
     build_ms_systems,
     build_svg_system,
-    in_denormalized_space,
     ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
@@ -65,15 +62,16 @@ from .pr import (
     pr_space,
 )
 from .projection import eliminate, entails, equivalent, project, remove_redundant
-from .rationals import QMatrix, QVector, Rational, format_rational, parse_rational, rat
+from .rationals import Rational, format_rational, parse_rational, rat
 from .simplex import (
     LpOutcome,
     LpProblem,
     LpStatus,
     dual,
+    find_point,
     lp,
+    satisfiable,
     solve,
-    strict_feasible_point,
     to_standard_form,
 )
 

@@ -37,14 +37,12 @@ from .ms import (
 from .pr import pr_alt_analyze, pr_alt_space, pr_analyze, pr_space
 from .projection import equivalent
 from .rationals import format_rational
-from .simplex import satisfiable
+from .simplex import find_point, satisfiable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
 EXIT_UNKNOWN = 10
-
-METHODS = ("ms", "pr", "pr-alt", "svg", "both")
 
 
 class CliError(Exception):
@@ -64,32 +62,48 @@ def _load_loop(path: str) -> LoopModel:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _analyze(loop: LoopModel, method: str) -> Verdict:
-    if method == "ms":
-        return ms_analyze(loop)
-    if method == "pr":
-        return pr_analyze(loop)
-    if method == "pr-alt":
-        if not loop.is_guarded:
-            raise CliError("--method=pr-alt needs a guarded loop file")
-        return pr_alt_analyze(loop)
-    if method == "svg":
-        return svg_analyze(loop_system(loop))
-    raise CliError(f"unknown method {method!r}")
+def _guarded(loop: LoopModel) -> LoopModel:
+    if not loop.is_guarded:
+        raise CliError("--method=pr-alt needs a guarded loop file")
+    return loop
 
 
-def _verdict_for(loop: LoopModel, method: str) -> tuple[Verdict, str]:
-    """Run the selected engine(s); 'both' cross-checks ms against pr."""
-    if method != "both":
-        return _analyze(loop, method), method
-    vm = _analyze(loop, "ms")
-    vp = _analyze(loop, "pr")
+def _both_verdict(loop: LoopModel) -> Verdict:
+    """The ms verdict, after checking that pr reaches the same one."""
+    vm = ms_analyze(loop)
+    vp = pr_analyze(loop)
     if vm.status != vp.status:
         raise CliError(
             f"engines disagree: ms={vm.status.value} pr={vp.status.value}",
             EXIT_DISAGREE,
         )
-    return vm, "both"
+    return vm
+
+
+def _both_space(loop: LoopModel) -> RankingSpace:
+    """The ms space, after checking that its scaling closure is pr's space."""
+    ms = ms_space(loop)
+    if not equivalent(cone_extend(ms).constraints, pr_space(loop).constraints):
+        raise CliError("engines disagree: scaled ms space differs from pr space", EXIT_DISAGREE)
+    return ms
+
+
+# Each method's (verdict, space) engines.  The lambdas look the engines up in
+# this module's globals at call time, so a rebound global (a test's stub, the
+# perfbench tracer's wrapper) reaches every entry.
+METHODS = {
+    "ms": (lambda loop: ms_analyze(loop), lambda loop: ms_space(loop)),
+    "pr": (lambda loop: pr_analyze(loop), lambda loop: pr_space(loop)),
+    "pr-alt": (
+        lambda loop: pr_alt_analyze(_guarded(loop)),
+        lambda loop: pr_alt_space(_guarded(loop)),
+    ),
+    "svg": (
+        lambda loop: svg_analyze(loop_system(loop)),
+        lambda loop: svg_space(loop_system(loop)),
+    ),
+    "both": (_both_verdict, _both_space),
+}
 
 
 def _rf_json(f: RankingFunction) -> dict:
@@ -125,9 +139,9 @@ def _exit_for(verdict: Verdict) -> int:
 
 def cmd_check(args, out) -> int:
     loop = _load_loop(args.file)
-    verdict, method = _verdict_for(loop, args.method)
+    verdict = METHODS[args.method][0](loop)
     if args.format == "json":
-        _emit({"status": verdict.status.value, "method": method}, "json", out)
+        _emit({"status": verdict.status.value, "method": args.method}, "json", out)
     else:
         print(verdict.status.value, file=out)
     return _exit_for(verdict)
@@ -135,8 +149,8 @@ def cmd_check(args, out) -> int:
 
 def cmd_rank(args, out) -> int:
     loop = _load_loop(args.file)
-    verdict, method = _verdict_for(loop, args.method)
-    payload: dict = {"status": verdict.status.value, "method": method}
+    verdict = METHODS[args.method][0](loop)
+    payload: dict = {"status": verdict.status.value, "method": args.method}
     if verdict.witness is not None:
         payload["ranking_function"] = _rf_json(verdict.witness)
     if args.format == "json":
@@ -149,24 +163,6 @@ def cmd_rank(args, out) -> int:
             print(f"f(x) = {format_rational(f.mu0)} + <{coeffs}> . x", file=out)
             print(f"decrease per iteration >= {format_rational(f.delta)}", file=out)
     return _exit_for(verdict)
-
-
-def _space_for(loop: LoopModel, method: str) -> tuple[RankingSpace, str, bool | None]:
-    if method == "ms":
-        return ms_space(loop), "ms", None
-    if method == "pr":
-        return pr_space(loop), "pr", None
-    if method == "pr-alt":
-        if not loop.is_guarded:
-            raise CliError("--method=pr-alt needs a guarded loop file")
-        return pr_alt_space(loop), "pr-alt", None
-    if method == "svg":
-        return svg_space(loop_system(loop)), "svg", None
-    ms = ms_space(loop)
-    agree = equivalent(cone_extend(ms).constraints, pr_space(loop).constraints)
-    if not agree:
-        raise CliError("engines disagree: scaled ms space differs from pr space", EXIT_DISAGREE)
-    return ms, "both", agree
 
 
 def _print_space(title: str, s: RankingSpace, out) -> None:
@@ -206,11 +202,11 @@ def cmd_space(args, out) -> int:
             _print_space("bounded candidates:", bounded, out)
         return EXIT_OK
 
-    space, method, agree = _space_for(loop, args.method)
+    space = METHODS[args.method][1](loop)
     if args.format == "json":
-        payload = {"status": "ok", "method": method, "space": _space_json(space)}
-        if agree is not None:
-            payload["engines_agree"] = agree
+        payload = {"status": "ok", "method": args.method, "space": _space_json(space)}
+        if args.method == "both":
+            payload["engines_agree"] = True
         _emit(payload, "json", out)
     else:
         _print_space("ranking-function space:", space, out)
@@ -249,9 +245,11 @@ def cmd_bench(args, out) -> int:
             print(f"{path.name},,,parse-error,parse-error,,,", file=out)
             continue
         c = loop_system(loop)
+        find_point.cache_clear()
         t0 = time.perf_counter()
         vm = ms_analyze(loop)
         us_ms = int((time.perf_counter() - t0) * 1e6)
+        find_point.cache_clear()
         t0 = time.perf_counter()
         vp = pr_analyze(loop)
         us_pr = int((time.perf_counter() - t0) * 1e6)

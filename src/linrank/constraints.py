@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import QMatrix, QVector, Rational, format_rational
+from .rationals import Rational, format_rational
 
 LE, LT, EQ, GE, GT = "<=", "<", "=", ">=", ">"
 RELATIONS = (LE, LT, EQ, GE, GT)
@@ -220,80 +220,45 @@ class LoopModel:
         return self.single is None
 
 
+Rows = tuple[tuple[Rational, ...], ...]
+
+
 @dataclass(frozen=True)
 class LeqMatrixForm:
-    """(A A') <x, x'>  <=  b   with equalities already split."""
+    """(A A') <x, x'>  <=  b   with equalities already split; A and A' are
+    tuples of rows, each with n_vars entries."""
 
-    a: QMatrix
-    a_prime: QMatrix
-    b: QVector
+    a: Rows
+    a_prime: Rows
+    b: tuple[Rational, ...]
+    n_vars: int
 
     def __post_init__(self):
-        if not (self.a.n_rows == self.a_prime.n_rows == len(self.b)):
+        if not (len(self.a) == len(self.a_prime) == len(self.b)):
             raise ConstraintError("row counts of A, A' and b must agree")
-        if self.a.n_cols != self.a_prime.n_cols:
-            raise ConstraintError("A and A' must have the same number of columns")
+        if any(len(row) != self.n_vars for row in self.a + self.a_prime):
+            raise ConstraintError(f"rows of A and A' must have {self.n_vars} entries")
 
     @property
     def n_rows(self) -> int:
-        return self.a.n_rows
-
-    @property
-    def n_vars(self) -> int:
-        return self.a.n_cols
-
-    def satisfied_by(self, x: Sequence[Rational], x_prime: Sequence[Rational]) -> bool:
-        xv, xpv = QVector(x), QVector(x_prime)
-        lhs_a = self.a.mat_vec(xv)
-        lhs_ap = self.a_prime.mat_vec(xpv)
-        return all(lhs_a[i] + lhs_ap[i] <= self.b[i] for i in range(self.n_rows))
+        return len(self.b)
 
 
-@dataclass(frozen=True)
-class GeqMatrixForm:
-    """A_c <x, x'>  >=  b_c   with equalities already split."""
-
-    a_c: QMatrix
-    b_c: QVector
-
-    def __post_init__(self):
-        if self.a_c.n_rows != len(self.b_c):
-            raise ConstraintError("row counts of A_c and b_c must agree")
-
-    @property
-    def n_rows(self) -> int:
-        return self.a_c.n_rows
-
-    def satisfied_by(self, combined: Sequence[Rational]) -> bool:
-        lhs = self.a_c.mat_vec(QVector(combined))
-        return all(lhs[i] >= self.b_c[i] for i in range(self.n_rows))
-
-
-def _split_rows_le(c: ConstraintSystem) -> list[tuple[tuple[Rational, ...], Rational]]:
-    """Rewrite every row as <=; an equality expands to its <= row first."""
-    out: list[tuple[tuple[Rational, ...], Rational]] = []
+def to_leq_rows(c: ConstraintSystem) -> tuple[Rows, tuple[Rational, ...]]:
+    """Rewrite any system as  M v <= d  (equalities split, <= row first)."""
+    rows: list[tuple[Rational, ...]] = []
+    consts: list[Rational] = []
     for row in c.rows:
         if row.is_strict:
             raise ConstraintError("strict relation has no matrix form here")
-        if row.rel == LE:
-            out.append((row.coeffs, row.const))
-        elif row.rel == GE:
+        if row.rel != GE:
+            rows.append(row.coeffs)
+            consts.append(row.const)
+        if row.rel != LE:
             neg = row.negate()
-            out.append((neg.coeffs, neg.const))
-        else:
-            out.append((row.coeffs, row.const))
-            neg = row.negate()
-            out.append((neg.coeffs, neg.const))
-    return out
-
-
-def to_leq_rows(c: ConstraintSystem) -> tuple[QMatrix, QVector]:
-    """Rewrite any system as  M v <= d  (equalities split, <= row first)."""
-    pairs = _split_rows_le(c)
-    return (
-        QMatrix([coeffs for coeffs, _ in pairs], n_cols=c.n_vars),
-        QVector([const for _, const in pairs]),
-    )
+            rows.append(neg.coeffs)
+            consts.append(neg.const)
+    return tuple(rows), tuple(consts)
 
 
 def to_leq_matrix(c: ConstraintSystem, space: VarSpace) -> LeqMatrixForm:
@@ -301,36 +266,17 @@ def to_leq_matrix(c: ConstraintSystem, space: VarSpace) -> LeqMatrixForm:
     if c.variables != space.combined_names:
         raise ConstraintError("system does not range over the loop's (x, x') tuple")
     n = space.n
-    a_rows, ap_rows, consts = [], [], []
-    for coeffs, const in _split_rows_le(c):
-        a_rows.append(coeffs[:n])
-        ap_rows.append(coeffs[n:])
-        consts.append(const)
+    rows, consts = to_leq_rows(c)
     return LeqMatrixForm(
-        QMatrix(a_rows, n_cols=n), QMatrix(ap_rows, n_cols=n), QVector(consts)
+        tuple(r[:n] for r in rows), tuple(r[n:] for r in rows), consts, n
     )
 
 
-def to_geq_matrix(c: ConstraintSystem) -> GeqMatrixForm:
-    """Rewrite as A_c v >= b_c; an equality expands to its >= row first."""
-    rows, consts = [], []
-    for row in c.rows:
-        if row.is_strict:
-            raise ConstraintError("strict relation has no matrix form here")
-        if row.rel == GE:
-            rows.append(row.coeffs)
-            consts.append(row.const)
-        elif row.rel == LE:
-            neg = row.negate()
-            rows.append(neg.coeffs)
-            consts.append(neg.const)
-        else:
-            rows.append(row.coeffs)
-            consts.append(row.const)
-            neg = row.negate()
-            rows.append(neg.coeffs)
-            consts.append(neg.const)
-    return GeqMatrixForm(QMatrix(rows, n_cols=c.n_vars), QVector(consts))
+def to_geq_matrix(c: ConstraintSystem) -> tuple[Rows, tuple[Rational, ...]]:
+    """Rewrite as  A_c v >= b_c: the rows of to_leq_rows, negated (so an
+    equality expands to its >= row last)."""
+    rows, consts = to_leq_rows(c)
+    return tuple(tuple(-v for v in r) for r in rows), tuple(-k for k in consts)
 
 
 def merge_guarded(loop: LoopModel) -> ConstraintSystem:
@@ -350,10 +296,3 @@ def merge_guarded(loop: LoopModel) -> ConstraintSystem:
 def loop_system(loop: LoopModel) -> ConstraintSystem:
     """The loop's combined constraint over (x, x'), whatever its shape."""
     return loop.single if loop.single is not None else merge_guarded(loop)
-
-
-def is_satisfiable(c: ConstraintSystem) -> bool:
-    """True iff some rational point satisfies every row of c."""
-    from .simplex import satisfiable
-
-    return satisfiable(c)

@@ -49,7 +49,7 @@ from .ms import (
     ms_analyze,
     ms_space,
 )
-from .pr import build_pr_system, pr_analyze, pr_space, with_affine_slot
+from .pr import build_pr_system, extraction_rows, pr_analyze, pr_space, with_affine_slot
 from .projection import eliminate, equivalent, remove_redundant
 from .simplex import find_point
 
@@ -80,27 +80,9 @@ def witness_in_pr_set(m: LeqMatrixForm, f: RankingFunction) -> bool:
     the affine-slot extension so every valid offset is reachable)."""
     m = with_affine_slot(m)
     base = build_pr_system(m)
-    rows_n = m.n_rows
-    extra = []
-    extra.append(
-        LinConstraint(
-            tuple([m.b[i] for i in range(rows_n)] + [Fraction(0)] * rows_n),
-            EQ,
-            f.mu0,
-        )
-    )
-    for j in range(m.n_vars):
-        extra.append(
-            LinConstraint(
-                tuple(
-                    [Fraction(0)] * rows_n
-                    + [m.a_prime.entry(i, j) for i in range(rows_n)]
-                ),
-                EQ,
-                f.mu[j],
-            )
-        )
-    return find_point(base.with_rows(base.rows + tuple(extra))) is not None
+    values = (f.mu0,) + f.mu
+    extra = tuple(LinConstraint(r, EQ, v) for r, v in zip(extraction_rows(m), values))
+    return find_point(base.with_rows(base.rows + extra)) is not None
 
 
 def witness_in_ms_denormalized(loop: LoopModel, f: RankingFunction) -> bool:

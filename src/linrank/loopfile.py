@@ -112,8 +112,6 @@ class _TermParser:
                 self.error("unexpected second relation")
             sign = Fraction(1)
             if kind == "op" and value in "+-":
-                if first and value == "+":
-                    pass
                 sign = Fraction(-1) if value == "-" else Fraction(1)
                 self.take()
                 kind, value, col = self.peek()
@@ -122,7 +120,10 @@ class _TermParser:
             first = False
             if kind == "num":
                 self.take()
-                magnitude = Fraction(value)
+                try:
+                    magnitude = Fraction(value)
+                except ZeroDivisionError:
+                    raise LoopParseError("zero denominator", self.line, col) from None
                 nkind, nvalue, ncol = self.peek()
                 if nkind == "op" and nvalue == "*":
                     self.take()

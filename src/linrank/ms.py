@@ -35,13 +35,12 @@ from typing import Sequence
 from .constraints import (
     EQ,
     GE,
-    GT,
     LE,
     ConstraintError,
     ConstraintSystem,
-    GeqMatrixForm,
     LinConstraint,
     LoopModel,
+    Rows,
     VarSpace,
     loop_system,
     to_geq_matrix,
@@ -155,6 +154,17 @@ def _sign_rows(variables: tuple[str, ...], names: Sequence[str]) -> list[LinCons
     return rows
 
 
+def _mu_rows(a_c: Rows, n: int, rel: str) -> list[LinConstraint]:
+    """The 2n homogeneous rows  A_c^T y  rel  <mu, -mu>  over (y, mu1..mun)."""
+    m = len(a_c)
+    rows = []
+    for j in range(2 * n):
+        coeffs = [row[j] for row in a_c] + [Fraction(0)] * n
+        coeffs[m + j % n] = Fraction(-1) if j < n else Fraction(1)
+        rows.append(LinConstraint(tuple(coeffs), rel, Fraction(0)))
+    return rows
+
+
 def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
     """Feasibility system deciding existence of a positive linear ranking
     function for a clause over nonnegative variables.
@@ -162,21 +172,12 @@ def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
     Rows, in order: the 2n homogeneous rows A_c^T y <= <mu, -mu>, the
     decrease row b_c^T y >= 1, then y >= 0 and mu >= 0.
     """
-    space = combined_varspace(c)
-    n = space.n
-    geq = to_geq_matrix(c)
-    m = geq.n_rows
-    y_names = tuple(f"y{i}" for i in range(1, m + 1))
+    n = combined_varspace(c).n
+    a_c, b_c = to_geq_matrix(c)
+    y_names = tuple(f"y{i}" for i in range(1, len(a_c) + 1))
     variables = y_names + _mu_names(n, with_mu0=False)
-
-    rows: list[LinConstraint] = []
-    for j in range(2 * n):
-        coeffs = [geq.a_c.entry(i, j) for i in range(m)] + [Fraction(0)] * n
-        mu_idx = j if j < n else j - n
-        coeffs[m + mu_idx] = Fraction(-1) if j < n else Fraction(1)
-        rows.append(LinConstraint(tuple(coeffs), LE, Fraction(0)))
-    decrease = tuple(geq.b_c[i] for i in range(m)) + (Fraction(0),) * n
-    rows.append(LinConstraint(decrease, GE, Fraction(1)))
+    rows = _mu_rows(a_c, n, LE)
+    rows.append(LinConstraint(b_c + (Fraction(0),) * n, GE, Fraction(1)))
     rows.extend(_sign_rows(variables, variables))
     return ConstraintSystem(variables, tuple(rows))
 
@@ -231,19 +232,15 @@ def svg_global_space(clauses: Sequence[ConstraintSystem]) -> RankingSpace:
     return RankingSpace(params, merged, SVG)
 
 
-def _extended_geq(geq: GeqMatrixForm, n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+def _extended_geq(
+    a_c: Rows, b_c: tuple[Rational, ...], n: int
+) -> tuple[Rows, tuple[Rational, ...]]:
     """Prepend the two rows encoding x0 = 1 to the >=-form matrix; columns
     become (x0, x, x')."""
-    m = geq.n_rows
-    rows = [
-        [Fraction(1)] + [Fraction(0)] * (2 * n),
-        [Fraction(-1)] + [Fraction(0)] * (2 * n),
-    ]
-    consts = [Fraction(1), Fraction(-1)]
-    for i in range(m):
-        rows.append([Fraction(0)] + [geq.a_c.entry(i, j) for j in range(2 * n)])
-        consts.append(geq.b_c[i])
-    return rows, consts
+    zeros = (Fraction(0),) * (2 * n)
+    rows = ((Fraction(1),) + zeros, (Fraction(-1),) + zeros)
+    rows += tuple((Fraction(0),) + row for row in a_c)
+    return rows, (Fraction(1), Fraction(-1)) + b_c
 
 
 def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintSystem]:
@@ -255,37 +252,23 @@ def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintS
 
     where (At, bt) extend (A_c, b_c) with the rows encoding x0 = 1.
     """
-    space = combined_varspace(c)
-    n = space.n
-    geq = to_geq_matrix(c)
-    m = geq.n_rows
+    n = combined_varspace(c).n
+    a_c, b_c = to_geq_matrix(c)
 
-    y_names = tuple(f"y{i}" for i in range(1, m + 1))
+    y_names = tuple(f"y{i}" for i in range(1, len(a_c) + 1))
     dec_vars = y_names + _mu_names(n, with_mu0=False)
-    dec_rows: list[LinConstraint] = []
-    dec_rows.append(
-        LinConstraint(
-            tuple(geq.b_c[i] for i in range(m)) + (Fraction(0),) * n, GE, Fraction(1)
-        )
-    )
-    for j in range(2 * n):
-        coeffs = [geq.a_c.entry(i, j) for i in range(m)] + [Fraction(0)] * n
-        mu_idx = j if j < n else j - n
-        coeffs[m + mu_idx] = Fraction(-1) if j < n else Fraction(1)
-        dec_rows.append(LinConstraint(tuple(coeffs), EQ, Fraction(0)))
+    dec_rows = [LinConstraint(b_c + (Fraction(0),) * n, GE, Fraction(1))]
+    dec_rows.extend(_mu_rows(a_c, n, EQ))
     dec_rows.extend(_sign_rows(dec_vars, y_names))
     decrease = ConstraintSystem(dec_vars, tuple(dec_rows))
 
-    ext_rows, ext_consts = _extended_geq(geq, n)
-    mz = m + 2
+    ext_rows, ext_consts = _extended_geq(a_c, b_c, n)
+    mz = len(ext_rows)
     z_names = tuple(f"z{i}" for i in range(1, mz + 1))
     bnd_vars = z_names + _mu_names(n, with_mu0=True)
-    bnd_rows: list[LinConstraint] = []
-    bnd_rows.append(
-        LinConstraint(tuple(ext_consts) + (Fraction(0),) * (n + 1), GE, Fraction(0))
-    )
+    bnd_rows = [LinConstraint(ext_consts + (Fraction(0),) * (n + 1), GE, Fraction(0))]
     for j in range(2 * n + 1):
-        coeffs = [ext_rows[i][j] for i in range(mz)] + [Fraction(0)] * (n + 1)
+        coeffs = [row[j] for row in ext_rows] + [Fraction(0)] * (n + 1)
         if j <= n:
             coeffs[mz + j] = Fraction(-1)
         bnd_rows.append(LinConstraint(tuple(coeffs), EQ, Fraction(0)))
@@ -376,24 +359,3 @@ def ms_bounded_space(loop: LoopModel) -> RankingSpace:
     params = _mu_names(loop.space.n, with_mu0=True)
     projected = project(bounded, params)
     return RankingSpace(params, projected, MS_BOUNDED)
-
-
-def in_denormalized_space(space: RankingSpace, f: RankingFunction) -> bool:
-    """Membership of f in the denormalization of a full space: all
-    <h, k*mu> with <mu0, mu> in the space, h rational, k positive.
-
-    Decided by one feasibility query: substitute mu = t * f.mu (t = 1/k)
-    into the space projected onto mu alone and ask for a t > 0.
-    """
-    if space.kind != MS_FULL:
-        raise ConstraintError("denormalized membership needs a full space")
-    mu_params = tuple(p for p in space.params if p != "mu0")
-    mu_only = project(space.constraints, mu_params)
-    rows = []
-    for row in mu_only.rows:
-        t_coeff = sum(
-            (a * b for a, b in zip(row.coeffs, f.mu)), Fraction(0)
-        )
-        rows.append(LinConstraint((t_coeff,), row.rel, row.const))
-    rows.append(LinConstraint((Fraction(1),), GT, Fraction(0)))
-    return find_point(ConstraintSystem(("t",), tuple(rows))) is not None

@@ -36,6 +36,7 @@ from .constraints import (
     LeqMatrixForm,
     LinConstraint,
     LoopModel,
+    Rows,
     loop_system,
     merge_guarded,
     to_leq_matrix,
@@ -51,12 +52,21 @@ from .ms import (
     _sign_rows,
 )
 from .projection import project
-from .rationals import QMatrix, QVector, Rational
+from .rationals import Rational
 from .simplex import find_point, satisfiable
 
 
 class InvalidWitnessError(ValueError):
     """Multiplier vectors do not satisfy the witness equations exactly."""
+
+
+def _combine(weights: Sequence[Rational], rows: Rows, n: int) -> tuple[Rational, ...]:
+    """The row combination  weights^T M  of an n-column matrix M."""
+    return tuple(sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(n))
+
+
+def _dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -72,22 +82,16 @@ class PrWitness:
             raise InvalidWitnessError("multiplier length does not match row count")
         if any(v < 0 for v in self.lambda1) or any(v < 0 for v in self.lambda2):
             raise InvalidWitnessError("multipliers must be nonnegative")
-        l1, l2 = QVector(self.lambda1), QVector(self.lambda2)
-        if not m.a_prime.vec_mat(l1).is_zero():
+        l1, l2, n = self.lambda1, self.lambda2, m.n_vars
+        if any(_combine(l1, m.a_prime, n)):
             raise InvalidWitnessError("lam1^T A' != 0")
-        diff = QVector(tuple(a - b for a, b in zip(self.lambda1, self.lambda2)))
-        if not m.a.vec_mat(diff).is_zero():
+        diff = tuple(a - b for a, b in zip(l1, l2))
+        if any(_combine(diff, m.a, n)):
             raise InvalidWitnessError("(lam1 - lam2)^T A != 0")
-        summed = QMatrix(
-            [
-                [m.a.entry(i, j) + m.a_prime.entry(i, j) for j in range(m.n_vars)]
-                for i in range(rows)
-            ],
-            n_cols=m.n_vars,
-        )
-        if not summed.vec_mat(l2).is_zero():
+        summed = tuple(tuple(p + q for p, q in zip(r, rp)) for r, rp in zip(m.a, m.a_prime))
+        if any(_combine(l2, summed, n)):
             raise InvalidWitnessError("lam2^T (A + A') != 0")
-        if l2.dot(m.b) >= 0:
+        if _dot(l2, m.b) >= 0:
             raise InvalidWitnessError("lam2^T b is not negative")
 
 
@@ -122,13 +126,8 @@ def with_affine_slot(m: LeqMatrixForm) -> LeqMatrixForm:
     slack), so space computations and membership queries run on the
     extended matrix.  Feasibility is unaffected either way.
     """
-    n = m.n_vars
-    zero = [Fraction(0)] * n
-    return LeqMatrixForm(
-        QMatrix([list(r) for r in m.a.rows] + [zero], n_cols=n),
-        QMatrix([list(r) for r in m.a_prime.rows] + [list(zero)], n_cols=n),
-        QVector(list(m.b) + [Fraction(1)]),
-    )
+    zero = ((Fraction(0),) * m.n_vars,)
+    return LeqMatrixForm(m.a + zero, m.a_prime + zero, m.b + (Fraction(1),), m.n_vars)
 
 
 def build_pr_system(m: LeqMatrixForm) -> ConstraintSystem:
@@ -136,27 +135,18 @@ def build_pr_system(m: LeqMatrixForm) -> ConstraintSystem:
     rows_n, n = m.n_rows, m.n_vars
     l1_names, l2_names = _lambda_names(rows_n)
     variables = l1_names + l2_names
-    width = 2 * rows_n
     out: list[LinConstraint] = []
-
+    zeros = (Fraction(0),) * rows_n
     for j in range(n):  # lam1^T A' = 0
-        coeffs = [m.a_prime.entry(i, j) for i in range(rows_n)] + [Fraction(0)] * rows_n
-        out.append(LinConstraint(tuple(coeffs), EQ, Fraction(0)))
+        coeffs = tuple(row[j] for row in m.a_prime) + zeros
+        out.append(LinConstraint(coeffs, EQ, Fraction(0)))
     for j in range(n):  # (lam1 - lam2)^T A = 0
-        col = [m.a.entry(i, j) for i in range(rows_n)]
-        out.append(LinConstraint(tuple(col + [-v for v in col]), EQ, Fraction(0)))
+        col = tuple(row[j] for row in m.a)
+        out.append(LinConstraint(col + tuple(-v for v in col), EQ, Fraction(0)))
     for j in range(n):  # lam2^T (A + A') = 0
-        coeffs = [Fraction(0)] * rows_n + [
-            m.a.entry(i, j) + m.a_prime.entry(i, j) for i in range(rows_n)
-        ]
-        out.append(LinConstraint(tuple(coeffs), EQ, Fraction(0)))
-    out.append(  # lam2^T b < 0
-        LinConstraint(
-            tuple([Fraction(0)] * rows_n + [m.b[i] for i in range(rows_n)]),
-            LT,
-            Fraction(0),
-        )
-    )
+        coeffs = zeros + tuple(r[j] + rp[j] for r, rp in zip(m.a, m.a_prime))
+        out.append(LinConstraint(coeffs, EQ, Fraction(0)))
+    out.append(LinConstraint(zeros + m.b, LT, Fraction(0)))  # lam2^T b < 0
     out.extend(_sign_rows(variables, variables))
     return ConstraintSystem(variables, tuple(out))
 
@@ -176,14 +166,22 @@ def _normalize_strict(system: ConstraintSystem) -> ConstraintSystem:
     return system.with_rows(tuple(rows))
 
 
+def extraction_rows(m: LeqMatrixForm) -> list[tuple[Rational, ...]]:
+    """Coefficients over (lam1, lam2) of the extracted offset lam1^T b,
+    then of each coordinate of mu = lam2^T A'."""
+    zeros = (Fraction(0),) * m.n_rows
+    rows = [m.b + zeros]
+    rows += [zeros + tuple(row[j] for row in m.a_prime) for j in range(m.n_vars)]
+    return rows
+
+
 def extract_rf(w: PrWitness, m: LeqMatrixForm) -> RankingFunction:
     """mu = lam2^T A', mu0 = lam1^T b, delta = -lam2^T b; the function
     mu0 + mu . x is nonnegative on reachable states (lower bound 0)."""
     w.check(m)
-    l1, l2 = QVector(w.lambda1), QVector(w.lambda2)
-    mu = tuple(m.a_prime.vec_mat(l2))
-    mu0 = l1.dot(m.b)
-    delta = -l2.dot(m.b)
+    mu = _combine(w.lambda2, m.a_prime, m.n_vars)
+    mu0 = _dot(w.lambda1, m.b)
+    delta = -_dot(w.lambda2, m.b)
     return RankingFunction(mu0, mu, delta, Fraction(0))
 
 
@@ -255,35 +253,23 @@ def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
     nonnegativity relies on update rows.
     """
     a_b, b_b, update = _guard_update_matrices(loop)
-    r, s, n = a_b.n_rows, update.n_rows, loop.space.n
+    r, s, n = len(a_b), update.n_rows, loop.space.n
     v1 = tuple(f"v1_{i}" for i in range(1, r + 1))
     v2 = tuple(f"v2_{i}" for i in range(1, r + 1))
     v3 = tuple(f"v3_{i}" for i in range(1, s + 1))
     variables = v1 + v2 + v3
     rows: list[LinConstraint] = []
     for j in range(n):
-        guard_col = [a_b.entry(i, j) for i in range(r)]
-        upd_col = [update.a.entry(i, j) for i in range(s)]
-        coeffs = guard_col + [-v for v in guard_col] + [-v for v in upd_col]
-        rows.append(LinConstraint(tuple(coeffs), EQ, Fraction(0)))
+        guard_col = tuple(row[j] for row in a_b)
+        upd_col = tuple(row[j] for row in update.a)
+        coeffs = guard_col + tuple(-v for v in guard_col + upd_col)
+        rows.append(LinConstraint(coeffs, EQ, Fraction(0)))
+    zeros = (Fraction(0),) * r
     for j in range(n):
-        guard_col = [a_b.entry(i, j) for i in range(r)]
-        upd_col = [
-            update.a.entry(i, j) + update.a_prime.entry(i, j) for i in range(s)
-        ]
-        coeffs = [Fraction(0)] * r + guard_col + upd_col
-        rows.append(LinConstraint(tuple(coeffs), EQ, Fraction(0)))
-    rows.append(
-        LinConstraint(
-            tuple(
-                [Fraction(0)] * r
-                + [b_b[i] for i in range(r)]
-                + [update.b[i] for i in range(s)]
-            ),
-            LT,
-            Fraction(0),
-        )
-    )
+        guard_col = tuple(row[j] for row in a_b)
+        upd_col = tuple(u[j] + up[j] for u, up in zip(update.a, update.a_prime))
+        rows.append(LinConstraint(zeros + guard_col + upd_col, EQ, Fraction(0)))
+    rows.append(LinConstraint(zeros + b_b + update.b, LT, Fraction(0)))
     rows.extend(_sign_rows(variables, variables))
     return ConstraintSystem(variables, tuple(rows))
 
@@ -294,8 +280,7 @@ def pr_alt_analyze(loop: LoopModel) -> Verdict:
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()
-    a_b, b_b, update = _guard_update_matrices(loop)
-    r, s = a_b.n_rows, update.n_rows
+    r = len(_guard_update_matrices(loop)[0])
     system = _normalize_strict(build_pr_alt_system(loop))
     point = find_point(system)
     if point is None:
@@ -319,25 +304,10 @@ def pr_alt_space(loop: LoopModel) -> RankingSpace:
     if not satisfiable(c):
         raise UnsatisfiableLoopError("loop body constraint is unsatisfiable")
     a_b, b_b, update = _guard_update_matrices(loop)
-    r, s, n = a_b.n_rows, update.n_rows, loop.space.n
-    zeros = [[Fraction(0)] * n for _ in range(r)]
-    block = LeqMatrixForm(
-        QMatrix([list(a_b[i]) for i in range(r)] + [list(update.a[i]) for i in range(s)], n_cols=n),
-        QMatrix(zeros + [list(update.a_prime[i]) for i in range(s)], n_cols=n),
-        QVector([b_b[i] for i in range(r)] + [update.b[i] for i in range(s)]),
-    )
+    n = loop.space.n
+    zeros = ((Fraction(0),) * n,) * len(a_b)
+    block = LeqMatrixForm(a_b + update.a, zeros + update.a_prime, b_b + update.b, n)
     return pr_space_of_matrix(block)
-
-
-def permute_rows(m: LeqMatrixForm, order: Sequence[int]) -> LeqMatrixForm:
-    """Row permutation of the matrix form (the ranking space is invariant)."""
-    if sorted(order) != list(range(m.n_rows)):
-        raise ConstraintError("not a permutation of the row indices")
-    return LeqMatrixForm(
-        QMatrix([list(m.a[i]) for i in order], n_cols=m.n_vars),
-        QMatrix([list(m.a_prime[i]) for i in order], n_cols=m.n_vars),
-        QVector([m.b[i] for i in order]),
-    )
 
 
 def pr_space_of_matrix(m: LeqMatrixForm) -> RankingSpace:
@@ -345,14 +315,4 @@ def pr_space_of_matrix(m: LeqMatrixForm) -> RankingSpace:
     is this applied to the loop's merged form.  The affine slot row is
     appended first so the mu0 coordinate ranges over every valid offset."""
     ext = with_affine_slot(m)
-    base = build_pr_system(ext)
-    rows_n = ext.n_rows
-    mu_defs = [tuple([ext.b[i] for i in range(rows_n)] + [Fraction(0)] * rows_n)]
-    for j in range(ext.n_vars):
-        mu_defs.append(
-            tuple(
-                [Fraction(0)] * rows_n
-                + [ext.a_prime.entry(i, j) for i in range(rows_n)]
-            )
-        )
-    return _space_from(base, mu_defs, ext.n_vars)
+    return _space_from(build_pr_system(ext), extraction_rows(ext), ext.n_vars)

@@ -75,12 +75,13 @@ def _drop_column(
 
 def _fm_combinations(
     rows: Sequence[LinConstraint], idx: int
-) -> tuple[list[tuple[LinConstraint, int]], bool]:
+) -> list[tuple[LinConstraint, tuple[int, ...]]]:
     """One Fourier-Motzkin step on column idx over <=-oriented rows.
 
-    Returns (list of (row, kind) with kind 0 passthrough / 1 combined) --
-    the caller deals with ancestry -- or raises if an equality row holds
-    the variable (callers substitute those first)."""
+    Returns (row, parents) pairs: parents is (i,) for a row i passed
+    through and (i, j) for the combination of upper row i with lower row j,
+    so the caller can track ancestry.  Raises if an equality row holds the
+    variable (callers substitute those first)."""
     passthrough: list[int] = []
     upper: list[int] = []
     lower: list[int] = []

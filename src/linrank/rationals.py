@@ -1,17 +1,15 @@
-"""Exact rational scalars and small dense vectors/matrices.
+"""Exact rational scalars.
 
 Every number in this package is a `fractions.Fraction`: arbitrary precision,
 always in canonical form (reduced, positive denominator), so equality is
-structural and no operation ever rounds.  The vector/matrix helpers here are
-deliberately dense and tiny -- the constraint systems this library handles
-have a few dozen rows at most, and exactness matters far more than speed.
+structural and no operation ever rounds.  Vectors and matrices are plain
+tuples of Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -26,165 +24,17 @@ def rat(numerator: int | str | Rational, denominator: int = 1) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p" or "p/q" exactly.  Decimals are rejected, not rounded."""
+    """Parse "p" or "p/q" exactly.  Decimals and zero denominators are
+    rejected with ValueError, not rounded."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Rational) -> str:
     """Render as "p/q", or plain "p" when the denominator is 1."""
     return str(value)
-
-
-class QVector:
-    """Immutable dense vector of Rationals with a fixed length."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[int | Rational]):
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QVector is immutable")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Rational:
-        return self.entries[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QVector) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"QVector([{', '.join(str(e) for e in self.entries)}])"
-
-    def __add__(self, other: "QVector") -> "QVector":
-        self._check_same_length(other)
-        return QVector(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        self._check_same_length(other)
-        return QVector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
-
-    def scale(self, k: int | Rational) -> "QVector":
-        k = Fraction(k)
-        return QVector(k * a for a in self.entries)
-
-    def dot(self, other: "QVector") -> Rational:
-        self._check_same_length(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def _check_same_length(self, other: "QVector") -> None:
-        if len(self) != len(other):
-            raise DimensionError(f"vector lengths differ: {len(self)} vs {len(other)}")
-
-    @staticmethod
-    def zeros(n: int) -> "QVector":
-        return QVector([0] * n)
-
-    @staticmethod
-    def unit(n: int, i: int) -> "QVector":
-        return QVector([1 if j == i else 0 for j in range(n)])
-
-
-class QMatrix:
-    """Immutable dense matrix of Rationals with fixed dimensions."""
-
-    __slots__ = ("rows", "n_rows", "n_cols")
-
-    def __init__(self, rows: Sequence[Iterable[int | Rational]], n_cols: int | None = None):
-        qrows = tuple(QVector(r) for r in rows)
-        if qrows:
-            width = len(qrows[0])
-            if any(len(r) != width for r in qrows):
-                raise DimensionError("matrix rows have unequal lengths")
-        else:
-            width = 0 if n_cols is None else n_cols
-        object.__setattr__(self, "rows", qrows)
-        object.__setattr__(self, "n_rows", len(qrows))
-        object.__setattr__(self, "n_cols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.n_cols == other.n_cols
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.n_cols))
-
-    def __repr__(self) -> str:
-        body = "; ".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)
-        return f"QMatrix({self.n_rows}x{self.n_cols}: {body})"
-
-    def __getitem__(self, i: int) -> QVector:
-        return self.rows[i]
-
-    def entry(self, i: int, j: int) -> Rational:
-        return self.rows[i][j]
-
-    def column(self, j: int) -> QVector:
-        if not 0 <= j < self.n_cols:
-            raise DimensionError(f"column index {j} out of range for {self.n_cols} columns")
-        return QVector(row[j] for row in self.rows)
-
-    def transpose(self) -> "QMatrix":
-        cols = [[self.rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)]
-        return QMatrix(cols, n_cols=self.n_rows)
-
-    def mat_vec(self, v: QVector) -> QVector:
-        if len(v) != self.n_cols:
-            raise DimensionError(
-                f"cannot multiply {self.n_rows}x{self.n_cols} matrix by vector of length {len(v)}"
-            )
-        return QVector(row.dot(v) for row in self.rows)
-
-    def vec_mat(self, v: QVector) -> QVector:
-        """Row-vector product vᵀM, returned as a plain vector."""
-        if len(v) != self.n_rows:
-            raise DimensionError(
-                f"cannot multiply vector of length {len(v)} by {self.n_rows}x{self.n_cols} matrix"
-            )
-        return QVector(
-            sum((v[i] * self.rows[i][j] for i in range(self.n_rows)), Fraction(0))
-            for j in range(self.n_cols)
-        )
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(n_rows: int, n_cols: int) -> "QMatrix":
-        return QMatrix([[0] * n_cols for _ in range(n_rows)], n_cols=n_cols)
-
-
-class DimensionError(ValueError):
-    """Raised when vector/matrix dimensions do not conform."""
-
-
-def mat_vec(m: QMatrix, v: QVector) -> QVector:
-    return m.mat_vec(v)
-
-
-def transpose(m: QMatrix) -> QMatrix:
-    return m.transpose()

@@ -433,42 +433,5 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
     return feas.point[:n]
 
 
-def strict_feasible_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
-    """Point satisfying non-strict rows and every strict row strictly."""
-    return find_point(c)
-
-
 def satisfiable(c: ConstraintSystem) -> bool:
     return find_point(c) is not None
-
-
-def optimize(
-    c: ConstraintSystem, objective: Sequence[Rational], maximize: bool
-) -> LpOutcome:
-    """Optimize over the topological closure of c (strict rows relaxed)."""
-    relaxed = c.relaxed()
-    signs, remaining = _split_signs(relaxed)
-    rows = tuple(_lp_rows(remaining, c.n_vars, False))
-    problem = LpProblem(tuple(Fraction(v) for v in objective), maximize, rows, signs)
-    return solve(problem)
-
-
-def feasible_points_sample(
-    c: ConstraintSystem, objectives: Sequence[Sequence[Rational]]
-) -> list[tuple[Rational, ...]]:
-    """Distinct vertices/points of c found by optimizing the given objective
-    directions; strict rows are honored by averaging with an interior point."""
-    interior = find_point(c)
-    if interior is None:
-        return []
-    points = {interior}
-    for obj in objectives:
-        outcome = optimize(c, obj, maximize=True)
-        if outcome.status is LpStatus.OPTIMAL:
-            candidate = outcome.point
-            if not c.satisfied_by(candidate):
-                half = Fraction(1, 2)
-                candidate = tuple(half * (a + b) for a, b in zip(candidate, interior))
-            if c.satisfied_by(candidate):
-                points.add(candidate)
-    return sorted(points)

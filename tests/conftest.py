@@ -10,7 +10,7 @@ import pytest
 
 from linrank import parse_loop
 from linrank.constraints import ConstraintSystem
-from linrank.simplex import feasible_points_sample
+from tests.oracles import feasible_points_sample
 
 LOOPS_DIR = Path(__file__).resolve().parents[1] / "loops"
 

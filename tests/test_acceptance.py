@@ -32,16 +32,16 @@ from linrank.ms import TerminationStatus, ms_analyze, ms_space, svg_space
 from linrank.pr import (
     PrWitness,
     build_pr_system,
-    permute_rows,
     pr_alt_space,
     pr_analyze,
     pr_space,
     pr_space_of_matrix,
 )
 from linrank.projection import equivalent
-from linrank.rationals import QMatrix, QVector, parse_rational
+from linrank.rationals import parse_rational
 from linrank.simplex import NONNEG, LpStatus, dual, lp, satisfiable, solve
 from tests.conftest import load_loop
+from tests.oracles import permute_rows
 from tests.test_projection import _random_system, fm_sampling_check
 
 LOOPS = Path(__file__).resolve().parents[1] / "loops"
@@ -99,9 +99,10 @@ def test_criterion_02_golden_svg_space():
 def test_criterion_03_golden_multiplier_witness():
     t0 = time.perf_counter()
     m = LeqMatrixForm(
-        QMatrix([[-1, 0], [-1, 0], [1, 0], [0, 1], [0, -1], [0, 0]]),
-        QMatrix([[0, 0], [2, 0], [-2, 0], [0, -1], [0, 1], [0, -1]]),
-        QVector([-2, 0, 1, -1, 1, -1]),
+        ((-1, 0), (-1, 0), (1, 0), (0, 1), (0, -1), (0, 0)),
+        ((0, 0), (2, 0), (-2, 0), (0, -1), (0, 1), (0, -1)),
+        (-2, 0, 1, -1, 1, -1),
+        2,
     )
     lam1 = tuple(Fraction(v) for v in (2, 0, 0, 0, 0, 0))
     lam2 = tuple(Fraction(v) for v in (1, 1, 0, 0, 0, 0))

@@ -40,6 +40,10 @@ def test_check_empty_file_is_input_error(tmp_path):
     empty.write_text("")
     code, _ = run("check", str(empty))
     assert code == 2
+    zero = tmp_path / "zero.loop"
+    zero.write_text("vars: x\nsingle: x >= 1/0\n")
+    code, _ = run("check", str(zero))
+    assert code == 2
 
 
 def test_check_missing_file():
@@ -169,6 +173,27 @@ def test_bench_golden_corpus(tmp_path):
         cells = line.split(",")
         assert cells[5] == "true"
         assert int(cells[6]) >= 0 and int(cells[7]) >= 0
+
+
+def test_bench_times_both_engines_cold(tmp_path, monkeypatch):
+    # each engine must start with an empty find_point memo, so that us_ms
+    # and us_pr are comparable
+    import linrank.cli as cli_mod
+    from linrank.simplex import find_point
+
+    (tmp_path / "log2.loop").write_text((LOOPS / "log2.loop").read_text())
+    memo_sizes = []
+    for name in ("ms_analyze", "pr_analyze"):
+        engine = getattr(cli_mod, name)
+
+        def wrapped(loop, engine=engine):
+            memo_sizes.append(find_point.cache_info().currsize)
+            return engine(loop)
+
+        monkeypatch.setattr(cli_mod, name, wrapped)
+    code, _ = run("bench", str(tmp_path))
+    assert code == 0
+    assert memo_sizes == [0, 0]
 
 
 def test_bench_empty_directory(tmp_path):

@@ -6,18 +6,19 @@ import pytest
 from linrank import parse_loop
 from linrank.constraints import (
     ConstraintError,
+    LeqMatrixForm,
     LinConstraint,
     LoopModel,
     VarSpace,
     constraint,
-    is_satisfiable,
     loop_system,
     merge_guarded,
     system,
     to_geq_matrix,
     to_leq_matrix,
 )
-from linrank.rationals import QMatrix, QVector
+from linrank.simplex import satisfiable
+from tests.oracles import geq_satisfied_by, leq_satisfied_by
 
 
 def cs(variables, rows):
@@ -28,9 +29,9 @@ def test_leq_matrix_of_countdown():
     space = VarSpace(("x",))
     c = cs(("x", "x'"), [((1, 0), ">=", 0), ((-1, 1), "=", -1)])
     m = to_leq_matrix(c, space)
-    assert m.a == QMatrix([[-1], [-1], [1]])
-    assert m.a_prime == QMatrix([[0], [1], [-1]])
-    assert m.b == QVector([0, -1, 1])
+    assert m.a == ((-1,), (-1,), (1,))
+    assert m.a_prime == ((0,), (1,), (-1,))
+    assert m.b == (0, -1, 1)
 
 
 def test_leq_matrix_agrees_with_source_on_random_points():
@@ -49,8 +50,8 @@ def test_leq_matrix_agrees_with_source_on_random_points():
     for _ in range(100):
         p = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)]
         direct = c.satisfied_by(p)
-        assert direct == m.satisfied_by(p[:2], p[2:])
-        assert direct == geq.satisfied_by(p)
+        assert direct == leq_satisfied_by(m, p[:2], p[2:])
+        assert direct == geq_satisfied_by(geq, p)
 
 
 def test_matrix_forms_agree_on_random_systems():
@@ -66,8 +67,8 @@ def test_matrix_forms_agree_on_random_systems():
         for _ in range(100):
             p = [Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(2 * n)]
             direct = c.satisfied_by(p)
-            assert direct == m.satisfied_by(p[:n], p[n:])
-            assert direct == geq.satisfied_by(p)
+            assert direct == leq_satisfied_by(m, p[:n], p[n:])
+            assert direct == geq_satisfied_by(geq, p)
 
 
 def test_leq_matrix_of_log2_matches_golden_rows():
@@ -86,9 +87,9 @@ def test_leq_matrix_of_log2_matches_golden_rows():
         ],
     )
     m = to_leq_matrix(c, space)
-    assert m.a == QMatrix([[-1, 0], [-1, 0], [1, 0], [0, 1], [0, -1], [0, 0]])
-    assert m.a_prime == QMatrix([[0, 0], [2, 0], [-2, 0], [0, -1], [0, 1], [0, -1]])
-    assert m.b == QVector([-2, 0, 1, -1, 1, -1])
+    assert m.a == ((-1, 0), (-1, 0), (1, 0), (0, 1), (0, -1), (0, 0))
+    assert m.a_prime == ((0, 0), (2, 0), (-2, 0), (0, -1), (0, 1), (0, -1))
+    assert m.b == (-2, 0, 1, -1, 1, -1)
 
 
 def test_leq_matrix_empty_system():
@@ -99,30 +100,25 @@ def test_leq_matrix_empty_system():
 
 def test_geq_matrix_single_row():
     c = cs(("x", "x'"), [((1, 0), ">=", 0)])
-    g = to_geq_matrix(c)
-    assert g.a_c == QMatrix([[1, 0]])
-    assert g.b_c == QVector([0])
+    assert to_geq_matrix(c) == (((1, 0),), (0,))
 
 
 def test_geq_matrix_of_recursive_log_clause_golden(log2_clp_loop):
-    g = to_geq_matrix(log2_clp_loop.single)
-    assert g.a_c == QMatrix(
-        [
-            [1, 0, 0, 0],
-            [-1, 0, 2, 0],
-            [1, 0, -2, 0],
-            [0, 1, 0, -1],
-            [0, -1, 0, 1],
-        ]
+    # the split equality x2 - x2' = 1 gives its >= row last
+    a_c, b_c = to_geq_matrix(log2_clp_loop.single)
+    assert a_c == (
+        (1, 0, 0, 0),
+        (-1, 0, 2, 0),
+        (1, 0, -2, 0),
+        (0, -1, 0, 1),
+        (0, 1, 0, -1),
     )
-    assert g.b_c == QVector([2, -1, 0, 1, -1])
+    assert b_c == (2, -1, 0, -1, 1)
 
 
 def test_geq_matrix_equality_split():
     c = cs(("x", "x'"), [((1, 0), "=", 2)])
-    g = to_geq_matrix(c)
-    assert g.a_c == QMatrix([[1, 0], [-1, 0]])
-    assert g.b_c == QVector([2, -2])
+    assert to_geq_matrix(c) == (((-1, 0), (1, 0)), (-2, 2))
 
 
 def test_matrix_forms_reject_strict_rows():
@@ -183,13 +179,13 @@ def test_merge_guarded_preserves_solutions():
 
 
 def test_satisfiability_examples(log2_loop):
-    assert not is_satisfiable(cs(("x",), [((1,), ">=", 1), ((1,), "<=", 0)]))
+    assert not satisfiable(cs(("x",), [((1,), ">=", 1), ((1,), "<=", 0)]))
     merged = loop_system(log2_loop)
     # exhibit a point and check it, then agree with the decision procedure
     point = [Fraction(2), Fraction(0), Fraction(1), Fraction(1)]
     assert merged.satisfied_by(point)
-    assert is_satisfiable(merged)
-    assert is_satisfiable(system(("x",), []))
+    assert satisfiable(merged)
+    assert satisfiable(system(("x",), []))
 
 
 def test_guard_must_be_unprimed():
@@ -216,3 +212,7 @@ def test_row_dimension_validation():
         system(("x",), [constraint((1, 2), "<=", 0)])
     with pytest.raises(ConstraintError):
         LinConstraint((Fraction(1),), "!!", Fraction(0))
+    with pytest.raises(ConstraintError):
+        LeqMatrixForm(((1, 2),), ((3,),), (0,), 2)
+    with pytest.raises(ConstraintError):
+        LeqMatrixForm(((1,),), ((3,),), (0, 1), 1)

@@ -16,13 +16,13 @@ from linrank.ms import (
     RankingFunction,
     RankingSpace,
     TerminationStatus,
-    in_denormalized_space,
     ms_analyze,
     ms_space,
 )
 from linrank.pr import pr_analyze
 from linrank.projection import equivalent
 from linrank.simplex import satisfiable
+from tests.oracles import in_denormalized_space
 
 
 def full_space(params, rows):

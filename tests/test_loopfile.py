@@ -58,6 +58,9 @@ def test_empty_file_rejected():
 def test_decimal_coefficient_rejected():
     with pytest.raises(LoopParseError):
         parse_loop("vars: x\nsingle: 1.5*x >= 0")
+    with pytest.raises(LoopParseError) as zero:
+        parse_loop("vars: x\nsingle: x >= 1/0")
+    assert (zero.value.line, zero.value.col) == (2, 14)
 
 
 def test_fraction_coefficients_and_comments():

@@ -18,7 +18,6 @@ from linrank.ms import (
     build_ms_systems,
     build_svg_system,
     conjoined_ms_system,
-    in_denormalized_space,
     ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
@@ -30,6 +29,7 @@ from linrank.ms import (
 from linrank.projection import entails, equivalent, project
 from linrank.simplex import find_point, satisfiable
 from tests.conftest import sample_points
+from tests.oracles import in_denormalized_space
 
 
 def cs(variables, rows):
@@ -53,18 +53,19 @@ LOG2_FULL_SPACE_ROWS = [
 def test_svg_system_golden_matrix(log2_clp_loop):
     sys_rows = build_svg_system(log2_clp_loop.single)
     assert sys_rows.variables == ("y1", "y2", "y3", "y4", "y5", "mu1", "mu2")
+    # y4, y5 weight the split equality x2 - x2' = 1, its >= row last
     expected_rows = [
         ((1, -1, 1, 0, 0, -1, 0), "<=", 0),
-        ((0, 0, 0, 1, -1, 0, -1), "<=", 0),
+        ((0, 0, 0, -1, 1, 0, -1), "<=", 0),
         ((0, 2, -2, 0, 0, 1, 0), "<=", 0),
-        ((0, 0, 0, -1, 1, 0, 1), "<=", 0),
+        ((0, 0, 0, 1, -1, 0, 1), "<=", 0),
     ]
     for row, (coeffs, rel, const) in zip(sys_rows.rows, expected_rows):
         assert row.coeffs == tuple(Fraction(v) for v in coeffs)
         assert row.rel == rel and row.const == const
     # decrease row, oriented as -b^T y <= -1
     decrease = sys_rows.rows[4].as_le()
-    assert decrease.coeffs == tuple(Fraction(v) for v in (-2, 1, 0, -1, 1, 0, 0))
+    assert decrease.coeffs == tuple(Fraction(v) for v in (-2, 1, 0, 1, -1, 0, 0))
     assert decrease.const == -1
     # trailing sign rows: y >= 0 and mu >= 0
     assert all(r.rel == ">=" and r.const == 0 for r in sys_rows.rows[5:])
@@ -101,12 +102,12 @@ def test_svg_analyze_inconclusive():
     # every nonnegative mu: confirm by direct optimization at sampled mu
     from linrank.simplex import NONNEG, LpStatus, lp, solve
 
-    geq = to_geq_matrix(clause)
+    a_c, b_c = to_geq_matrix(clause)
     for mu in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
         p = lp(
             [mu, -mu],
             False,
-            [(tuple(geq.a_c[i]), ">=", geq.b_c[i]) for i in range(geq.n_rows)],
+            [(row, ">=", k) for row, k in zip(a_c, b_c)],
             [NONNEG, NONNEG],
         )
         out = solve(p)
@@ -172,7 +173,7 @@ def test_svg_global_space_is_intersection(log2_clp_loop):
 def test_ms_systems_shapes(countdown_loop):
     c = loop_system(countdown_loop)
     decrease, bounded = build_ms_systems(c)
-    m = to_geq_matrix(c).n_rows
+    m = len(to_geq_matrix(c)[0])
     assert decrease.variables == tuple(f"y{i}" for i in range(1, m + 1)) + ("mu1",)
     assert bounded.variables == tuple(f"z{i}" for i in range(1, m + 3)) + ("mu0", "mu1")
     # hand witnesses: weight on the split x' = x - 1 pair / on x >= 0
@@ -180,7 +181,7 @@ def test_ms_systems_shapes(countdown_loop):
     assert dec_point is not None
     bnd_point = find_point(bounded)
     assert bnd_point is not None
-    hand_dec = [Fraction(0), Fraction(0), Fraction(1), Fraction(1)]  # y3=1, mu1=1
+    hand_dec = [Fraction(0), Fraction(1), Fraction(0), Fraction(1)]  # y2=1, mu1=1
     assert decrease.satisfied_by(hand_dec)
     hand_bnd = [Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
     assert bounded.satisfied_by(hand_bnd)

@@ -23,7 +23,6 @@ from linrank.pr import (
     build_pr_alt_system,
     build_pr_system,
     extract_rf,
-    permute_rows,
     pr_alt_analyze,
     pr_alt_space,
     pr_analyze,
@@ -31,13 +30,13 @@ from linrank.pr import (
     pr_space_of_matrix,
 )
 from linrank.projection import equivalent
-from linrank.rationals import QMatrix, QVector
-from linrank.simplex import find_point, strict_feasible_point
+from linrank.simplex import find_point
 from tests.conftest import sample_points
+from tests.oracles import permute_rows
 
-GOLDEN_A = QMatrix([[-1, 0], [-1, 0], [1, 0], [0, 1], [0, -1], [0, 0]])
-GOLDEN_A_PRIME = QMatrix([[0, 0], [2, 0], [-2, 0], [0, -1], [0, 1], [0, -1]])
-GOLDEN_B = QVector([-2, 0, 1, -1, 1, -1])
+GOLDEN_A = ((-1, 0), (-1, 0), (1, 0), (0, 1), (0, -1), (0, 0))
+GOLDEN_A_PRIME = ((0, 0), (2, 0), (-2, 0), (0, -1), (0, 1), (0, -1))
+GOLDEN_B = (-2, 0, 1, -1, 1, -1)
 
 LAMBDA1 = tuple(Fraction(v) for v in (2, 0, 0, 0, 0, 0))
 LAMBDA2 = tuple(Fraction(v) for v in (1, 1, 0, 0, 0, 0))
@@ -45,7 +44,7 @@ LAMBDA2 = tuple(Fraction(v) for v in (1, 1, 0, 0, 0, 0))
 
 @pytest.fixture(scope="module")
 def golden_matrix():
-    return LeqMatrixForm(GOLDEN_A, GOLDEN_A_PRIME, GOLDEN_B)
+    return LeqMatrixForm(GOLDEN_A, GOLDEN_A_PRIME, GOLDEN_B, 2)
 
 
 def test_golden_witness_pair_satisfies_system(golden_matrix):
@@ -63,7 +62,7 @@ def test_scaling_closure(golden_matrix):
 
 
 def test_zero_row_matrix_is_infeasible():
-    m = LeqMatrixForm(QMatrix([], n_cols=1), QMatrix([], n_cols=1), QVector([]))
+    m = LeqMatrixForm((), (), (), 1)
     sys_rows = build_pr_system(m)
     assert find_point(sys_rows) is None
 
@@ -80,7 +79,7 @@ def test_pr_analyze_diverge(diverge_loop):
     # system is directly infeasible as well
     assert ms_analyze(diverge_loop).status is TerminationStatus.UNKNOWN
     m = to_leq_matrix(loop_system(diverge_loop), diverge_loop.space)
-    assert strict_feasible_point(build_pr_system(m)) is None
+    assert find_point(build_pr_system(m)) is None
     assert pr_analyze(diverge_loop).status is TerminationStatus.UNKNOWN
 
 
@@ -97,7 +96,8 @@ def test_extract_rf_from_golden_witness(golden_matrix):
 
 
 def test_extracted_function_in_denormalized_affine_space(log2_loop, golden_matrix):
-    from linrank.ms import in_denormalized_space, ms_space
+    from linrank.ms import ms_space
+    from tests.oracles import in_denormalized_space
 
     f = extract_rf(PrWitness(LAMBDA1, LAMBDA2), golden_matrix)
     assert in_denormalized_space(ms_space(log2_loop), f)
@@ -174,7 +174,7 @@ def test_alt_system_log2(log2_loop):
     # r = 1 guard row, s = 5 update rows after the equality split
     assert sys_rows.variables[:2] == ("v1_1", "v2_1")
     assert len([v for v in sys_rows.variables if v.startswith("v3_")]) == 5
-    point = strict_feasible_point(sys_rows)
+    point = find_point(sys_rows)
     assert point is not None
     assert pr_alt_analyze(log2_loop).status is TerminationStatus.TERMINATING
 

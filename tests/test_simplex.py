@@ -13,12 +13,11 @@ from linrank.simplex import (
     dual,
     find_point,
     lp,
-    optimize,
     satisfiable,
     solve,
-    strict_feasible_point,
     to_standard_form,
 )
+from tests.oracles import optimize
 
 
 def check_rows(p: LpProblem, point) -> bool:
@@ -118,23 +117,24 @@ def test_dual_of_min_geq_shape():
 def test_dual_of_recursive_log_clause_golden(log2_clp_loop):
     from linrank.constraints import to_geq_matrix
 
-    geq = to_geq_matrix(log2_clp_loop.single)
+    a_c, b_c = to_geq_matrix(log2_clp_loop.single)
     mu = (Fraction(1), Fraction(3))
     objective = [mu[0], mu[1], -mu[0], -mu[1]]
     primal = lp(
         objective,
         False,
-        [(tuple(geq.a_c[i]), ">=", geq.b_c[i]) for i in range(geq.n_rows)],
+        [(row, ">=", k) for row, k in zip(a_c, b_c)],
         [NONNEG] * 4,
     )
     d = dual(primal)
     assert d.maximize
-    assert d.objective == (Fraction(2), Fraction(-1), Fraction(0), Fraction(1), Fraction(-1))
+    # the split equality x2 - x2' = 1 gives its >= row last
+    assert d.objective == (Fraction(2), Fraction(-1), Fraction(0), Fraction(-1), Fraction(1))
     expected_transpose = (
         (1, -1, 1, 0, 0),
-        (0, 0, 0, 1, -1),
-        (0, 2, -2, 0, 0),
         (0, 0, 0, -1, 1),
+        (0, 2, -2, 0, 0),
+        (0, 0, 0, 1, -1),
     )
     for row, expected, bound in zip(d.rows, expected_transpose, (mu[0], mu[1], -mu[0], -mu[1])):
         assert row[0] == tuple(Fraction(v) for v in expected)
@@ -228,11 +228,11 @@ def test_degenerate_cycling_instance_terminates():
 
 def test_strict_feasible_point_examples():
     c1 = system(("x",), [constraint((1,), "<", 0)])
-    p1 = strict_feasible_point(c1)
+    p1 = find_point(c1)
     assert p1 is not None and p1[0] < 0
 
     c2 = system(("x",), [constraint((1,), "<", 0), constraint((1,), ">", 0)])
-    assert strict_feasible_point(c2) is None
+    assert find_point(c2) is None
 
 
 def test_strict_feasible_point_on_multiplier_system(log2_loop):
@@ -241,7 +241,7 @@ def test_strict_feasible_point_on_multiplier_system(log2_loop):
 
     m = to_leq_matrix(loop_system(log2_loop), log2_loop.space)
     sys_rows = build_pr_system(m)
-    point = strict_feasible_point(sys_rows)
+    point = find_point(sys_rows)
     assert point is not None
     assert sys_rows.satisfied_by(point)
     # a known admissible multiplier pair
