@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        metavar="{check,rank,space,compare,bench}",
     )
 
     def add_common(p, with_method=True):
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("dir", help="directory of .loop files")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_self = sub.add_parser("selftest")
+    p_self = sub.add_parser("selftest", help="cross-check both engines on random loops")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--count", type=int, default=50)
     p_self.set_defaults(func=cmd_selftest)

@@ -34,6 +34,7 @@ from .constraints import (
     ConstraintSystem,
     LinConstraint,
 )
+from .rationals import integer_scaling
 from .simplex import find_point, satisfiable
 
 _FULL_PRUNE_THRESHOLD = 40
@@ -41,19 +42,11 @@ _FULL_PRUNE_THRESHOLD = 40
 
 def _int_normalize(row: LinConstraint) -> LinConstraint:
     """Scale by a positive rational so all numbers are coprime integers."""
-    denom = row.const.denominator
-    for c in row.coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    nums = [c.numerator * (denom // c.denominator) for c in row.coeffs]
-    const = row.const.numerator * (denom // row.const.denominator)
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    g = gcd(g, abs(const))
+    _, nums = integer_scaling((*row.coeffs, row.const))
+    g = gcd(*nums)
     if g > 1:
         nums = [v // g for v in nums]
-        const //= g
-    return LinConstraint(tuple(Fraction(v) for v in nums), row.rel, Fraction(const))
+    return LinConstraint(tuple(Fraction(v) for v in nums[:-1]), row.rel, Fraction(nums[-1]))
 
 
 def _combine_eq(row: LinConstraint, pivot: LinConstraint, t: Fraction) -> LinConstraint:
@@ -141,15 +134,8 @@ def _prune_trivial(rows: Sequence[LinConstraint]) -> list[LinConstraint]:
 
 def _direction_scale(coeffs: Sequence[Fraction]) -> Fraction:
     """Positive t such that coeffs * t are coprime integers."""
-    denom = 1
-    for c in coeffs:
-        if c != 0:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    num = 0
-    for c in coeffs:
-        if c != 0:
-            num = gcd(num, abs(c.numerator * (denom // c.denominator)))
-    return Fraction(denom, num)
+    denom, nums = integer_scaling(coeffs)
+    return Fraction(denom, gcd(*nums))
 
 
 def _prune_trivial_tracked(

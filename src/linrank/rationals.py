@@ -1,15 +1,18 @@
 """Exact rational scalars.
 
-Every number in this package is a `fractions.Fraction`: arbitrary precision,
-always in canonical form (reduced, positive denominator), so equality is
-structural and no operation ever rounds.  Vectors and matrices are plain
-tuples of Fractions.
+Every number this package takes or returns is a `fractions.Fraction`:
+arbitrary precision, always in canonical form (reduced, positive
+denominator), so equality is structural and no operation ever rounds.
+Vectors and matrices are plain tuples of Fractions; only the simplex
+tableau works internally on rows scaled to Python ints.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 Rational = Fraction
 
@@ -33,6 +36,13 @@ def parse_rational(text: str) -> Rational:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def integer_scaling(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """The positive lcm of the values' denominators, and the values times
+    it as ints."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def format_rational(value: Rational) -> str:

@@ -1,9 +1,10 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex over `fractions.Fraction` with Bland's pivoting
-rule, so every run terminates and every reported point, value and
-certificate is exact.  Problems here are small (tens of rows), which makes
-the dense tableau the right trade-off.
+A dense two-phase simplex with Bland's pivoting rule, so every run
+terminates.  The tableau works on fraction-free integer rows, and every
+reported point, value and certificate is an exact `Fraction`.  Problems
+here are small (tens of rows), which makes the dense tableau the right
+trade-off.
 
 Besides the raw `LpProblem` interface this module bridges from
 `ConstraintSystem`: feasibility of systems that mix strict and non-strict
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
 from .constraints import EQ, GE, LE, LT, ConstraintSystem
-from .rationals import Rational
+from .rationals import Rational, integer_scaling
 
 NONNEG = "nonneg"
 FREE = "free"
@@ -149,72 +151,83 @@ def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardFormMap]:
 
 
 # --- tableau core -----------------------------------------------------------
+#
+# Fraction-free rows (Edmonds/Bareiss): each row is a list of Python ints,
+# and row r stands for the rational row T[r] / T[r][basis[r]], whose basic
+# entry is kept positive.  Every sign test and ratio comparison of the
+# rational tableau therefore reads off the integers directly, so the pivots
+# are exactly those of the rational simplex; rationals are rebuilt only for
+# the reported point and ray.
+
+
+def _combine(row, prow, p, f):
+    """row * p - prow * f, divided by the gcd of its entries."""
+    out = [a * p - b * f if b else a * p for a, b in zip(row, prow)]
+    g = gcd(*out)
+    return [e // g for e in out] if g > 1 else out
+
 
 def _pivot(tableau, basis, r, col):
-    row = tableau[r]
-    inv = Fraction(1) / row[col]
-    tableau[r] = [e * inv for e in row]
+    prow = tableau[r]
+    p = prow[col]
+    if p < 0:  # only the phase-1 drive-out pivots on a negative entry
+        prow = tableau[r] = [-e for e in prow]
+        p = -p
     for i, other in enumerate(tableau):
-        if i != r and other[col] != 0:
-            factor = other[col]
-            tableau[i] = [e - factor * p for e, p in zip(other, tableau[r])]
+        f = other[col]
+        if f and i != r:
+            tableau[i] = _combine(other, prow, p, f)
     basis[r] = col
 
 
-def _bland_min(tableau, basis, cost, n_cols, allowed, stop_at_zero=False):
-    """Minimize over the current tableau; cost is a reduced-cost row with
-    the negated objective value in its last cell.  Returns ('optimal',) or
+def _bland_min(tableau, basis, cost, n_cols, stop_at_zero=False):
+    """Minimize over the current tableau; cost is the reduced-cost row with
+    the negated objective value in its last cell, as ints scaled by a
+    positive factor.  Updates cost in place and returns ('optimal',) or
     ('unbounded', entering_col).  With stop_at_zero, returns as soon as the
     objective value reaches zero (used by phase 1, whose optimum is never
     negative)."""
     while True:
         if stop_at_zero and cost[-1] >= 0:
             return ("optimal",)
-        entering = None
-        for j in range(n_cols):
-            if allowed[j] and cost[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(n_cols) if cost[j] < 0), None)
         if entering is None:
             return ("optimal",)
+        # Bland's ratio test: least rhs / entry over positive entries,
+        # compared by cross-multiplication, ties to the least basic column.
         leaving = None
-        best_ratio = None
         for r, row in enumerate(tableau):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+            a = row[entering]
+            if a > 0:
+                if leaving is not None:
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leaving]):
+                        continue
+                leaving, best_a, best_b = r, a, row[-1]
         if leaving is None:
             return ("unbounded", entering)
-        factor = cost[entering]
         _pivot(tableau, basis, leaving, entering)
-        for j in range(n_cols + 1):
-            cost[j] -= factor * tableau[leaving][j]
+        cost[:] = _combine(cost, tableau[leaving], best_a, cost[entering])
 
 
-def _reduced_cost_row(tableau, basis, c, n_cols):
-    cost = list(c) + [Fraction(0)]
+def _reduced_cost_row(tableau, basis, c):
+    """Integer reduced-cost row of c (ints), zero on every basic column."""
+    cost = list(c) + [0]
     for r, row in enumerate(tableau):
-        cb = c[basis[r]]
-        if cb != 0:
-            for j in range(n_cols + 1):
-                cost[j] -= cb * row[j]
+        f = cost[basis[r]]
+        if f:
+            cost = _combine(cost, row, row[basis[r]], f)
     return cost
 
 
-def _solve_standard(rows, rhs, objective):
-    """Simplex on  min objective . x  s.t.  rows x = rhs, x >= 0.
+def _solve_standard(rows, rhs, objective, n):
+    """Simplex on  min objective . x  s.t.  rows x = rhs, x >= 0  over n
+    variables.
 
     Returns (status, point, value, ray) in standard-form coordinates;
     objective None solves feasibility only.
     """
     m = len(rows)
-    n = len(rows[0]) if m else (len(objective) if objective else 0)
     if m == 0:
         point = (Fraction(0),) * n
         if objective is None:
@@ -226,12 +239,12 @@ def _solve_standard(rows, rhs, objective):
                 return LpStatus.UNBOUNDED, point, None, tuple(ray)
         return LpStatus.OPTIMAL, point, Fraction(0), None
 
-    tableau = []
+    rational = []
     for row, b in zip(rows, rhs):
         if b < 0:
-            tableau.append([-e for e in row] + [-b])
+            rational.append([-e for e in row] + [-b])
         else:
-            tableau.append(list(row) + [b])
+            rational.append(list(row) + [b])
 
     # Crash basis: a column that is a unit vector serves as the basic
     # variable of its row; only uncovered rows get an artificial variable.
@@ -241,7 +254,7 @@ def _solve_standard(rows, rhs, objective):
         row_idx = None
         ok = True
         for i in range(m):
-            v = tableau[i][j]
+            v = rational[i][j]
             if v == 0:
                 continue
             if v == 1 and row_idx is None:
@@ -257,20 +270,23 @@ def _solve_standard(rows, rhs, objective):
     n_art = len(uncovered)
     for k, i in enumerate(uncovered):
         basis[i] = n + k
-    for i in range(m):
-        art = [Fraction(0)] * n_art
+
+    # Integer rows: scale by the lcm of the denominators, so each basic
+    # entry (1 in the rational row) becomes that positive lcm.
+    tableau = []
+    for i, row in enumerate(rational):
+        scale, ints = integer_scaling(row)
+        art = [0] * n_art
         if basis[i] >= n:
-            art[basis[i] - n] = Fraction(1)
-        tableau[i] = tableau[i][:-1] + art + [tableau[i][-1]]
+            art[basis[i] - n] = scale
+        tableau.append(ints[:-1] + art + ints[-1:])
     total = n + n_art
 
     if n_art:
-        phase1_cost = [Fraction(0)] * n + [Fraction(1)] * n_art
-        cost = _reduced_cost_row(tableau, basis, phase1_cost, total)
-        allowed = [True] * total
-        outcome = _bland_min(tableau, basis, cost, total, allowed, stop_at_zero=True)
+        cost = _reduced_cost_row(tableau, basis, [0] * n + [1] * n_art)
+        outcome = _bland_min(tableau, basis, cost, total, stop_at_zero=True)
         assert outcome[0] == "optimal", "phase 1 is bounded below by zero"
-        if -cost[-1] > 0:
+        if cost[-1] < 0:
             return LpStatus.INFEASIBLE, None, None, None
 
         # Drive artificial variables out of the basis; rows where that is
@@ -291,21 +307,21 @@ def _solve_standard(rows, rhs, objective):
     def current_point():
         point = [Fraction(0)] * n
         for r, row in enumerate(tableau):
-            point[basis[r]] = row[-1]
+            point[basis[r]] = Fraction(row[-1], row[basis[r]])
         return tuple(point)
 
     if objective is None:
         return LpStatus.FEASIBLE, current_point(), None, None
 
-    cost = _reduced_cost_row(tableau, basis, list(objective), n)
-    outcome = _bland_min(tableau, basis, cost, n, [True] * n)
+    cost = _reduced_cost_row(tableau, basis, integer_scaling(objective)[1])
+    outcome = _bland_min(tableau, basis, cost, n)
     point = current_point()
     if outcome[0] == "unbounded":
         entering = outcome[1]
         ray = [Fraction(0)] * n
         ray[entering] = Fraction(1)
         for r, row in enumerate(tableau):
-            ray[basis[r]] = -row[entering]
+            ray[basis[r]] = Fraction(-row[entering], row[basis[r]])
         return LpStatus.UNBOUNDED, point, None, tuple(ray)
     value = sum((c * x for c, x in zip(objective, point)), Fraction(0))
     return LpStatus.OPTIMAL, point, value, None
@@ -318,7 +334,7 @@ def solve(p: LpProblem) -> LpOutcome:
     std, vmap = to_standard_form(p)
     rows = [list(coeffs) for coeffs, _, _ in std.rows]
     rhs = [r for _, _, r in std.rows]
-    status, point, value, ray = _solve_standard(rows, rhs, std.objective)
+    status, point, value, ray = _solve_standard(rows, rhs, std.objective, std.n_vars)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     orig_point = vmap.recover(point)

@@ -1,9 +1,10 @@
+import argparse
 import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
-from linrank.cli import main
+from linrank.cli import build_parser, main
 from linrank.constraints import ConstraintSystem, LinConstraint
 from linrank.projection import equivalent
 from linrank.rationals import parse_rational
@@ -216,6 +217,15 @@ def test_selftest_runs_clean():
     code, text = run("selftest", "--seed=5", "--count=6")
     assert code == 0
     assert "0 failures" in text
+
+
+def test_help_lists_every_subcommand():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    text = parser.format_help()
+    listed = {line.split()[0] for line in text.splitlines() if line.startswith("    ")}
+    assert "{" + ",".join(sub.choices) + "}" in text
+    assert set(sub.choices) <= listed
 
 
 def test_method_both_fails_on_engine_disagreement(monkeypatch):

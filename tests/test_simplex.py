@@ -63,6 +63,10 @@ def test_feasibility_without_objective_returns_point():
     out = solve(p)
     assert out.status is LpStatus.FEASIBLE
     assert check_rows(p, out.point)
+    # no rows at all: the origin, with one coordinate per variable
+    out = solve(lp(None, False, [], [NONNEG, FREE]))
+    assert out.status is LpStatus.FEASIBLE
+    assert out.point == (Fraction(0), Fraction(0))
 
 
 def test_standard_form_is_fixpoint_on_equality_problems():
