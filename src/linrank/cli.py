@@ -26,6 +26,7 @@ from .ms import (
     RankingFunction,
     RankingSpace,
     TerminationStatus,
+    UnsatisfiableLoopError,
     Verdict,
     ms_analyze,
     ms_bounded_space,
@@ -37,7 +38,7 @@ from .ms import (
 from .pr import pr_alt_analyze, pr_alt_space, pr_analyze, pr_space
 from .projection import equivalent
 from .rationals import format_rational
-from .simplex import find_point, satisfiable
+from .simplex import find_point
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -178,8 +179,12 @@ def cmd_space(args, out) -> int:
     loop = _load_loop(args.file)
     if args.conditional and args.method not in ("ms", "both"):
         raise CliError("--conditional requires the ms method")
-    c = loop_system(loop)
-    if not satisfiable(c):
+    try:
+        if args.conditional:
+            decreasing, bounded = ms_decreasing_space(loop), ms_bounded_space(loop)
+        else:
+            space = METHODS[args.method][1](loop)
+    except UnsatisfiableLoopError:  # for svg: no point over Q+
         if args.format == "json":
             _emit({"status": "trivially-terminating", "method": args.method}, "json", out)
         else:
@@ -187,8 +192,6 @@ def cmd_space(args, out) -> int:
         return EXIT_OK
 
     if args.conditional:
-        decreasing = ms_decreasing_space(loop)
-        bounded = ms_bounded_space(loop)
         if args.format == "json":
             payload = {
                 "status": "ok",
@@ -202,7 +205,6 @@ def cmd_space(args, out) -> int:
             _print_space("bounded candidates:", bounded, out)
         return EXIT_OK
 
-    space = METHODS[args.method][1](loop)
     if args.format == "json":
         payload = {"status": "ok", "method": args.method, "space": _space_json(space)}
         if args.method == "both":

@@ -21,7 +21,6 @@ from .rationals import Rational, format_rational
 
 LE, LT, EQ, GE, GT = "<=", "<", "=", ">=", ">"
 RELATIONS = (LE, LT, EQ, GE, GT)
-NONSTRICT_RELATIONS = (LE, EQ, GE)
 
 _FLIP = {LE: GE, LT: GT, GE: LE, GT: LT, EQ: EQ}
 _RELAX = {LT: LE, GT: GE, LE: LE, GE: GE, EQ: EQ}
@@ -131,10 +130,6 @@ class LinConstraint:
         return f"{lhs} {self.rel} {format_rational(self.const)}"
 
 
-def constraint(coeffs: Iterable[int | Rational], rel: str, const: int | Rational) -> LinConstraint:
-    return LinConstraint(tuple(Fraction(c) for c in coeffs), rel, Fraction(const))
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Conjunction of linear constraints over one ordered variable tuple."""
@@ -184,10 +179,6 @@ class ConstraintSystem:
 
     def render(self) -> list[str]:
         return [row.render(self.variables) for row in self.rows]
-
-
-def system(variables: Sequence[str], rows: Iterable[LinConstraint]) -> ConstraintSystem:
-    return ConstraintSystem(tuple(variables), tuple(rows))
 
 
 @dataclass(frozen=True)

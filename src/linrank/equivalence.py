@@ -37,6 +37,7 @@ from .constraints import (
     LoopModel,
     VarSpace,
     loop_system,
+    merge_guarded,
     to_leq_matrix,
 )
 from .ms import (
@@ -195,7 +196,6 @@ def random_loop(
         return LinConstraint(tuple(coeffs), rel, const)
 
     state = p + pp
-    combined = space.combined_names
 
     guard_rows: list[LinConstraint] = []
     update_rows: list[LinConstraint] = []
@@ -220,16 +220,9 @@ def random_loop(
         b0 = sum((a * b for a, b in zip(mu, p)), Fraction(0)) - Fraction(rng.randint(0, 3))
         guard_rows.append(LinConstraint(tuple(mu), GE, b0))
 
-    if guarded:
-        return LoopModel(
-            space,
-            guard=ConstraintSystem(space.names, tuple(guard_rows)),
-            update=ConstraintSystem(combined, tuple(update_rows)),
-        )
-    lifted = [
-        LinConstraint(row.coeffs + (Fraction(0),) * n, row.rel, row.const)
-        for row in guard_rows
-    ]
-    return LoopModel(
-        space, single=ConstraintSystem(combined, tuple(lifted) + tuple(update_rows))
+    loop = LoopModel(
+        space,
+        guard=ConstraintSystem(space.names, tuple(guard_rows)),
+        update=ConstraintSystem(space.combined_names, tuple(update_rows)),
     )
+    return loop if guarded else LoopModel(space, single=merge_guarded(loop))

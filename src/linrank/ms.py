@@ -83,12 +83,6 @@ class RankingFunction:
             raise ValueError("point dimension mismatch")
         return self.mu0 + sum((m * Fraction(v) for m, v in zip(self.mu, x)), Fraction(0))
 
-    def scaled(self, k: Rational) -> "RankingFunction":
-        k = Fraction(k)
-        return RankingFunction(
-            self.mu0 * k, tuple(m * k for m in self.mu), self.delta * k, self.lower_bound * k
-        )
-
 
 @dataclass(frozen=True)
 class RankingSpace:
@@ -333,8 +327,8 @@ def ms_space(loop: LoopModel) -> RankingSpace:
 
     The conjoined system's y and z blocks share only (mu0, mu), so its
     projection is computed block-by-block and conjoined; this is exact and
-    keeps each elimination small."""
-    _require_satisfiable(loop)
+    keeps each elimination small.  An unsatisfiable loop raises
+    UnsatisfiableLoopError from ms_decreasing_space."""
     params = _mu_names(loop.space.n, with_mu0=True)
     decreasing = ms_decreasing_space(loop)
     bounded = ms_bounded_space(loop)

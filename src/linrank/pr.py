@@ -293,21 +293,16 @@ def pr_alt_analyze(loop: LoopModel) -> Verdict:
 
 
 def pr_alt_space(loop: LoopModel) -> RankingSpace:
-    """Space computed from the guard/update blocks without merging the
-    loop model first; equivalent to pr_space of the merged system.
+    """The space of a guarded loop, which is pr_space of its merged system.
 
     The three-vector system is kept for feasibility only: its extraction
     rule reads the offset off the guard multipliers alone, which pins mu0
-    whenever a valid offset needs weight on update rows, so the space is
-    projected from the block-assembled matrix with full multipliers."""
-    c = loop_system(loop)
-    if not satisfiable(c):
-        raise UnsatisfiableLoopError("loop body constraint is unsatisfiable")
-    a_b, b_b, update = _guard_update_matrices(loop)
-    n = loop.space.n
-    zeros = ((Fraction(0),) * n,) * len(a_b)
-    block = LeqMatrixForm(a_b + update.a, zeros + update.a_prime, b_b + update.b, n)
-    return pr_space_of_matrix(block)
+    whenever a valid offset needs weight on update rows.  The guard/update
+    block matrix with full multipliers is row for row the merged system's
+    matrix, so the space is projected from that."""
+    if not loop.is_guarded:
+        raise ConstraintError("alternative formulation needs a guarded loop")
+    return pr_space(loop)
 
 
 def pr_space_of_matrix(m: LeqMatrixForm) -> RankingSpace:

@@ -6,10 +6,12 @@ occurring in equality rows are eliminated by substitution first (row count
 never grows), and the remaining variables are eliminated pairwise with
 ancestry tracking so that any non-strict row combining more than k+1
 original rows after k eliminations is dropped as redundant (Chernikov's
-counting rule; such rows are consequences of the retained ones).  Rows are
-rescaled to coprime integer coefficients at every step to keep rational
-arithmetic small, parallel rows collapse to the tightest representative,
-and an exact LP-based prune acts as a backstop when row counts still grow.
+counting rule; such rows are consequences of the retained ones).  After
+every step `_prune_trivial` gives each row its one canonical form: oriented
+<=, < or =, a coprime-integer direction (an equality's leading coefficient
+positive), parallel rows collapsed to the tightest representative, and
+`0 < 0` as the only empty row.  An exact LP-based prune acts as a backstop
+when row counts still grow.
 
 Equality of solution sets is decided exactly, strict faces included: after
 the two relaxed systems entail each other, any remaining discrepancy must
@@ -40,19 +42,10 @@ from .simplex import find_point, satisfiable
 _FULL_PRUNE_THRESHOLD = 40
 
 
-def _int_normalize(row: LinConstraint) -> LinConstraint:
-    """Scale by a positive rational so all numbers are coprime integers."""
-    _, nums = integer_scaling((*row.coeffs, row.const))
-    g = gcd(*nums)
-    if g > 1:
-        nums = [v // g for v in nums]
-    return LinConstraint(tuple(Fraction(v) for v in nums[:-1]), row.rel, Fraction(nums[-1]))
-
-
 def _combine_eq(row: LinConstraint, pivot: LinConstraint, t: Fraction) -> LinConstraint:
     """row - t * pivot, pivot an equality (relation preserved)."""
     coeffs = tuple(a - t * b for a, b in zip(row.coeffs, pivot.coeffs))
-    return _int_normalize(LinConstraint(coeffs, row.rel, row.const - t * pivot.const))
+    return LinConstraint(coeffs, row.rel, row.const - t * pivot.const)
 
 
 def _drop_column(
@@ -80,7 +73,7 @@ def _fm_combinations(
     lower: list[int] = []
     oriented: list[LinConstraint] = []
     for i, row in enumerate(rows):
-        le_row = row.as_le() if row.rel in (GE, GT) else row
+        le_row = row.as_le()
         oriented.append(le_row)
         coeff = le_row.coeffs[idx]
         if coeff == 0:
@@ -103,7 +96,7 @@ def _fm_combinations(
             coeffs = tuple(a / pu + b / pl for a, b in zip(up.coeffs, low.coeffs))
             const = up.const / pu + low.const / pl
             rel = LT if (up.rel == LT or low.rel == LT) else LE
-            out.append((_int_normalize(LinConstraint(coeffs, rel, const)), (i, j)))
+            out.append((LinConstraint(coeffs, rel, const), (i, j)))
     return out
 
 
@@ -119,17 +112,9 @@ def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
                 continue
             coeff = row.coeffs[idx]
             out.append(_combine_eq(row, pivot, coeff / pivot.coeffs[idx]) if coeff != 0 else row)
-        return _drop_column(c.variables, idx, _prune_trivial(out))
+        return _drop_column(c.variables, idx, _prune_trivial(out)[0])
     combined = [row for row, _ in _fm_combinations(c.rows, idx)]
-    return _drop_column(c.variables, idx, _prune_trivial(combined))
-
-
-def _prune_trivial(rows: Sequence[LinConstraint]) -> list[LinConstraint]:
-    """Drop trivially-true rows and syntactic duplicates; among parallel rows
-    of the same direction keep only the tightest one.  A ground-false row
-    collapses the whole system to just that row."""
-    kept, _ = _prune_trivial_tracked(rows)
-    return kept
+    return _drop_column(c.variables, idx, _prune_trivial(combined)[0])
 
 
 def _direction_scale(coeffs: Sequence[Fraction]) -> Fraction:
@@ -138,20 +123,26 @@ def _direction_scale(coeffs: Sequence[Fraction]) -> Fraction:
     return Fraction(denom, gcd(*nums))
 
 
-def _prune_trivial_tracked(
+def _false_row(width: int) -> LinConstraint:
+    """0 < 0, the one row of an empty system."""
+    return LinConstraint((Fraction(0),) * width, LT, Fraction(0))
+
+
+def _prune_trivial(
     rows: Sequence[LinConstraint],
 ) -> tuple[list[LinConstraint], list[int]]:
-    """_prune_trivial plus the source index of each kept row."""
-    for i, row in enumerate(rows):
-        if row.is_trivially_false():
-            return [row], [i]
+    """Give each row its canonical form, drop trivially-true rows and
+    duplicates, and among parallel rows of the same direction keep only the
+    tightest one.  Returns the kept rows and the source index of each.  A
+    ground-false row, or two parallel equalities that disagree, collapse
+    the whole system to the single row 0 < 0."""
     best: dict[tuple, tuple[LinConstraint, int]] = {}
-    order: list[tuple] = []
-    conflict: tuple[LinConstraint, int] | None = None
     for i, row in enumerate(rows):
         if row.is_trivially_true():
             continue
-        le_row = row.as_le() if row.rel in (GE, GT) else row
+        if row.is_trivially_false():
+            return [_false_row(len(row.coeffs))], [i]
+        le_row = row.as_le()
         kind = EQ if le_row.rel == EQ else LE
         # Equalities canonicalize up to sign, inequalities only up to
         # positive scaling; directions are kept as coprime integers.
@@ -163,43 +154,24 @@ def _prune_trivial_tracked(
         key = (kind, direction)
         scaled_const = le_row.const * scale
         incumbent = best.get(key)
-        if incumbent is None:
-            best[key] = (LinConstraint(direction, le_row.rel, scaled_const), i)
-            order.append(key)
-            continue
-        if kind == EQ:
+        if incumbent is not None and kind == EQ:
             if incumbent[0].const != scaled_const:
-                width = len(direction)
-                conflict = (
-                    LinConstraint((Fraction(0),) * width, LT, Fraction(0)),
-                    i,
-                )
-                break
+                return [_false_row(len(direction))], [i]
             continue
-        tighter = scaled_const < incumbent[0].const or (
+        if incumbent is None or scaled_const < incumbent[0].const or (
             scaled_const == incumbent[0].const and le_row.rel == LT
-        )
-        if tighter:
+        ):
             best[key] = (LinConstraint(direction, le_row.rel, scaled_const), i)
-    if conflict is not None:
-        return [conflict[0]], [conflict[1]]
-    kept = [best[key] for key in order]
+    kept = list(best.values())
     return [row for row, _ in kept], [i for _, i in kept]
 
 
+# The rows whose union is the complement of a row's solution set.
+_NEGATED = {LE: (GT,), LT: (GE,), GE: (LT,), GT: (LE,), EQ: (GT, LT)}
+
+
 def _negations(k: LinConstraint) -> list[LinConstraint]:
-    if k.rel == LE:
-        return [LinConstraint(k.coeffs, GT, k.const)]
-    if k.rel == LT:
-        return [LinConstraint(k.coeffs, GE, k.const)]
-    if k.rel == GE:
-        return [LinConstraint(k.coeffs, LT, k.const)]
-    if k.rel == GT:
-        return [LinConstraint(k.coeffs, LE, k.const)]
-    return [
-        LinConstraint(k.coeffs, GT, k.const),
-        LinConstraint(k.coeffs, LT, k.const),
-    ]
+    return [LinConstraint(k.coeffs, rel, k.const) for rel in _NEGATED[k.rel]]
 
 
 def _entails_system(c: ConstraintSystem, k: LinConstraint) -> bool:
@@ -224,7 +196,7 @@ def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
     Every feasibility query that certifies a row as needed yields a point;
     those points are cached and re-checked first, so most non-redundant
     rows are confirmed without another LP."""
-    keep = _prune_trivial(c.rows)
+    keep = _prune_trivial(c.rows)[0]
     witnesses: list[tuple] = []
     i = 0
     while i < len(keep):
@@ -250,11 +222,6 @@ def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
     return c.with_rows(tuple(keep))
 
 
-def _empty_system(variables: tuple[str, ...]) -> ConstraintSystem:
-    false_row = LinConstraint((Fraction(0),) * len(variables), LT, Fraction(0))
-    return ConstraintSystem(variables, (false_row,))
-
-
 def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     """Eliminate every variable outside `keep`, then remove redundancy.
     The result's variables follow the order of `keep`."""
@@ -264,8 +231,8 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     # Projecting an empty set is the empty set; eliminating variables from
     # an infeasible system head-on can blow up combinatorially instead.
     if not satisfiable(c):
-        return _empty_system(keep)
-    current = c.with_rows(_prune_trivial(c.rows))
+        return ConstraintSystem(keep, (_false_row(len(keep)),))
+    current = c.with_rows(_prune_trivial(c.rows)[0])
 
     # Substitution phase: any to-eliminate variable held by an equality row
     # goes first (each such step removes one row and one column).
@@ -298,9 +265,8 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
         for name in remaining:
             idx = variables.index(name)
             pos = neg = 0
-            for row in rows:
-                le_row = row.as_le() if row.rel in (GE, GT) else row
-                coeff = le_row.coeffs[idx]
+            for row in rows:  # canonical, so oriented <=, < or =
+                coeff = row.coeffs[idx]
                 if coeff > 0:
                     pos += 1
                 elif coeff < 0:
@@ -319,7 +285,7 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
                 continue
             new_rows.append(row)
             new_anc.append(anc)
-        kept_rows, kept_idx = _prune_trivial_tracked(new_rows)
+        kept_rows, kept_idx = _prune_trivial(new_rows)
         stripped = _drop_column(variables, idx, kept_rows)
         variables = stripped.variables
         rows = list(stripped.rows)
@@ -348,14 +314,6 @@ def _reorder(c: ConstraintSystem, variables: tuple[str, ...]) -> ConstraintSyste
     return ConstraintSystem(variables, rows)
 
 
-def _canonical_rows(c: ConstraintSystem) -> frozenset:
-    out = []
-    for row in _prune_trivial(c.rows):
-        le_row = row.as_le() if row.rel in (GE, GT) else row
-        out.append((le_row.rel, le_row.coeffs, le_row.const))
-    return frozenset(out)
-
-
 def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
     """Exact solution-set equality of two (possibly strict) systems over the
     same variables.
@@ -367,7 +325,7 @@ def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
     """
     if c1.variables != c2.variables:
         raise ConstraintError("cannot compare systems over different variables")
-    if _canonical_rows(c1) == _canonical_rows(c2):
+    if set(_prune_trivial(c1.rows)[0]) == set(_prune_trivial(c2.rows)[0]):
         return True
     sat1, sat2 = satisfiable(c1), satisfiable(c2)
     if not sat1 or not sat2:

@@ -7,10 +7,12 @@ here are small (tens of rows), which makes the dense tableau the right
 trade-off.
 
 Besides the raw `LpProblem` interface this module bridges from
-`ConstraintSystem`: feasibility of systems that mix strict and non-strict
-rows is decided by maximizing one shared slack added to every strict row --
-the system has a point satisfying all strict rows strictly iff the optimal
-slack is positive or unbounded.
+`ConstraintSystem`: one pass orients each row as <=, < or =, turns plain
+sign rows into variable bounds and keeps the rest as LP rows.  Feasibility
+of systems that mix strict and non-strict rows is decided by maximizing
+one shared slack added to every strict row -- the system has a point
+satisfying all strict rows strictly iff the optimal slack is positive or
+unbounded.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ class StandardFormMap:
     """Recovers original-variable values from standard-form points."""
 
     columns: tuple[tuple[int, int | None], ...]  # per original var: (col+, col-)
-    n_standard_vars: int
     objective_negated: bool
 
     def recover(self, standard_point: Sequence[Rational]) -> tuple[Rational, ...]:
@@ -147,7 +148,7 @@ def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardFormMap]:
         base = widen(p.objective)
         std_obj = tuple(-c for c in base) if p.maximize else tuple(base)
     std = LpProblem(std_obj, False, tuple(std_rows), (NONNEG,) * n_std)
-    return std, StandardFormMap(tuple(columns), n_std, p.maximize)
+    return std, StandardFormMap(tuple(columns), p.maximize)
 
 
 # --- tableau core -----------------------------------------------------------
@@ -228,17 +229,6 @@ def _solve_standard(rows, rhs, objective, n):
     objective None solves feasibility only.
     """
     m = len(rows)
-    if m == 0:
-        point = (Fraction(0),) * n
-        if objective is None:
-            return LpStatus.FEASIBLE, point, None, None
-        for j, c in enumerate(objective):
-            if c < 0:
-                ray = [Fraction(0)] * n
-                ray[j] = Fraction(1)
-                return LpStatus.UNBOUNDED, point, None, tuple(ray)
-        return LpStatus.OPTIMAL, point, Fraction(0), None
-
     rational = []
     for row, b in zip(rows, rhs):
         if b < 0:
@@ -377,40 +367,31 @@ def dual(p: LpProblem) -> LpProblem:
 
 # --- constraint-system bridge ------------------------------------------------
 
-def _split_signs(c: ConstraintSystem):
-    """Absorb plain sign rows (c*x >= 0, one nonzero positive coefficient)
-    into variable bounds; returns (signs, remaining rows).  Halves the
-    standard-form column count for the multiplier systems, which consist
-    mostly of nonnegative variables."""
+def _lp_rows(c: ConstraintSystem, slack: bool):
+    """Orient each row of c once and turn it into LP data; returns (signs,
+    rows).  A plain sign row (c*x >= 0, one nonzero positive coefficient)
+    becomes a variable bound, which halves the standard-form column count
+    for the multiplier systems, as they consist mostly of nonnegative
+    variables.  Every other row becomes an LP row over c's variables, plus a
+    trailing slack column when requested; strict rows are tightened by that
+    shared slack."""
     signs = [FREE] * c.n_vars
-    kept = []
+    rows = []
+    zero_slack = (Fraction(0),) if slack else ()
     for row in c.rows:
-        le_row = row.as_le()
+        le_row = row.as_le()  # orient strict rows as <
         if le_row.rel == LE and le_row.const == 0:
             nonzero = [(j, v) for j, v in enumerate(le_row.coeffs) if v != 0]
             if len(nonzero) == 1 and nonzero[0][1] < 0:
                 signs[nonzero[0][0]] = NONNEG
                 continue
-        kept.append(row)
-    return tuple(signs), kept
-
-
-def _lp_rows(rows, n: int, slack: bool):
-    """LP rows over n variables (+ trailing slack column when requested);
-    strict rows are tightened by the shared slack."""
-    extra = 1 if slack else 0
-    out = []
-    for row in rows:
-        le_row = row.as_le()  # orient strict rows as <
-        width = list(le_row.coeffs) + [Fraction(0)] * extra
         if le_row.rel == LT:
             if not slack:
                 raise LpShapeError("strict row needs the slack encoding")
-            width[-1] = Fraction(1)
-            out.append((tuple(width), LE, le_row.const))
+            rows.append((le_row.coeffs + (Fraction(1),), LE, le_row.const))
         else:
-            out.append((tuple(width), le_row.rel, le_row.const))
-    return out
+            rows.append((le_row.coeffs + zero_slack, le_row.rel, le_row.const))
+    return tuple(signs), rows
 
 
 @lru_cache(maxsize=8192)
@@ -427,12 +408,12 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
     zeros = (Fraction(0),) * n
     if c.satisfied_by(zeros):
         return zeros
-    signs, remaining = _split_signs(c)
     if not c.has_strict_rows():
-        outcome = solve(LpProblem(None, False, tuple(_lp_rows(remaining, n, False)), signs))
+        signs, rows = _lp_rows(c, False)
+        outcome = solve(LpProblem(None, False, tuple(rows), signs))
         return outcome.point if outcome.is_feasible else None
 
-    rows = _lp_rows(remaining, n, True)
+    signs, rows = _lp_rows(c, True)
     objective = (Fraction(0),) * n + (Fraction(1),)
     problem = LpProblem(objective, True, tuple(rows), signs + (NONNEG,))
     outcome = solve(problem)

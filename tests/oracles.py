@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from linrank.constraints import (
     GT,
@@ -20,10 +20,17 @@ from linrank.simplex import (
     LpProblem,
     LpStatus,
     _lp_rows,
-    _split_signs,
     find_point,
     solve,
 )
+
+
+def constraint(coeffs: Iterable[int | Rational], rel: str, const: int | Rational) -> LinConstraint:
+    return LinConstraint(tuple(Fraction(c) for c in coeffs), rel, Fraction(const))
+
+
+def system(variables: Sequence[str], rows: Iterable[LinConstraint]) -> ConstraintSystem:
+    return ConstraintSystem(tuple(variables), tuple(rows))
 
 
 def _dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
@@ -61,10 +68,8 @@ def optimize(
     c: ConstraintSystem, objective: Sequence[Rational], maximize: bool
 ) -> LpOutcome:
     """Optimize over the topological closure of c (strict rows relaxed)."""
-    relaxed = c.relaxed()
-    signs, remaining = _split_signs(relaxed)
-    rows = tuple(_lp_rows(remaining, c.n_vars, False))
-    problem = LpProblem(tuple(Fraction(v) for v in objective), maximize, rows, signs)
+    signs, rows = _lp_rows(c.relaxed(), False)
+    problem = LpProblem(tuple(Fraction(v) for v in objective), maximize, tuple(rows), signs)
     return solve(problem)
 
 

@@ -17,9 +17,7 @@ from linrank.constraints import (
     ConstraintSystem,
     LeqMatrixForm,
     LinConstraint,
-    constraint,
     loop_system,
-    system,
     to_leq_matrix,
 )
 from linrank.equivalence import (
@@ -41,7 +39,7 @@ from linrank.projection import equivalent
 from linrank.rationals import parse_rational
 from linrank.simplex import NONNEG, LpStatus, dual, lp, satisfiable, solve
 from tests.conftest import load_loop
-from tests.oracles import permute_rows
+from tests.oracles import constraint, permute_rows, system
 from tests.test_projection import _random_system, fm_sampling_check
 
 LOOPS = Path(__file__).resolve().parents[1] / "loops"

@@ -10,15 +10,13 @@ from linrank.constraints import (
     LinConstraint,
     LoopModel,
     VarSpace,
-    constraint,
     loop_system,
     merge_guarded,
-    system,
     to_geq_matrix,
     to_leq_matrix,
 )
 from linrank.simplex import satisfiable
-from tests.oracles import geq_satisfied_by, leq_satisfied_by
+from tests.oracles import constraint, geq_satisfied_by, leq_satisfied_by, system
 
 
 def cs(variables, rows):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linrank.constraints import ConstraintError, constraint, loop_system, system, to_leq_matrix
+from linrank.constraints import ConstraintError, loop_system, to_leq_matrix
 from linrank.equivalence import (
     cone_extend,
     cross_check,
@@ -22,7 +22,7 @@ from linrank.ms import (
 from linrank.pr import pr_analyze
 from linrank.projection import equivalent
 from linrank.simplex import satisfiable
-from tests.oracles import in_denormalized_space
+from tests.oracles import constraint, in_denormalized_space, system
 
 
 def full_space(params, rows):

@@ -6,9 +6,7 @@ import pytest
 
 from linrank import parse_loop
 from linrank.constraints import (
-    constraint,
     loop_system,
-    system,
     to_geq_matrix,
 )
 from linrank.ms import (
@@ -29,7 +27,7 @@ from linrank.ms import (
 from linrank.projection import entails, equivalent, project
 from linrank.simplex import find_point, satisfiable
 from tests.conftest import sample_points
-from tests.oracles import in_denormalized_space
+from tests.oracles import constraint, in_denormalized_space, system
 
 
 def cs(variables, rows):

@@ -8,10 +8,8 @@ from linrank.constraints import (
     LeqMatrixForm,
     LoopModel,
     VarSpace,
-    constraint,
     loop_system,
     merge_guarded,
-    system,
     to_leq_matrix,
 )
 from linrank.equivalence import random_loop
@@ -32,7 +30,7 @@ from linrank.pr import (
 from linrank.projection import equivalent
 from linrank.simplex import find_point
 from tests.conftest import sample_points
-from tests.oracles import permute_rows
+from tests.oracles import constraint, permute_rows, system
 
 GOLDEN_A = ((-1, 0), (-1, 0), (1, 0), (0, 1), (0, -1), (0, 0))
 GOLDEN_A_PRIME = ((0, 0), (2, 0), (-2, 0), (0, -1), (0, 1), (0, -1))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linrank.constraints import ConstraintError, constraint, system
+from linrank.constraints import ConstraintError
 from linrank.projection import (
     eliminate,
     entails,
@@ -13,6 +13,7 @@ from linrank.projection import (
 )
 from linrank.simplex import satisfiable
 from tests.conftest import sample_points
+from tests.oracles import constraint, system
 
 
 def cs(variables, rows):
@@ -78,6 +79,18 @@ def test_entails_from_projected_space(log2_loop):
     # mu1 >= 1 follows from mu1 - mu2 >= 1 and mu2 >= 0
     assert entails(space, constraint((0, 1, 0), ">=", 1))
     assert not entails(space, constraint((0, 0, 1), ">=", 1))
+
+
+def test_infeasible_system_reduces_to_zero_less_than_zero():
+    false_row = constraint((0,), "<", 0)
+    for rows in (
+        [((1, -1), ">=", 1), ((-1, 1), ">=", 0)],  # y eliminates to 0 >= 1
+        [((1, 2), "<=", 0), ((-1, -2), "<=", -1), ((1, 0), ">=", 0)],
+        [((1, 1), "=", 1), ((2, 2), "=", 3)],
+    ):
+        assert eliminate(cs(("x", "y"), rows), "y").rows == (false_row,)
+    for rows in ([((1,), ">=", 0), ((0,), ">=", 1)], [((0,), "<=", -1)]):
+        assert remove_redundant(cs(("x",), rows)).rows == (false_row,)
 
 
 def test_remove_redundant_examples():

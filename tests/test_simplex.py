@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from linrank.constraints import constraint, system
 from linrank.simplex import (
     FREE,
     NONNEG,
@@ -17,7 +16,7 @@ from linrank.simplex import (
     solve,
     to_standard_form,
 )
-from tests.oracles import optimize
+from tests.oracles import constraint, optimize, system
 
 
 def check_rows(p: LpProblem, point) -> bool:
@@ -67,6 +66,23 @@ def test_feasibility_without_objective_returns_point():
     out = solve(lp(None, False, [], [NONNEG, FREE]))
     assert out.status is LpStatus.FEASIBLE
     assert out.point == (Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "maximize, sign, status, ray",
+    [
+        (False, NONNEG, LpStatus.OPTIMAL, None),
+        (True, NONNEG, LpStatus.UNBOUNDED, (Fraction(1),)),
+        (False, FREE, LpStatus.UNBOUNDED, (Fraction(-1),)),
+        (True, FREE, LpStatus.UNBOUNDED, (Fraction(1),)),
+    ],
+)
+def test_objective_without_rows(maximize, sign, status, ray):
+    out = solve(lp([2], maximize, [], [sign]))
+    assert out.status is status
+    assert out.point == (Fraction(0),)
+    assert out.ray == ray
+    assert out.value == (Fraction(0) if status is LpStatus.OPTIMAL else None)
 
 
 def test_standard_form_is_fixpoint_on_equality_problems():

@@ -20,8 +20,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from linrank.constraints import EQ, GE, GT, LE, LT, constraint, system
+from linrank.constraints import EQ, GE, GT, LE, LT
 from linrank.simplex import FREE, NONNEG, LpStatus, find_point, lp, solve
+from tests.oracles import constraint, system
 
 SNAPSHOT = Path(__file__).resolve().parent / "data" / "simplex_golden.json"
 N_LPS = 300
