@@ -187,6 +187,8 @@ def cmd_space(args, out) -> int:
     except UnsatisfiableLoopError:  # for svg: no point over Q+
         if args.format == "json":
             _emit({"status": "trivially-terminating", "method": args.method}, "json", out)
+        elif args.method == "svg" and find_point(loop_system(loop)) is not None:
+            print("trivially-terminating: no nonnegative point satisfies the loop body", file=out)
         else:
             print("trivially-terminating: loop body is unsatisfiable", file=out)
         return EXIT_OK
@@ -267,7 +269,7 @@ def cmd_bench(args, out) -> int:
 def cmd_selftest(args, out) -> int:
     rng = random.Random(args.seed)
     failures = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     for i in range(args.count):
         loop = random_loop(
             rng, force_rank=(i % 3 == 0), guarded=(i % 2 == 0)
@@ -276,7 +278,7 @@ def cmd_selftest(args, out) -> int:
         if not (report.agree and report.all_consistent):
             failures += 1
             print(f"inconsistency on loop {i}: {report}", file=sys.stderr)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     print(f"selftest: {args.count} loops, {failures} failures, {elapsed:.1f}s", file=out)
     return EXIT_OK if failures == 0 else 1
 

@@ -13,6 +13,7 @@ downstream machinery carry them natively.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +25,7 @@ RELATIONS = (LE, LT, EQ, GE, GT)
 
 _FLIP = {LE: GE, LT: GT, GE: LE, GT: LT, EQ: EQ}
 _RELAX = {LT: LE, GT: GE, LE: LE, GE: GE, EQ: EQ}
+_HOLDS = {LE: operator.le, LT: operator.lt, EQ: operator.eq, GE: operator.ge, GT: operator.gt}
 
 
 class ConstraintError(ValueError):
@@ -69,25 +71,28 @@ class LinConstraint:
     def __post_init__(self):
         if self.rel not in RELATIONS:
             raise ConstraintError(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "const", Fraction(self.const))
+        # Values that already are Fractions are kept as they are: rows are
+        # built from other rows' coefficients far more often than from input.
+        object.__setattr__(
+            self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+        )
+        if type(self.const) is not Fraction:
+            object.__setattr__(self, "const", Fraction(self.const))
 
     def lhs_at(self, point: Sequence[Rational]) -> Rational:
         if len(point) != len(self.coeffs):
             raise ConstraintError("point dimension mismatch")
-        return sum((c * Fraction(x) for c, x in zip(self.coeffs, point)), Fraction(0))
+        return sum(
+            (c * (x if type(x) is Fraction else Fraction(x)) for c, x in zip(self.coeffs, point)),
+            Fraction(0),
+        )
 
     def satisfied_by(self, point: Sequence[Rational]) -> bool:
-        lhs = self.lhs_at(point)
-        if self.rel == LE:
-            return lhs <= self.const
-        if self.rel == LT:
-            return lhs < self.const
-        if self.rel == EQ:
-            return lhs == self.const
-        if self.rel == GE:
-            return lhs >= self.const
-        return lhs > self.const
+        return _HOLDS[self.rel](self.lhs_at(point), self.const)
+
+    def holds_at_zero(self) -> bool:
+        """Whether the origin satisfies this row: 0 rel const."""
+        return _HOLDS[self.rel](0, self.const.numerator)
 
     @property
     def is_strict(self) -> bool:
@@ -108,10 +113,10 @@ class LinConstraint:
         return self
 
     def is_trivially_true(self) -> bool:
-        return all(c == 0 for c in self.coeffs) and self.satisfied_by([0] * len(self.coeffs))
+        return not any(self.coeffs) and self.holds_at_zero()
 
     def is_trivially_false(self) -> bool:
-        return all(c == 0 for c in self.coeffs) and not self.satisfied_by([0] * len(self.coeffs))
+        return not any(self.coeffs) and not self.holds_at_zero()
 
     def render(self, variables: Sequence[str]) -> str:
         if len(variables) != len(self.coeffs):

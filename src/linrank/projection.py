@@ -117,12 +117,6 @@ def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
     return _drop_column(c.variables, idx, _prune_trivial(combined)[0])
 
 
-def _direction_scale(coeffs: Sequence[Fraction]) -> Fraction:
-    """Positive t such that coeffs * t are coprime integers."""
-    denom, nums = integer_scaling(coeffs)
-    return Fraction(denom, gcd(*nums))
-
-
 def _false_row(width: int) -> LinConstraint:
     """0 < 0, the one row of an empty system."""
     return LinConstraint((Fraction(0),) * width, LT, Fraction(0))
@@ -136,34 +130,38 @@ def _prune_trivial(
     tightest one.  Returns the kept rows and the source index of each.  A
     ground-false row, or two parallel equalities that disagree, collapse
     the whole system to the single row 0 < 0."""
-    best: dict[tuple, tuple[LinConstraint, int]] = {}
+    best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const, index)
     for i, row in enumerate(rows):
         if row.is_trivially_true():
             continue
         if row.is_trivially_false():
             return [_false_row(len(row.coeffs))], [i]
-        le_row = row.as_le()
-        kind = EQ if le_row.rel == EQ else LE
+        rel = row.rel
         # Equalities canonicalize up to sign, inequalities only up to
-        # positive scaling; directions are kept as coprime integers.
-        scale = _direction_scale(le_row.coeffs)
-        lead = next(a for a in le_row.coeffs if a != 0)
-        if kind == EQ and lead < 0:
-            scale = -scale
-        direction = tuple(a * scale for a in le_row.coeffs)
-        key = (kind, direction)
-        scaled_const = le_row.const * scale
+        # positive scaling; directions are kept as coprime integers, so the
+        # divisor's sign orients the row as <=, < or = in the same step.
+        denom, nums = integer_scaling(row.coeffs)
+        divisor = gcd(*nums)
+        if rel == GE or rel == GT:
+            divisor, rel = -divisor, (LE if rel == GE else LT)
+        elif rel == EQ and next(v for v in nums if v) < 0:
+            divisor = -divisor
+        direction = tuple(v // divisor for v in nums)
+        key = (EQ if rel == EQ else LE, direction)
+        scaled_const = row.const * Fraction(denom, divisor)
         incumbent = best.get(key)
-        if incumbent is not None and kind == EQ:
-            if incumbent[0].const != scaled_const:
+        if incumbent is not None and rel == EQ:
+            if incumbent[1] != scaled_const:
                 return [_false_row(len(direction))], [i]
             continue
-        if incumbent is None or scaled_const < incumbent[0].const or (
-            scaled_const == incumbent[0].const and le_row.rel == LT
+        if incumbent is None or scaled_const < incumbent[1] or (
+            scaled_const == incumbent[1] and rel == LT
         ):
-            best[key] = (LinConstraint(direction, le_row.rel, scaled_const), i)
-    kept = list(best.values())
-    return [row for row, _ in kept], [i for _, i in kept]
+            best[key] = (rel, scaled_const, i)
+    kept = [
+        LinConstraint(direction, rel, const) for (_, direction), (rel, const, _) in best.items()
+    ]
+    return kept, [i for _, _, i in best.values()]
 
 
 # The rows whose union is the complement of a row's solution set.

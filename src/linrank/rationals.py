@@ -3,8 +3,10 @@
 Every number this package takes or returns is a `fractions.Fraction`:
 arbitrary precision, always in canonical form (reduced, positive
 denominator), so equality is structural and no operation ever rounds.
-Vectors and matrices are plain tuples of Fractions; only the simplex
-tableau works internally on rows scaled to Python ints.
+Vectors and matrices are plain tuples of Fractions.  Two places work
+internally on rows scaled to Python ints by `integer_scaling`: the simplex
+tableau, and the coprime direction keys by which
+`projection._prune_trivial` collapses parallel rows.
 """
 
 from __future__ import annotations

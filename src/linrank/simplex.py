@@ -1,10 +1,11 @@
 """Exact rational linear programming.
 
 A dense two-phase simplex with Bland's pivoting rule, so every run
-terminates.  The tableau works on fraction-free integer rows, and every
-reported point, value and certificate is an exact `Fraction`.  Problems
-here are small (tens of rows), which makes the dense tableau the right
-trade-off.
+terminates.  The tableau works on fraction-free integer rows: `solve`
+integer-scales each LP row once, as it lays out the standard form, and no
+rational row is built on the way.  Every reported point, value and
+certificate is an exact `Fraction`.  Problems here are small (tens of
+rows), which makes the dense tableau the right trade-off.
 
 Besides the raw `LpProblem` interface this module bridges from
 `ConstraintSystem`: one pass orients each row as <=, < or =, turns plain
@@ -24,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
-from .constraints import EQ, GE, LE, LT, ConstraintSystem
+from .constraints import EQ, GE, GT, LE, LT, ConstraintSystem
 from .rationals import Rational, integer_scaling
 
 NONNEG = "nonneg"
@@ -95,70 +96,78 @@ class StandardFormMap:
     """Recovers original-variable values from standard-form points."""
 
     columns: tuple[tuple[int, int | None], ...]  # per original var: (col+, col-)
-    objective_negated: bool
 
     def recover(self, standard_point: Sequence[Rational]) -> tuple[Rational, ...]:
         out = []
         for plus, minus in self.columns:
-            value = Fraction(standard_point[plus])
+            value = standard_point[plus]
             if minus is not None:
-                value -= Fraction(standard_point[minus])
+                value -= standard_point[minus]
             out.append(value)
         return tuple(out)
+
+
+def _integer_standard_form(p: LpProblem):
+    """The layout of p's standard form, as int rows.  Each variable gets a
+    column pair (col+, col-), col- None for a nonnegative one, and the
+    slack of each inequality follows them in row order.  Returns the
+    columns, the column count n, the rows (n + 1 ints each, rhs last), the
+    positive scale of each row (row i stands for rows[i] / scales[i]: one
+    `integer_scaling` of its coeffs and rhs, slack +-scale), and the
+    objective to minimize as (scale, ints), or None."""
+    columns: list[tuple[int, int | None]] = []
+    slack = 0
+    for sign in p.signs:
+        columns.append((slack, None if sign == NONNEG else slack + 1))
+        slack += 1 if sign == NONNEG else 2
+    n = slack + sum(1 for _, rel, _ in p.rows if rel != EQ)
+
+    def widen(ints):
+        row = [0] * (n + 1)
+        for (plus, minus), v in zip(columns, ints):
+            row[plus] = v
+            if minus is not None:
+                row[minus] = -v
+        return row
+
+    rows, scales = [], []
+    for coeffs, rel, rhs in p.rows:
+        scale, ints = integer_scaling((*coeffs, rhs))
+        row = widen(ints)
+        row[-1] = ints[-1]
+        if rel != EQ:
+            row[slack] = scale if rel == LE else -scale
+            slack += 1
+        rows.append(row)
+        scales.append(scale)
+    objective = None
+    if p.objective is not None:
+        scale, ints = integer_scaling(p.objective)
+        objective = (scale, widen([-v for v in ints] if p.maximize else ints)[:-1])
+    return tuple(columns), n, rows, scales, objective
 
 
 def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardFormMap]:
     """Equalities-and-nonnegatives form: each free variable splits into a
     difference of two nonnegatives, each inequality gains one slack."""
-    columns: list[tuple[int, int | None]] = []
-    next_col = 0
-    for sign in p.signs:
-        if sign == NONNEG:
-            columns.append((next_col, None))
-            next_col += 1
-        else:
-            columns.append((next_col, next_col + 1))
-            next_col += 2
-    n_slacks = sum(1 for _, rel, _ in p.rows if rel != EQ)
-    n_std = next_col + n_slacks
-
-    def widen(coeffs: Sequence[Rational]) -> list[Rational]:
-        row = [Fraction(0)] * n_std
-        for j, (plus, minus) in enumerate(columns):
-            row[plus] = Fraction(coeffs[j])
-            if minus is not None:
-                row[minus] = -Fraction(coeffs[j])
-        return row
-
-    std_rows = []
-    slack_col = next_col
-    for coeffs, rel, rhs in p.rows:
-        row = widen(coeffs)
-        if rel == LE:
-            row[slack_col] = Fraction(1)
-            slack_col += 1
-        elif rel == GE:
-            row[slack_col] = Fraction(-1)
-            slack_col += 1
-        std_rows.append((tuple(row), EQ, Fraction(rhs)))
-
-    if p.objective is None:
-        std_obj = None
-    else:
-        base = widen(p.objective)
-        std_obj = tuple(-c for c in base) if p.maximize else tuple(base)
-    std = LpProblem(std_obj, False, tuple(std_rows), (NONNEG,) * n_std)
-    return std, StandardFormMap(tuple(columns), p.maximize)
+    columns, n, rows, scales, objective = _integer_standard_form(p)
+    std_rows = tuple(
+        (tuple(Fraction(v, scale) for v in row[:-1]), EQ, Fraction(row[-1], scale))
+        for row, scale in zip(rows, scales)
+    )
+    std_obj = None if objective is None else tuple(Fraction(v, objective[0]) for v in objective[1])
+    return LpProblem(std_obj, False, std_rows, (NONNEG,) * n), StandardFormMap(columns)
 
 
 # --- tableau core -----------------------------------------------------------
 #
 # Fraction-free rows (Edmonds/Bareiss): each row is a list of Python ints,
-# and row r stands for the rational row T[r] / T[r][basis[r]], whose basic
-# entry is kept positive.  Every sign test and ratio comparison of the
-# rational tableau therefore reads off the integers directly, so the pivots
-# are exactly those of the rational simplex; rationals are rebuilt only for
-# the reported point and ray.
+# scaled once from its LP row by `_integer_standard_form`, and row r stands
+# for the rational row T[r] / T[r][basis[r]], whose basic entry is kept
+# positive.  Every sign test and ratio comparison of the rational tableau
+# therefore reads off the integers directly, so the pivots are exactly those
+# of the rational simplex; rationals are rebuilt only for the reported point
+# and ray.
 
 
 def _combine(row, prow, p, f):
@@ -221,21 +230,16 @@ def _reduced_cost_row(tableau, basis, c):
     return cost
 
 
-def _solve_standard(rows, rhs, objective, n):
+def _solve_standard(rows, scales, objective, n):
     """Simplex on  min objective . x  s.t.  rows x = rhs, x >= 0  over n
-    variables.
+    variables.  Row i is n + 1 ints, the last one its rhs, and stands for
+    the rational row divided by scales[i] > 0; objective is ints or None.
 
-    Returns (status, point, value, ray) in standard-form coordinates;
-    objective None solves feasibility only.
+    Returns (status, point, ray) in standard-form coordinates; objective
+    None solves feasibility only.
     """
     m = len(rows)
-    rational = []
-    for row, b in zip(rows, rhs):
-        if b < 0:
-            rational.append([-e for e in row] + [-b])
-        else:
-            rational.append(list(row) + [b])
-
+    rows = [[-e for e in row] if row[-1] < 0 else row for row in rows]
     # Crash basis: a column that is a unit vector serves as the basic
     # variable of its row; only uncovered rows get an artificial variable.
     basis = [-1] * m
@@ -244,10 +248,10 @@ def _solve_standard(rows, rhs, objective, n):
         row_idx = None
         ok = True
         for i in range(m):
-            v = rational[i][j]
+            v = rows[i][j]
             if v == 0:
                 continue
-            if v == 1 and row_idx is None:
+            if v == scales[i] and row_idx is None:
                 row_idx = i
             else:
                 ok = False
@@ -261,15 +265,13 @@ def _solve_standard(rows, rhs, objective, n):
     for k, i in enumerate(uncovered):
         basis[i] = n + k
 
-    # Integer rows: scale by the lcm of the denominators, so each basic
-    # entry (1 in the rational row) becomes that positive lcm.
+    # An artificial basic entry is 1 in the rational row, so its row's scale.
     tableau = []
-    for i, row in enumerate(rational):
-        scale, ints = integer_scaling(row)
+    for i, row in enumerate(rows):
         art = [0] * n_art
         if basis[i] >= n:
-            art[basis[i] - n] = scale
-        tableau.append(ints[:-1] + art + ints[-1:])
+            art[basis[i] - n] = scales[i]
+        tableau.append(row[:-1] + art + row[-1:])
     total = n + n_art
 
     if n_art:
@@ -277,7 +279,7 @@ def _solve_standard(rows, rhs, objective, n):
         outcome = _bland_min(tableau, basis, cost, total, stop_at_zero=True)
         assert outcome[0] == "optimal", "phase 1 is bounded below by zero"
         if cost[-1] < 0:
-            return LpStatus.INFEASIBLE, None, None, None
+            return LpStatus.INFEASIBLE, None, None
 
         # Drive artificial variables out of the basis; rows where that is
         # impossible are redundant and dropped.
@@ -301,9 +303,9 @@ def _solve_standard(rows, rhs, objective, n):
         return tuple(point)
 
     if objective is None:
-        return LpStatus.FEASIBLE, current_point(), None, None
+        return LpStatus.FEASIBLE, current_point(), None
 
-    cost = _reduced_cost_row(tableau, basis, integer_scaling(objective)[1])
+    cost = _reduced_cost_row(tableau, basis, objective)
     outcome = _bland_min(tableau, basis, cost, n)
     point = current_point()
     if outcome[0] == "unbounded":
@@ -312,28 +314,26 @@ def _solve_standard(rows, rhs, objective, n):
         ray[entering] = Fraction(1)
         for r, row in enumerate(tableau):
             ray[basis[r]] = Fraction(-row[entering], row[basis[r]])
-        return LpStatus.UNBOUNDED, point, None, tuple(ray)
-    value = sum((c * x for c, x in zip(objective, point)), Fraction(0))
-    return LpStatus.OPTIMAL, point, value, None
+        return LpStatus.UNBOUNDED, point, tuple(ray)
+    return LpStatus.OPTIMAL, point, None
 
 
 def solve(p: LpProblem) -> LpOutcome:
     """Exact resolution: infeasible, unbounded (with certificate ray),
     optimal (with point and value), or a bare feasible point when the
     problem has no objective."""
-    std, vmap = to_standard_form(p)
-    rows = [list(coeffs) for coeffs, _, _ in std.rows]
-    rhs = [r for _, _, r in std.rows]
-    status, point, value, ray = _solve_standard(rows, rhs, std.objective, std.n_vars)
+    columns, n, rows, scales, objective = _integer_standard_form(p)
+    costs = None if objective is None else objective[1]
+    status, point, ray = _solve_standard(rows, scales, costs, n)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
+    vmap = StandardFormMap(columns)
     orig_point = vmap.recover(point)
     if status is LpStatus.UNBOUNDED:
         return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=vmap.recover(ray))
     if status is LpStatus.FEASIBLE:
         return LpOutcome(LpStatus.FEASIBLE, point=orig_point)
-    if vmap.objective_negated:
-        value = -value
+    value = sum((c * x for c, x in zip(p.objective, orig_point)), Fraction(0))
     return LpOutcome(LpStatus.OPTIMAL, point=orig_point, value=value)
 
 
@@ -372,25 +372,27 @@ def _lp_rows(c: ConstraintSystem, slack: bool):
     rows).  A plain sign row (c*x >= 0, one nonzero positive coefficient)
     becomes a variable bound, which halves the standard-form column count
     for the multiplier systems, as they consist mostly of nonnegative
-    variables.  Every other row becomes an LP row over c's variables, plus a
-    trailing slack column when requested; strict rows are tightened by that
-    shared slack."""
+    variables.  Every other row becomes an LP row over c's variables, oriented
+    as <=, < or =, plus a trailing slack column when requested; strict rows
+    are tightened by that shared slack."""
     signs = [FREE] * c.n_vars
     rows = []
     zero_slack = (Fraction(0),) if slack else ()
     for row in c.rows:
-        le_row = row.as_le()  # orient strict rows as <
-        if le_row.rel == LE and le_row.const == 0:
-            nonzero = [(j, v) for j, v in enumerate(le_row.coeffs) if v != 0]
-            if len(nonzero) == 1 and nonzero[0][1] < 0:
+        coeffs, rel, const = row.coeffs, row.rel, row.const
+        if const == 0 and (rel == GE or rel == LE):
+            nonzero = [(j, v) for j, v in enumerate(coeffs) if v]
+            if len(nonzero) == 1 and (nonzero[0][1] > 0) == (rel == GE):
                 signs[nonzero[0][0]] = NONNEG
                 continue
-        if le_row.rel == LT:
+        if rel == GE or rel == GT:
+            coeffs, rel, const = tuple(-v for v in coeffs), LE if rel == GE else LT, -const
+        if rel == LT:
             if not slack:
                 raise LpShapeError("strict row needs the slack encoding")
-            rows.append((le_row.coeffs + (Fraction(1),), LE, le_row.const))
+            rows.append((coeffs + (Fraction(1),), LE, const))
         else:
-            rows.append((le_row.coeffs + zero_slack, le_row.rel, le_row.const))
+            rows.append((coeffs + zero_slack, rel, const))
     return tuple(signs), rows
 
 
@@ -405,9 +407,8 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
     satisfiability questions many times).
     """
     n = c.n_vars
-    zeros = (Fraction(0),) * n
-    if c.satisfied_by(zeros):
-        return zeros
+    if all(row.holds_at_zero() for row in c.rows):
+        return (Fraction(0),) * n
     if not c.has_strict_rows():
         signs, rows = _lp_rows(c, False)
         outcome = solve(LpProblem(None, False, tuple(rows), signs))

@@ -5,7 +5,9 @@ import pytest
 
 from linrank import parse_loop
 from linrank.constraints import (
+    RELATIONS,
     ConstraintError,
+    ConstraintSystem,
     LeqMatrixForm,
     LinConstraint,
     LoopModel,
@@ -15,7 +17,7 @@ from linrank.constraints import (
     to_geq_matrix,
     to_leq_matrix,
 )
-from linrank.simplex import satisfiable
+from linrank.simplex import find_point, satisfiable
 from tests.oracles import constraint, geq_satisfied_by, leq_satisfied_by, system
 
 
@@ -214,3 +216,25 @@ def test_row_dimension_validation():
         LeqMatrixForm(((1, 2),), ((3,),), (0,), 2)
     with pytest.raises(ConstraintError):
         LeqMatrixForm(((1,),), ((3,),), (0, 1), 1)
+
+
+def test_row_values_are_stored_as_fractions():
+    row = LinConstraint((1, "1/2", True), ">=", 0)
+    assert [type(v) for v in row.coeffs + (row.const,)] == [Fraction] * 4
+    assert row.coeffs == (1, Fraction(1, 2), 1)
+    half = Fraction(1, 2)
+    kept = LinConstraint((half,), "<", half)
+    assert kept.coeffs[0] is half and kept.const is half
+
+
+@pytest.mark.parametrize("rel", RELATIONS)
+@pytest.mark.parametrize("const", (-1, 0, 1))
+def test_origin_tests_agree_with_satisfied_by(rel, const):
+    for coeffs in ((0, 0), (1, -2)):
+        row = LinConstraint(coeffs, rel, const)
+        at_origin = row.satisfied_by((0, 0))
+        assert row.holds_at_zero() == at_origin
+        assert row.is_trivially_true() == (not any(coeffs) and at_origin)
+        assert row.is_trivially_false() == (not any(coeffs) and not at_origin)
+        if at_origin:
+            assert find_point(ConstraintSystem(("x", "y"), (row,))) == (0, 0)
