@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import Rational, format_rational
+from .rationals import Rational, format_rational, rat
 
 LE, LT, EQ, GE, GT = "<=", "<", "=", ">=", ">"
 RELATIONS = (LE, LT, EQ, GE, GT)
 
-_FLIP = {LE: GE, LT: GT, GE: LE, GT: LT, EQ: EQ}
 _RELAX = {LT: LE, GT: GE, LE: LE, GE: GE, EQ: EQ}
-_HOLDS = {LE: operator.le, LT: operator.lt, EQ: operator.eq, GE: operator.ge, GT: operator.gt}
+HOLDS = {LE: operator.le, LT: operator.lt, EQ: operator.eq, GE: operator.ge, GT: operator.gt}
 
 
 class ConstraintError(ValueError):
@@ -73,11 +72,15 @@ class LinConstraint:
             raise ConstraintError(f"unknown relation {self.rel!r}")
         # Values that already are Fractions are kept as they are: rows are
         # built from other rows' coefficients far more often than from input.
-        object.__setattr__(
-            self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        )
-        if type(self.const) is not Fraction:
-            object.__setattr__(self, "const", Fraction(self.const))
+        # Anything else goes through `rat`, which rejects inexact values.
+        try:
+            object.__setattr__(
+                self, "coeffs", tuple(c if type(c) is Fraction else rat(c) for c in self.coeffs)
+            )
+            if type(self.const) is not Fraction:
+                object.__setattr__(self, "const", rat(self.const))
+        except ValueError as err:
+            raise ConstraintError(str(err)) from None
 
     def lhs_at(self, point: Sequence[Rational]) -> Rational:
         if len(point) != len(self.coeffs):
@@ -88,35 +91,19 @@ class LinConstraint:
         )
 
     def satisfied_by(self, point: Sequence[Rational]) -> bool:
-        return _HOLDS[self.rel](self.lhs_at(point), self.const)
+        return HOLDS[self.rel](self.lhs_at(point), self.const)
 
     def holds_at_zero(self) -> bool:
         """Whether the origin satisfies this row: 0 rel const."""
-        return _HOLDS[self.rel](0, self.const.numerator)
+        return HOLDS[self.rel](0, self.const.numerator)
 
     @property
     def is_strict(self) -> bool:
         return self.rel in (LT, GT)
 
-    def negate(self) -> "LinConstraint":
-        """Flip orientation without changing the solution set."""
-        return LinConstraint(tuple(-c for c in self.coeffs), _FLIP[self.rel], -self.const)
-
     def relaxed(self) -> "LinConstraint":
         """The non-strict closure of this row."""
         return LinConstraint(self.coeffs, _RELAX[self.rel], self.const)
-
-    def as_le(self) -> "LinConstraint":
-        """Orient as <= (or < for strict rows); equalities are left alone."""
-        if self.rel in (GE, GT):
-            return self.negate()
-        return self
-
-    def is_trivially_true(self) -> bool:
-        return not any(self.coeffs) and self.holds_at_zero()
-
-    def is_trivially_false(self) -> bool:
-        return not any(self.coeffs) and not self.holds_at_zero()
 
     def render(self, variables: Sequence[str]) -> str:
         if len(variables) != len(self.coeffs):
@@ -251,9 +238,8 @@ def to_leq_rows(c: ConstraintSystem) -> tuple[Rows, tuple[Rational, ...]]:
             rows.append(row.coeffs)
             consts.append(row.const)
         if row.rel != LE:
-            neg = row.negate()
-            rows.append(neg.coeffs)
-            consts.append(neg.const)
+            rows.append(tuple(-v for v in row.coeffs))
+            consts.append(-row.const)
     return tuple(rows), tuple(consts)
 
 

@@ -30,6 +30,7 @@ from typing import Sequence
 
 from .constraints import (
     EQ,
+    LE,
     LT,
     ConstraintError,
     ConstraintSystem,
@@ -157,10 +158,10 @@ def _normalize_strict(system: ConstraintSystem) -> ConstraintSystem:
     rows = []
     for row in system.rows:
         if row.is_strict:
-            le_row = row.as_le()
-            if le_row.const != 0:
+            if row.const != 0:
                 raise ConstraintError("scaling normalization needs a homogeneous strict row")
-            rows.append(LinConstraint(le_row.coeffs, "<=", Fraction(-1)))
+            coeffs = row.coeffs if row.rel == LT else tuple(-v for v in row.coeffs)
+            rows.append(LinConstraint(coeffs, LE, Fraction(-1)))
         else:
             rows.append(row)
     return system.with_rows(tuple(rows))

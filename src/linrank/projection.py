@@ -1,17 +1,25 @@
 """Variable elimination, redundancy removal, entailment and set equality
 for constraint systems that may contain strict rows.
 
-Elimination is Fourier-Motzkin with the standard accelerations: variables
-occurring in equality rows are eliminated by substitution first (row count
-never grows), and the remaining variables are eliminated pairwise with
-ancestry tracking so that any non-strict row combining more than k+1
-original rows after k eliminations is dropped as redundant (Chernikov's
-counting rule; such rows are consequences of the retained ones).  After
-every step `_prune_trivial` gives each row its one canonical form: oriented
-<=, < or =, a coprime-integer direction (an equality's leading coefficient
-positive), parallel rows collapsed to the tightest representative, and
-`0 < 0` as the only empty row.  An exact LP-based prune acts as a backstop
-when row counts still grow.
+Inside this module a row is a triple (direction, rel, const): direction a
+tuple of coprime ints, rel one of <=, < or =, and const a Fraction.
+`_prune` is the one canonicalizer.  It takes (coeffs, rel, const) triples
+in any form and gives each row its canonical form: oriented <=, < or =, a
+coprime-integer direction (an equality's leading coefficient positive),
+parallel rows collapsed to the tightest representative, and `0 < 0` as the
+only empty row.  `LinConstraint`s are built only on the way out.
+
+Elimination is Fourier-Motzkin with the standard accelerations, one column
+per `_eliminate` step.  A variable occurring in an equality row is
+eliminated by substitution through that row (row count never grows);
+otherwise each upper row is paired with each lower row.  Both combine
+integer directions into a positive multiple of the rational combination,
+so `_prune` restores the canonical form.  `project` substitutes first and
+then pairs with ancestry tracking, so that any non-strict row combining
+more than k+1 original rows after k eliminations is dropped as redundant
+(Chernikov's counting rule; such rows are consequences of the retained
+ones).  An exact LP-based prune acts as a backstop when row counts still
+grow.
 
 Equality of solution sets is decided exactly, strict faces included: after
 the two relaxed systems entail each other, any remaining discrepancy must
@@ -30,6 +38,7 @@ from .constraints import (
     EQ,
     GE,
     GT,
+    HOLDS,
     LE,
     LT,
     ConstraintError,
@@ -41,106 +50,34 @@ from .simplex import find_point, satisfiable
 
 _FULL_PRUNE_THRESHOLD = 40
 
-
-def _combine_eq(row: LinConstraint, pivot: LinConstraint, t: Fraction) -> LinConstraint:
-    """row - t * pivot, pivot an equality (relation preserved)."""
-    coeffs = tuple(a - t * b for a, b in zip(row.coeffs, pivot.coeffs))
-    return LinConstraint(coeffs, row.rel, row.const - t * pivot.const)
+Row = tuple[tuple[int, ...], str, Fraction]
 
 
-def _drop_column(
-    variables: tuple[str, ...], idx: int, rows: Iterable[LinConstraint]
-) -> ConstraintSystem:
-    remaining = variables[:idx] + variables[idx + 1 :]
-    new_rows = tuple(
-        LinConstraint(row.coeffs[:idx] + row.coeffs[idx + 1 :], row.rel, row.const)
-        for row in rows
-    )
-    return ConstraintSystem(remaining, new_rows)
+def _system(variables: tuple[str, ...], rows: Iterable[Row]) -> ConstraintSystem:
+    return ConstraintSystem(variables, tuple(LinConstraint(*row) for row in rows))
 
 
-def _fm_combinations(
-    rows: Sequence[LinConstraint], idx: int
-) -> list[tuple[LinConstraint, tuple[int, ...]]]:
-    """One Fourier-Motzkin step on column idx over <=-oriented rows.
-
-    Returns (row, parents) pairs: parents is (i,) for a row i passed
-    through and (i, j) for the combination of upper row i with lower row j,
-    so the caller can track ancestry.  Raises if an equality row holds the
-    variable (callers substitute those first)."""
-    passthrough: list[int] = []
-    upper: list[int] = []
-    lower: list[int] = []
-    oriented: list[LinConstraint] = []
-    for i, row in enumerate(rows):
-        le_row = row.as_le()
-        oriented.append(le_row)
-        coeff = le_row.coeffs[idx]
-        if coeff == 0:
-            passthrough.append(i)
-        elif le_row.rel == EQ:
-            raise AssertionError("equality rows are substituted before FM")
-        elif coeff > 0:
-            upper.append(i)
-        else:
-            lower.append(i)
-    out: list[tuple[LinConstraint, tuple[int, ...]]] = []
-    for i in passthrough:
-        out.append((oriented[i], (i,)))
-    for i in upper:
-        up = oriented[i]
-        pu = up.coeffs[idx]
-        for j in lower:
-            low = oriented[j]
-            pl = -low.coeffs[idx]
-            coeffs = tuple(a / pu + b / pl for a, b in zip(up.coeffs, low.coeffs))
-            const = up.const / pu + low.const / pl
-            rel = LT if (up.rel == LT or low.rel == LT) else LE
-            out.append((LinConstraint(coeffs, rel, const), (i, j)))
-    return out
-
-
-def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
-    """Project c's solution set along one variable; the result ranges over
-    the remaining variables.  A combined row is strict iff either parent is."""
-    idx = c.index_of(var)
-    pivot = next((row for row in c.rows if row.rel == EQ and row.coeffs[idx] != 0), None)
-    if pivot is not None:
-        out = []
-        for row in c.rows:
-            if row is pivot:
-                continue
-            coeff = row.coeffs[idx]
-            out.append(_combine_eq(row, pivot, coeff / pivot.coeffs[idx]) if coeff != 0 else row)
-        return _drop_column(c.variables, idx, _prune_trivial(out)[0])
-    combined = [row for row, _ in _fm_combinations(c.rows, idx)]
-    return _drop_column(c.variables, idx, _prune_trivial(combined)[0])
-
-
-def _false_row(width: int) -> LinConstraint:
+def _false_row(width: int) -> Row:
     """0 < 0, the one row of an empty system."""
-    return LinConstraint((Fraction(0),) * width, LT, Fraction(0))
+    return (0,) * width, LT, Fraction(0)
 
 
-def _prune_trivial(
-    rows: Sequence[LinConstraint],
-) -> tuple[list[LinConstraint], list[int]]:
-    """Give each row its canonical form, drop trivially-true rows and
-    duplicates, and among parallel rows of the same direction keep only the
-    tightest one.  Returns the kept rows and the source index of each.  A
-    ground-false row, or two parallel equalities that disagree, collapse
-    the whole system to the single row 0 < 0."""
+def _prune(rows: Sequence[tuple]) -> tuple[list[Row], list[int]]:
+    """Give each (coeffs, rel, const) row its canonical form, drop
+    trivially-true rows and duplicates, and among parallel rows of the same
+    direction keep only the tightest one.  Returns the kept rows and the
+    source index of each.  A ground-false row, or two parallel equalities
+    that disagree, collapse the whole system to the single row 0 < 0."""
     best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const, index)
-    for i, row in enumerate(rows):
-        if row.is_trivially_true():
-            continue
-        if row.is_trivially_false():
-            return [_false_row(len(row.coeffs))], [i]
-        rel = row.rel
+    for i, (coeffs, rel, const) in enumerate(rows):
+        if not any(coeffs):
+            if HOLDS[rel](0, const):
+                continue
+            return [_false_row(len(coeffs))], [i]
         # Equalities canonicalize up to sign, inequalities only up to
         # positive scaling; directions are kept as coprime integers, so the
         # divisor's sign orients the row as <=, < or = in the same step.
-        denom, nums = integer_scaling(row.coeffs)
+        denom, nums = integer_scaling(coeffs)
         divisor = gcd(*nums)
         if rel == GE or rel == GT:
             divisor, rel = -divisor, (LE if rel == GE else LT)
@@ -148,7 +85,7 @@ def _prune_trivial(
             divisor = -divisor
         direction = tuple(v // divisor for v in nums)
         key = (EQ if rel == EQ else LE, direction)
-        scaled_const = row.const * Fraction(denom, divisor)
+        scaled_const = const * Fraction(denom, divisor)
         incumbent = best.get(key)
         if incumbent is not None and rel == EQ:
             if incumbent[1] != scaled_const:
@@ -158,10 +95,57 @@ def _prune_trivial(
             scaled_const == incumbent[1] and rel == LT
         ):
             best[key] = (rel, scaled_const, i)
-    kept = [
-        LinConstraint(direction, rel, const) for (_, direction), (rel, const, _) in best.items()
-    ]
+    kept = [(direction, rel, const) for (_, direction), (rel, const, _) in best.items()]
     return kept, [i for _, _, i in best.values()]
+
+
+def _canonical(rows: Iterable[LinConstraint]) -> list[Row]:
+    return _prune([(row.coeffs, row.rel, row.const) for row in rows])[0]
+
+
+def _eliminate(rows: Sequence[Row], idx: int) -> tuple[list[tuple], list[tuple[int, ...]]]:
+    """Remove column idx from canonical rows, by substitution through the
+    first equality that holds it, or else by one Fourier-Motzkin step.
+
+    Returns the new rows, with int directions but not yet pruned, and the
+    parents of each: (i,) for row i passed through, (i, k) for row i
+    combined with the pivot equality k or for upper row i paired with lower
+    row k.  A paired row is strict iff either parent is."""
+    dropped = [d[:idx] + d[idx + 1 :] for d, _, _ in rows]
+    out: list[tuple] = []
+    parents: list[tuple[int, ...]] = []
+
+    def combine(i: int, a: int, k: int, b: int, rel: str) -> None:
+        coeffs = tuple(x * a + y * b for x, y in zip(dropped[i], dropped[k]))
+        out.append((coeffs, rel, rows[i][2] * a + rows[k][2] * b))
+        parents.append((i, k))
+
+    pivot = next((k for k, (d, rel, _) in enumerate(rows) if rel == EQ and d[idx]), None)
+    for i, (d, rel, const) in enumerate(rows):
+        if d[idx] == 0:
+            out.append((dropped[i], rel, const))
+            parents.append((i,))
+        elif pivot is not None and i != pivot:
+            # |p|*row - sign(p)*f*pivot: a positive multiple of row - (f/p)*pivot
+            p = rows[pivot][0][idx]
+            combine(i, abs(p), pivot, -d[idx] if p > 0 else d[idx], rel)
+    if pivot is None:
+        upper = [i for i, (d, _, _) in enumerate(rows) if d[idx] > 0]
+        lower = [k for k, (d, _, _) in enumerate(rows) if d[idx] < 0]
+        for i in upper:
+            for k in lower:
+                # up*pl + low*pu: a positive multiple of up/pu + low/pl
+                rel = LT if LT in (rows[i][1], rows[k][1]) else LE
+                combine(i, -rows[k][0][idx], k, rows[i][0][idx], rel)
+    return out, parents
+
+
+def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
+    """Project c's solution set along one variable; the result ranges over
+    the remaining variables.  A combined row is strict iff either parent is."""
+    idx = c.index_of(var)
+    rows, _ = _eliminate(_canonical(c.rows), idx)
+    return _system(c.variables[:idx] + c.variables[idx + 1 :], _prune(rows)[0])
 
 
 # The rows whose union is the complement of a row's solution set.
@@ -194,7 +178,7 @@ def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
     Every feasibility query that certifies a row as needed yields a point;
     those points are cached and re-checked first, so most non-redundant
     rows are confirmed without another LP."""
-    keep = _prune_trivial(c.rows)[0]
+    keep = [LinConstraint(*row) for row in _canonical(c.rows)]
     witnesses: list[tuple] = []
     i = 0
     while i < len(keep):
@@ -229,87 +213,63 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     # Projecting an empty set is the empty set; eliminating variables from
     # an infeasible system head-on can blow up combinatorially instead.
     if not satisfiable(c):
-        return ConstraintSystem(keep, (_false_row(len(keep)),))
-    current = c.with_rows(_prune_trivial(c.rows)[0])
+        return _system(keep, [_false_row(len(keep))])
+    rows = _canonical(c.rows)
+    variables = c.variables
 
     # Substitution phase: any to-eliminate variable held by an equality row
     # goes first (each such step removes one row and one column).
     while True:
         idx = next(
             (
-                current.variables.index(v)
-                for v in current.variables
-                if v not in keep
-                and any(r.rel == EQ and r.coeffs[current.variables.index(v)] != 0 for r in current.rows)
+                i
+                for i, v in enumerate(variables)
+                if v not in keep and any(rel == EQ and d[i] for d, rel, _ in rows)
             ),
             None,
         )
         if idx is None:
             break
-        current = eliminate(current, current.variables[idx])
+        rows = _prune(_eliminate(rows, idx)[0])[0]
+        variables = variables[:idx] + variables[idx + 1 :]
 
     # Pairing phase: pure FM with Chernikov's counting rule.  Ancestries
     # are sets of baseline row indices; after k eliminations a non-strict
     # row combining more than k+1 baseline rows is redundant.  Strict rows
     # are exempted (their strictness may not be re-derivable) and left to
     # the exact prune at the end.
-    rows = list(current.rows)
     ancestry = [frozenset([i]) for i in range(len(rows))]
-    variables = current.variables
     eliminated = 0
     remaining = [v for v in variables if v not in keep]
     while remaining:
-        counts = {}
-        for name in remaining:
-            idx = variables.index(name)
-            pos = neg = 0
-            for row in rows:  # canonical, so oriented <=, < or =
-                coeff = row.coeffs[idx]
-                if coeff > 0:
-                    pos += 1
-                elif coeff < 0:
-                    neg += 1
-            counts[name] = pos * neg
-        victim = min(remaining, key=lambda v: (counts[v], variables.index(v)))
-        idx = variables.index(victim)
-
-        produced = _fm_combinations(rows, idx)
+        # The variable with the fewest (upper, lower) pairs goes next.
+        idx = min(
+            (variables.index(v) for v in remaining),
+            key=lambda i: sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows),
+        )
+        remaining.remove(variables[idx])
+        produced, parents = _eliminate(rows, idx)
+        variables = variables[:idx] + variables[idx + 1 :]
         eliminated += 1
-        new_rows: list[LinConstraint] = []
+        new_rows: list[tuple] = []
         new_anc: list[frozenset] = []
-        for row, parents in produced:
-            anc = frozenset().union(*(ancestry[p] for p in parents))
-            if not row.is_strict and len(anc) > eliminated + 1:
+        for row, pair in zip(produced, parents):
+            anc = frozenset().union(*(ancestry[p] for p in pair))
+            if row[1] != LT and len(anc) > eliminated + 1:
                 continue
             new_rows.append(row)
             new_anc.append(anc)
-        kept_rows, kept_idx = _prune_trivial(new_rows)
-        stripped = _drop_column(variables, idx, kept_rows)
-        variables = stripped.variables
-        rows = list(stripped.rows)
+        rows, kept_idx = _prune(new_rows)
         ancestry = [new_anc[i] for i in kept_idx]
-        remaining.remove(victim)
 
         if len(rows) > _FULL_PRUNE_THRESHOLD:
-            reduced = remove_redundant(ConstraintSystem(variables, tuple(rows)))
-            kept_set = {row: None for row in reduced.rows}
-            pairs = [(r, a) for r, a in zip(rows, ancestry) if r in kept_set]
-            rows = [r for r, _ in pairs]
-            ancestry = [a for _, a in pairs]
+            kept = set(_canonical(remove_redundant(_system(variables, rows)).rows))
+            ancestry = [a for r, a in zip(rows, ancestry) if r in kept]
+            rows = [r for r in rows if r in kept]
 
-    result = _reorder(ConstraintSystem(variables, tuple(rows)), keep)
-    return remove_redundant(result)
-
-
-def _reorder(c: ConstraintSystem, variables: tuple[str, ...]) -> ConstraintSystem:
-    if c.variables == variables:
-        return c
-    perm = [c.index_of(name) for name in variables]
-    rows = tuple(
-        LinConstraint(tuple(row.coeffs[i] for i in perm), row.rel, row.const)
-        for row in c.rows
-    )
-    return ConstraintSystem(variables, rows)
+    perm = [variables.index(name) for name in keep]
+    rows = [(tuple(d[i] for i in perm), rel, const) for d, rel, const in rows]
+    return remove_redundant(_system(keep, rows))
 
 
 def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
@@ -323,7 +283,7 @@ def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
     """
     if c1.variables != c2.variables:
         raise ConstraintError("cannot compare systems over different variables")
-    if set(_prune_trivial(c1.rows)[0]) == set(_prune_trivial(c2.rows)[0]):
+    if set(_canonical(c1.rows)) == set(_canonical(c2.rows)):
         return True
     sat1, sat2 = satisfiable(c1), satisfiable(c2)
     if not sat1 or not sat2:

@@ -5,8 +5,9 @@ arbitrary precision, always in canonical form (reduced, positive
 denominator), so equality is structural and no operation ever rounds.
 Vectors and matrices are plain tuples of Fractions.  Two places work
 internally on rows scaled to Python ints by `integer_scaling`: the simplex
-tableau, and the coprime direction keys by which
-`projection._prune_trivial` collapses parallel rows.
+tableau, and `projection`, whose rows keep the coprime int directions that
+`projection._prune` gives them through every elimination step.  Floats
+and decimal strings are rejected, never rounded.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def rat(numerator: int | str | Rational, denominator: int = 1) -> Rational:
-    """Build a Rational; accepts ints, "p/q" strings and Fractions."""
+    """Build a Rational; accepts ints, "p/q" strings and Fractions.  Floats
+    and other inexact values are rejected with ValueError, not rounded."""
     if isinstance(numerator, str):
-        return parse_rational(numerator)
+        numerator = parse_rational(numerator)
+    elif not isinstance(numerator, (int, Fraction)):
+        raise ValueError(f"not an exact rational: {numerator!r}")
     return Fraction(numerator, denominator)
 
 

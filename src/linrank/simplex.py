@@ -26,7 +26,7 @@ from math import gcd
 from typing import Sequence
 
 from .constraints import EQ, GE, GT, LE, LT, ConstraintSystem
-from .rationals import Rational, integer_scaling
+from .rationals import Rational, integer_scaling, rat
 
 NONNEG = "nonneg"
 FREE = "free"
@@ -84,10 +84,15 @@ class LpProblem:
 
 
 def lp(objective, maximize, rows, signs) -> LpProblem:
-    obj = None if objective is None else tuple(Fraction(c) for c in objective)
-    norm_rows = tuple(
-        (tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs)) for coeffs, rel, rhs in rows
-    )
+    """An LpProblem from plain values, each taken exactly by `rat`; a float
+    or a decimal string raises LpShapeError."""
+    try:
+        obj = None if objective is None else tuple(rat(c) for c in objective)
+        norm_rows = tuple(
+            (tuple(rat(c) for c in coeffs), rel, rat(rhs)) for coeffs, rel, rhs in rows
+        )
+    except ValueError as err:
+        raise LpShapeError(str(err)) from None
     return LpProblem(obj, maximize, norm_rows, tuple(signs))
 
 

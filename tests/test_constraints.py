@@ -17,6 +17,7 @@ from linrank.constraints import (
     to_geq_matrix,
     to_leq_matrix,
 )
+from linrank.projection import remove_redundant
 from linrank.simplex import find_point, satisfiable
 from tests.oracles import constraint, geq_satisfied_by, leq_satisfied_by, system
 
@@ -227,6 +228,14 @@ def test_row_values_are_stored_as_fractions():
     assert kept.coeffs[0] is half and kept.const is half
 
 
+@pytest.mark.parametrize("value", (0.1, 0.5, "0.5", "1e3", " 1.0 "))
+def test_inexact_row_values_are_rejected(value):
+    with pytest.raises(ConstraintError):
+        LinConstraint((value,), "<=", 1)
+    with pytest.raises(ConstraintError):
+        LinConstraint((1,), "<=", value)
+
+
 @pytest.mark.parametrize("rel", RELATIONS)
 @pytest.mark.parametrize("const", (-1, 0, 1))
 def test_origin_tests_agree_with_satisfied_by(rel, const):
@@ -234,7 +243,12 @@ def test_origin_tests_agree_with_satisfied_by(rel, const):
         row = LinConstraint(coeffs, rel, const)
         at_origin = row.satisfied_by((0, 0))
         assert row.holds_at_zero() == at_origin
-        assert row.is_trivially_true() == (not any(coeffs) and at_origin)
-        assert row.is_trivially_false() == (not any(coeffs) and not at_origin)
+        # A ground row is dropped when the origin satisfies it and empties
+        # the system when it does not; any other single row is kept.
+        kept = remove_redundant(ConstraintSystem(("x", "y"), (row,))).rows
+        if any(coeffs):
+            assert len(kept) == 1
+        else:
+            assert kept == (() if at_origin else (LinConstraint((0, 0), "<", 0),))
         if at_origin:
             assert find_point(ConstraintSystem(("x", "y"), (row,))) == (0, 0)

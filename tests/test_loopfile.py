@@ -104,3 +104,35 @@ def test_terms_may_repeat_and_collect():
     row = loop.single.rows[0]
     assert row.coeffs == (Fraction(2), Fraction(0))
     assert row.const == Fraction(2)
+
+
+_FUZZ_TOKENS = (
+    "x", "x'", "x1", "x2'", "y", "0", "1", "2", "1/2", "1/0", "0/0", "*", "+", "-",
+    "<=", ">=", "=", "<", ">", ",", "#", ":", " ", "\n", "\r", "\t", "\x0b", "\xa0",
+    "٣", "@", ".", "vars:", "single:", "guard:", "update:",
+)
+
+
+def _mutate(rng, text):
+    """One insert, delete or replace of a token or a short span."""
+    pos = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:pos] + rng.choice(_FUZZ_TOKENS) + text[pos:]
+    end = min(len(text), pos + rng.randint(1, 3))
+    return text[:pos] + (rng.choice(_FUZZ_TOKENS) if kind == 2 else "") + text[end:]
+
+
+def test_mutated_loop_files_parse_or_fail_with_a_position(loops_dir):
+    # About 2,000 mutations of each file: 1,000 inputs of one to three each.
+    rng = random.Random(20240607)
+    for path in sorted(loops_dir.glob("*.loop")):
+        source = path.read_text(encoding="utf-8")
+        for _ in range(1000):
+            text = source
+            for _ in range(rng.randint(1, 3)):
+                text = _mutate(rng, text)
+            try:
+                parse_loop(text)
+            except LoopParseError as err:
+                assert err.line >= 1 and err.col >= 1, (text, err)

@@ -6,6 +6,7 @@ import pytest
 
 from linrank import parse_loop
 from linrank.constraints import (
+    LinConstraint,
     loop_system,
     to_geq_matrix,
 )
@@ -61,8 +62,10 @@ def test_svg_system_golden_matrix(log2_clp_loop):
     for row, (coeffs, rel, const) in zip(sys_rows.rows, expected_rows):
         assert row.coeffs == tuple(Fraction(v) for v in coeffs)
         assert row.rel == rel and row.const == const
-    # decrease row, oriented as -b^T y <= -1
-    decrease = sys_rows.rows[4].as_le()
+    # decrease row b^T y >= 1, negated by hand to -b^T y <= -1
+    row = sys_rows.rows[4]
+    assert row.rel == ">="
+    decrease = LinConstraint(tuple(-v for v in row.coeffs), "<=", -row.const)
     assert decrease.coeffs == tuple(Fraction(v) for v in (-2, 1, 0, 1, -1, 0, 0))
     assert decrease.const == -1
     # trailing sign rows: y >= 0 and mu >= 0

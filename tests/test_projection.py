@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -202,3 +203,72 @@ def test_projection_sound_and_complete_sampling():
         c = _random_system(rng)
         keep = tuple(v for v in c.variables if rng.random() < 0.5) or (c.variables[0],)
         fm_sampling_check(rng, c, keep)
+
+
+_FLIPPED = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}
+
+
+def _noncanonical_system(rng):
+    """Rows as they come: fractional and 2^64-sized coefficients, every
+    relation, negative-lead equalities, parallel duplicates and ground rows."""
+    nv = rng.randint(1, 3)
+    p = [Fraction(rng.randint(-2, 2)) for _ in range(nv)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            coeffs, rel, const = rows[rng.randrange(len(rows))]
+            scale = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            rows.append(([v * scale for v in coeffs], rel, const * scale + rng.randint(0, 1)))
+        elif kind < 0.25:
+            rows.append(([0] * nv, rng.choice(tuple(_FLIPPED)), rng.randint(-1, 1)))
+        else:
+            big = 2**64 if rng.random() < 0.3 else 1
+            coeffs = [Fraction(rng.randint(-3, 3) * big, rng.randint(1, 3)) for _ in range(nv)]
+            lhs = sum(a * b for a, b in zip(coeffs, p))
+            rel = rng.choice(tuple(_FLIPPED))
+            slack = rng.randint(-1, 3)
+            const = lhs if rel == "=" else lhs + slack if rel in ("<=", "<") else lhs - slack
+            rows.append((coeffs, rel, const))
+    return tuple(f"v{i}" for i in range(nv)), rows
+
+
+def _rescaled(rng, rows):
+    """Each row times a positive rational, and re-oriented half the time."""
+    out = []
+    for coeffs, rel, const in rows:
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        if rng.random() < 0.5:
+            scale, rel = -scale, _FLIPPED[rel]
+        out.append(([v * scale for v in coeffs], rel, const * scale))
+    return out
+
+
+def assert_canonical(c):
+    kinds = set()
+    for row in c.rows:
+        assert row.rel in ("<=", "<", "=")
+        assert all(v.denominator == 1 for v in row.coeffs)
+        if not any(row.coeffs):
+            assert c.rows == (constraint((0,) * c.n_vars, "<", 0),)
+            continue
+        assert gcd(*(v.numerator for v in row.coeffs)) == 1
+        if row.rel == "=":
+            assert next(v for v in row.coeffs if v) > 0
+        key = (row.rel == "=", row.coeffs)
+        assert key not in kinds
+        kinds.add(key)
+
+
+def test_projection_output_is_canonical_and_ignores_row_scaling():
+    rng = random.Random(59)
+    for _ in range(150):
+        names, rows = _noncanonical_system(rng)
+        c, scaled = cs(names, rows), cs(names, _rescaled(rng, rows))
+        keep = tuple(v for v in names if rng.random() < 0.5) or names[-1:]
+        pairs = [(eliminate(c, v), eliminate(scaled, v)) for v in names]
+        pairs.append((project(c, keep), project(scaled, keep)))
+        pairs.append((remove_redundant(c), remove_redundant(scaled)))
+        for out, out_scaled in pairs:
+            assert out.rows == out_scaled.rows
+            assert_canonical(out)

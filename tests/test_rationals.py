@@ -16,6 +16,12 @@ def test_canonical_form_on_construction():
     assert v.numerator == 1 and v.denominator == 2
 
 
+def test_rat_divides_every_numerator_form_by_the_denominator():
+    assert rat("1/2", 3) == rat(Fraction(1, 2), 3) == rat(1, 6) == Fraction(1, 6)
+    with pytest.raises(ValueError):
+        rat(0.5, 3)
+
+
 def test_division_identity():
     assert rat(3, 7) / rat(3, 7) == rat(1)
 

@@ -118,7 +118,7 @@ def test_standard_form_counts_for_worked_instance(log2_clp_loop):
     p = lp(
         None,
         False,
-        [(r.as_le().coeffs, r.as_le().rel, r.as_le().const) for r in ineq_rows],
+        [(r.coeffs, r.rel, r.const) for r in ineq_rows],  # lp takes >= rows as they are
         [NONNEG] * 7,
     )
     std, _ = to_standard_form(p)
@@ -278,3 +278,13 @@ def test_optimize_and_satisfiable_bridge():
     out = optimize(c, [1, 1], maximize=True)
     assert out.status is LpStatus.OPTIMAL and out.value == 4
     assert find_point(c) is not None
+
+
+@pytest.mark.parametrize("value", (0.1, 0.5, "0.5", "1e3"))
+def test_lp_rejects_inexact_values(value):
+    cases = (([value], []), (None, [([value], "<=", 1)]), (None, [([1], "<=", value)]))
+    for objective, rows in cases:
+        with pytest.raises(LpShapeError):
+            lp(objective, False, rows, [FREE])
+    exact = lp(["1/2"], False, [([True], ">=", Fraction(1, 3))], [FREE])
+    assert exact.objective == (Fraction(1, 2),)
