@@ -177,14 +177,17 @@ def parse_loop(text: str) -> LoopModel:
             if header != "vars":
                 raise LoopParseError("expected 'vars:' as the first declaration",
                                      line_no, indent + 1)
-            names = stripped.split(":", 1)[1].split()
+            names: list[str] = []
+            body_col = indent + stripped.index(":") + 2  # 1-based column after the colon
+            for m in re.finditer(r"\S+", stripped.split(":", 1)[1]):
+                name, col = m.group(), body_col + m.start()
+                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+                    raise LoopParseError(f"bad variable name {name!r}", line_no, col)
+                if name in names:
+                    raise LoopParseError(f"duplicate variable name {name!r}", line_no, col)
+                names.append(name)
             if not names:
                 raise LoopParseError("'vars:' declares no variables", line_no, indent + 1)
-            if len(set(names)) != len(names):
-                raise LoopParseError("duplicate variable name", line_no, indent + 1)
-            for name in names:
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-                    raise LoopParseError(f"bad variable name {name!r}", line_no, indent + 1)
             space = VarSpace(tuple(names))
             continue
         if header in _SECTIONS:

@@ -18,14 +18,18 @@ so `_prune` restores the canonical form.  `project` substitutes first and
 then pairs with ancestry tracking, so that any non-strict row combining
 more than k+1 original rows after k eliminations is dropped as redundant
 (Chernikov's counting rule; such rows are consequences of the retained
-ones).  An exact LP-based prune acts as a backstop when row counts still
-grow.
+ones).  `remove_redundant` acts as a backstop when row counts still grow.
 
-Equality of solution sets is decided exactly, strict faces included: after
-the two relaxed systems entail each other, any remaining discrepancy must
-be a point of one set lying exactly on the boundary hyperplane of a strict
-row of the other, and each such hyperplane is checked by one feasibility
-call.
+Entailment is one test, `_entailed`, in the space's own dimension.  By
+Farkas' lemma, min y.b over the multipliers y >= 0 (free on an equality)
+with sum y_i d_i = a is the supremum of a.x over a feasible system's
+closure: a dual LP with one equality row per variable, however many rows
+the system has.  When a strict a.x < b meets that supremum exactly, a
+second LP decides it (Motzkin's transposition theorem): it holds iff the
+multipliers reaching b can weight a strict row.  Solution-set equality
+adds, after mutual entailment of the relaxed systems, one feasibility call
+per strict row: the boundary hyperplane of a strict row of one system must
+miss the other.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .constraints import (
     LinConstraint,
 )
 from .rationals import integer_scaling
-from .simplex import find_point, satisfiable
+from .simplex import FREE, NONNEG, LpProblem, LpStatus, find_point, satisfiable, solve
 
 _FULL_PRUNE_THRESHOLD = 40
 
@@ -148,60 +152,66 @@ def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
     return _system(c.variables[:idx] + c.variables[idx + 1 :], _prune(rows)[0])
 
 
-# The rows whose union is the complement of a row's solution set.
-_NEGATED = {LE: (GT,), LT: (GE,), GE: (LT,), GT: (LE,), EQ: (GT, LT)}
+def _entailed(rest: Sequence[Row], row: Row) -> bool:
+    """Whether every point of the feasible canonical rows `rest` satisfies
+    the canonical `row`: the dual LP, then the Motzkin stage for a strict
+    row at its bound.  An equality is both of its directions."""
+    direction, rel, const = row
+    if rel == EQ:
+        opposite = (tuple(-v for v in direction), LE, -const)
+        return _entailed(rest, (direction, LE, const)) and _entailed(rest, opposite)
+    signs = tuple(FREE if r == EQ else NONNEG for _, r, _ in rest)
+    consts = tuple(b for _, _, b in rest)
+    gradient = tuple((tuple(d[j] for d, _, _ in rest), EQ, a) for j, a in enumerate(direction))
+    bound = solve(LpProblem(consts, False, gradient, signs))
+    if bound.status is LpStatus.INFEASIBLE or bound.value > const:
+        return False
+    if bound.value < const or rel == LE:
+        return True
+    strict = tuple(int(r == LT) for _, r, _ in rest)
+    if not any(strict):
+        return False
+    face = solve(LpProblem(strict, True, gradient + ((consts, EQ, const),), signs))
+    return face.status is LpStatus.UNBOUNDED or face.value > 0
 
 
-def _negations(k: LinConstraint) -> list[LinConstraint]:
-    return [LinConstraint(k.coeffs, rel, k.const) for rel in _NEGATED[k.rel]]
-
-
-def _entails_system(c: ConstraintSystem, k: LinConstraint) -> bool:
-    """Every point of c satisfies k (c may be empty or carry strict rows)."""
-    return all(
-        find_point(c.with_rows(c.rows + (neg,))) is None for neg in _negations(k)
-    )
+def _entails_system(c: ConstraintSystem, rows: Iterable[LinConstraint]) -> bool:
+    """Every point of c, which must be feasible, satisfies every row."""
+    premise = _canonical(c.rows)
+    return all(_entailed(premise, row) for row in _canonical(rows))
 
 
 def entails(c: ConstraintSystem, k: LinConstraint) -> bool:
     """True iff every rational solution of c satisfies k; c must be
-    satisfiable."""
+    satisfiable.  One `_entailed` test, no primal LP over c's rows."""
     if not satisfiable(c):
         raise ConstraintError("entailment over an unsatisfiable system")
-    return _entails_system(c, k)
+    if len(k.coeffs) != c.n_vars:
+        raise ConstraintError(f"row has {len(k.coeffs)} coefficients for {c.n_vars} variables")
+    return _entails_system(c, (k,))
 
 
 def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
-    """Greedy pruning: drop each row entailed by the remaining ones.  The
-    result has the same solution set and no row entailed by the others.
-
-    Every feasibility query that certifies a row as needed yields a point;
-    those points are cached and re-checked first, so most non-redundant
-    rows are confirmed without another LP."""
-    keep = [LinConstraint(*row) for row in _canonical(c.rows)]
-    witnesses: list[tuple] = []
+    """Greedy pruning: drop, in order, each canonical row that the rows
+    still kept entail; the result has c's solution set and no entailed row.
+    Dropping a row keeps the solution set, so one `find_point` on c tells
+    feasibility for the whole scan: on a feasible c each row is one
+    `_entailed` test (no witness points are kept), and on an infeasible c a
+    row goes iff the rest stay infeasible."""
+    keep = _canonical(c.rows)
+    feasible = satisfiable(c)
     i = 0
     while i < len(keep):
-        candidate = keep[i]
         rest = keep[:i] + keep[i + 1 :]
-        cached = any(
-            all(row.satisfied_by(p) for row in rest) and not candidate.satisfied_by(p)
-            for p in witnesses
-        )
-        if cached:
-            i += 1
-            continue
-        point = None
-        for neg in _negations(candidate):
-            point = find_point(c.with_rows(tuple(rest) + (neg,)))
-            if point is not None:
-                break
-        if point is None:
+        if feasible:
+            redundant = _entailed(rest, keep[i])
+        else:
+            redundant = not satisfiable(_system(c.variables, rest))
+        if redundant:
             keep = rest
         else:
-            witnesses.append(point)
             i += 1
-    return c.with_rows(tuple(keep))
+    return _system(c.variables, keep)
 
 
 def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
@@ -289,9 +299,7 @@ def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
     if not sat1 or not sat2:
         return sat1 == sat2
     r1, r2 = c1.relaxed(), c2.relaxed()
-    if not all(_entails_system(r1, row) for row in r2.rows):
-        return False
-    if not all(_entails_system(r2, row) for row in r1.rows):
+    if not _entails_system(r1, r2.rows) or not _entails_system(r2, r1.rows):
         return False
     for source, other in ((c1, c2), (c2, c1)):
         for row in source.rows:

@@ -6,14 +6,18 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from linrank.constraints import (
+    EQ,
+    GE,
     GT,
+    LE,
+    LT,
     ConstraintError,
     ConstraintSystem,
     LeqMatrixForm,
     LinConstraint,
 )
 from linrank.ms import MS_FULL, RankingFunction, RankingSpace
-from linrank.projection import project
+from linrank.projection import _canonical, project
 from linrank.rationals import Rational
 from linrank.simplex import (
     LpOutcome,
@@ -113,3 +117,31 @@ def in_denormalized_space(space: RankingSpace, f: RankingFunction) -> bool:
         rows.append(LinConstraint((t_coeff,), row.rel, row.const))
     rows.append(LinConstraint((Fraction(1),), GT, Fraction(0)))
     return find_point(ConstraintSystem(("t",), tuple(rows))) is not None
+
+
+# The rows whose union is the complement of a row's solution set.
+_NEGATED = {LE: (GT,), LT: (GE,), GE: (LT,), GT: (LE,), EQ: (GT, LT)}
+
+
+def _negations(k: LinConstraint) -> list[LinConstraint]:
+    return [LinConstraint(k.coeffs, rel, k.const) for rel in _NEGATED[k.rel]]
+
+
+def entails_by_negation(c: ConstraintSystem, k: LinConstraint) -> bool:
+    """c entails k iff c and each negation of k have no common point: one
+    primal feasibility query per negation, over all of c's rows."""
+    return all(find_point(c.with_rows(c.rows + (neg,))) is None for neg in _negations(k))
+
+
+def remove_redundant_by_negation(c: ConstraintSystem) -> ConstraintSystem:
+    """The primal greedy rule: scan the canonical rows in order and drop
+    each one that the rows still kept entail, by `entails_by_negation`."""
+    keep = [LinConstraint(*row) for row in _canonical(c.rows)]
+    i = 0
+    while i < len(keep):
+        rest = keep[:i] + keep[i + 1 :]
+        if entails_by_negation(c.with_rows(rest), keep[i]):
+            keep = rest
+        else:
+            i += 1
+    return c.with_rows(keep)

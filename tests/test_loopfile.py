@@ -38,6 +38,18 @@ def test_error_positions_reported():
     assert err.value.col >= 9
 
 
+def test_vars_errors_point_at_the_name():
+    for text, message, position in (
+        ("vars: x, y\nsingle: x >= 0", "bad variable name 'x,'", (1, 7)),
+        ("  vars: x y x\nsingle: x >= 0", "duplicate variable name 'x'", (1, 13)),
+        ("# c\nvars:\tx  1y\nsingle: x >= 0", "bad variable name '1y'", (2, 10)),
+    ):
+        with pytest.raises(LoopParseError) as err:
+            parse_loop(text)
+        assert str(err.value).endswith(message)
+        assert (err.value.line, err.value.col) == position
+
+
 def test_undeclared_variable():
     with pytest.raises(LoopParseError, match="undeclared"):
         parse_loop("vars: x\nsingle: y >= 0")

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from linrank.constraints import ConstraintError
+from linrank.constraints import ConstraintError, LinConstraint
 from linrank.projection import (
     eliminate,
     entails,
@@ -14,7 +14,12 @@ from linrank.projection import (
 )
 from linrank.simplex import satisfiable
 from tests.conftest import sample_points
-from tests.oracles import constraint, system
+from tests.oracles import (
+    constraint,
+    entails_by_negation,
+    remove_redundant_by_negation,
+    system,
+)
 
 
 def cs(variables, rows):
@@ -71,6 +76,20 @@ def test_entails_requires_satisfiable_premise():
     c = cs(("x",), [((1,), ">=", 1), ((1,), "<=", 0)])
     with pytest.raises(ConstraintError):
         entails(c, constraint((1,), ">=", 0))
+
+
+def test_entails_strict_faces_and_contract():
+    # sup x + y = 1 on both premises; only a strict premise row keeps it unattained
+    assert entails(cs(("x", "y"), [((1, 0), "<", 1), ((0, 1), "<=", 0)]), constraint((1, 1), "<", 1))
+    assert not entails(cs(("x", "y"), [((1, 0), "<=", 1), ((0, 1), "<=", 0)]), constraint((1, 1), "<", 1))
+    # x = (x + y) - y needs a negative multiplier on the equality y = 1
+    line = cs(("x", "y"), [((1, 1), "=", 2), ((0, 1), "=", 1)])
+    assert entails(line, constraint((1, 0), "=", 1))
+    assert not entails(line, constraint((1, 0), "=", 2))
+    with pytest.raises(ConstraintError):
+        entails(line, constraint((1,), "<=", 1))
+    with pytest.raises(ConstraintError):
+        entails(cs(("x",), [((1,), "<", 0), ((1,), ">", 0)]), constraint((1,), "<=", 1))
 
 
 def test_entails_from_projected_space(log2_loop):
@@ -272,3 +291,49 @@ def test_projection_output_is_canonical_and_ignores_row_scaling():
         for out, out_scaled in pairs:
             assert out.rows == out_scaled.rows
             assert_canonical(out)
+
+
+def _upper_bound(row):
+    """(coeffs, const) of an inequality row read as  coeffs . x  <=  const."""
+    if row.rel in (">=", ">"):
+        return tuple(-v for v in row.coeffs), -row.const
+    return row.coeffs, row.const
+
+
+def _candidates(rng, c):
+    """Rows to test for entailment: each row of c moved and re-related, and
+    the sum of each two consecutive inequalities of c as a <, <= and = row
+    at the sum's bound (the strict-face cases)."""
+    out = [
+        LinConstraint(r.coeffs, rng.choice(tuple(_FLIPPED)), r.const + rng.randint(-1, 1))
+        for r in c.rows
+    ]
+    bounds = [_upper_bound(r) for r in c.rows if r.rel != "="]
+    for (d1, b1), (d2, b2) in zip(bounds, bounds[1:]):
+        coeffs = tuple(x + y for x, y in zip(d1, d2))
+        out.extend(LinConstraint(coeffs, rel, b1 + b2) for rel in ("<", "<=", "="))
+    return out
+
+
+def test_redundancy_and_entailment_match_the_negation_rule():
+    """remove_redundant keeps exactly the rows, in the same order, that the
+    primal greedy rule keeps, and entails gives the negation-based answer,
+    on systems with strict rows, equalities, ground rows, 2^64-sized
+    coefficients and infeasible inputs."""
+    rng = random.Random(71)
+    infeasible = strict = 0
+    answers = set()
+    for _ in range(320):
+        names, rows = _noncanonical_system(rng)
+        c = cs(names, rows)
+        assert remove_redundant(c).rows == remove_redundant_by_negation(c).rows
+        strict += c.has_strict_rows()
+        if not satisfiable(c):
+            infeasible += 1
+            continue
+        for row in _candidates(rng, c):
+            answer = entails(c, row)
+            assert answer == entails_by_negation(c, row)
+            answers.add((answer, row.is_strict))
+    assert infeasible >= 20 and strict >= 100
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
