@@ -72,7 +72,6 @@ from .simplex import (
     lp,
     satisfiable,
     solve,
-    to_standard_form,
 )
 
 __version__ = "0.1.0"

@@ -14,11 +14,13 @@ per `_eliminate` step.  A variable occurring in an equality row is
 eliminated by substitution through that row (row count never grows);
 otherwise each upper row is paired with each lower row.  Both combine
 integer directions into a positive multiple of the rational combination,
-so `_prune` restores the canonical form.  `project` substitutes first and
-then pairs with ancestry tracking, so that any non-strict row combining
-more than k+1 original rows after k eliminations is dropped as redundant
-(Chernikov's counting rule; such rows are consequences of the retained
-ones).  `remove_redundant` acts as a backstop when row counts still grow.
+so `_prune` restores the canonical form.  `project` prunes exactly when a
+step grows the system: a step that leaves more rows than it started with
+is followed by the exact greedy scan `_irredundant`, so no step ends with
+more rows than the larger of its input count and an irredundant system's.
+That is sound because `project` only eliminates from a feasible input,
+and the projection of a feasible system is feasible, as `_entailed`
+requires.
 
 Entailment is one test, `_entailed`, in the space's own dimension.  By
 Farkas' lemma, min y.b over the multipliers y >= 0 (free on an equality)
@@ -52,8 +54,6 @@ from .constraints import (
 from .rationals import integer_scaling
 from .simplex import FREE, NONNEG, LpProblem, LpStatus, find_point, satisfiable, solve
 
-_FULL_PRUNE_THRESHOLD = 40
-
 Row = tuple[tuple[int, ...], str, Fraction]
 
 
@@ -66,18 +66,18 @@ def _false_row(width: int) -> Row:
     return (0,) * width, LT, Fraction(0)
 
 
-def _prune(rows: Sequence[tuple]) -> tuple[list[Row], list[int]]:
+def _prune(rows: Iterable[tuple]) -> list[Row]:
     """Give each (coeffs, rel, const) row its canonical form, drop
     trivially-true rows and duplicates, and among parallel rows of the same
-    direction keep only the tightest one.  Returns the kept rows and the
-    source index of each.  A ground-false row, or two parallel equalities
-    that disagree, collapse the whole system to the single row 0 < 0."""
-    best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const, index)
-    for i, (coeffs, rel, const) in enumerate(rows):
+    direction keep only the tightest one.  A ground-false row, or two
+    parallel equalities that disagree, collapse the whole system to the
+    single row 0 < 0."""
+    best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const)
+    for coeffs, rel, const in rows:
         if not any(coeffs):
             if HOLDS[rel](0, const):
                 continue
-            return [_false_row(len(coeffs))], [i]
+            return [_false_row(len(coeffs))]
         # Equalities canonicalize up to sign, inequalities only up to
         # positive scaling; directions are kept as coprime integers, so the
         # divisor's sign orients the row as <=, < or = in the same step.
@@ -93,42 +93,35 @@ def _prune(rows: Sequence[tuple]) -> tuple[list[Row], list[int]]:
         incumbent = best.get(key)
         if incumbent is not None and rel == EQ:
             if incumbent[1] != scaled_const:
-                return [_false_row(len(direction))], [i]
+                return [_false_row(len(direction))]
             continue
         if incumbent is None or scaled_const < incumbent[1] or (
             scaled_const == incumbent[1] and rel == LT
         ):
-            best[key] = (rel, scaled_const, i)
-    kept = [(direction, rel, const) for (_, direction), (rel, const, _) in best.items()]
-    return kept, [i for _, _, i in best.values()]
+            best[key] = (rel, scaled_const)
+    return [(direction, rel, const) for (_, direction), (rel, const) in best.items()]
 
 
 def _canonical(rows: Iterable[LinConstraint]) -> list[Row]:
-    return _prune([(row.coeffs, row.rel, row.const) for row in rows])[0]
+    return _prune((row.coeffs, row.rel, row.const) for row in rows)
 
 
-def _eliminate(rows: Sequence[Row], idx: int) -> tuple[list[tuple], list[tuple[int, ...]]]:
+def _eliminate(rows: Sequence[Row], idx: int) -> list[tuple]:
     """Remove column idx from canonical rows, by substitution through the
     first equality that holds it, or else by one Fourier-Motzkin step.
-
-    Returns the new rows, with int directions but not yet pruned, and the
-    parents of each: (i,) for row i passed through, (i, k) for row i
-    combined with the pivot equality k or for upper row i paired with lower
-    row k.  A paired row is strict iff either parent is."""
+    Returns the new rows, with int directions but not yet pruned.  A
+    paired row is strict iff either parent is."""
     dropped = [d[:idx] + d[idx + 1 :] for d, _, _ in rows]
     out: list[tuple] = []
-    parents: list[tuple[int, ...]] = []
 
     def combine(i: int, a: int, k: int, b: int, rel: str) -> None:
         coeffs = tuple(x * a + y * b for x, y in zip(dropped[i], dropped[k]))
         out.append((coeffs, rel, rows[i][2] * a + rows[k][2] * b))
-        parents.append((i, k))
 
     pivot = next((k for k, (d, rel, _) in enumerate(rows) if rel == EQ and d[idx]), None)
     for i, (d, rel, const) in enumerate(rows):
         if d[idx] == 0:
             out.append((dropped[i], rel, const))
-            parents.append((i,))
         elif pivot is not None and i != pivot:
             # |p|*row - sign(p)*f*pivot: a positive multiple of row - (f/p)*pivot
             p = rows[pivot][0][idx]
@@ -141,15 +134,15 @@ def _eliminate(rows: Sequence[Row], idx: int) -> tuple[list[tuple], list[tuple[i
                 # up*pl + low*pu: a positive multiple of up/pu + low/pl
                 rel = LT if LT in (rows[i][1], rows[k][1]) else LE
                 combine(i, -rows[k][0][idx], k, rows[i][0][idx], rel)
-    return out, parents
+    return out
 
 
 def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
     """Project c's solution set along one variable; the result ranges over
     the remaining variables.  A combined row is strict iff either parent is."""
     idx = c.index_of(var)
-    rows, _ = _eliminate(_canonical(c.rows), idx)
-    return _system(c.variables[:idx] + c.variables[idx + 1 :], _prune(rows)[0])
+    rows = _prune(_eliminate(_canonical(c.rows), idx))
+    return _system(c.variables[:idx] + c.variables[idx + 1 :], rows)
 
 
 def _entailed(rest: Sequence[Row], row: Row) -> bool:
@@ -191,27 +184,36 @@ def entails(c: ConstraintSystem, k: LinConstraint) -> bool:
     return _entails_system(c, (k,))
 
 
-def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
-    """Greedy pruning: drop, in order, each canonical row that the rows
-    still kept entail; the result has c's solution set and no entailed row.
-    Dropping a row keeps the solution set, so one `find_point` on c tells
-    feasibility for the whole scan: on a feasible c each row is one
-    `_entailed` test (no witness points are kept), and on an infeasible c a
-    row goes iff the rest stay infeasible."""
-    keep = _canonical(c.rows)
-    feasible = satisfiable(c)
+def _irredundant(rows: Sequence[Row], redundant=_entailed) -> list[Row]:
+    """Greedy pruning of canonical rows: drop, in order, each row that
+    `redundant(rest, row)` finds redundant given the rows still kept.  The
+    default, `_entailed`, needs feasible rows."""
+    keep = list(rows)
     i = 0
     while i < len(keep):
         rest = keep[:i] + keep[i + 1 :]
-        if feasible:
-            redundant = _entailed(rest, keep[i])
-        else:
-            redundant = not satisfiable(_system(c.variables, rest))
-        if redundant:
+        if redundant(rest, keep[i]):
             keep = rest
         else:
             i += 1
-    return _system(c.variables, keep)
+    return keep
+
+
+def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
+    """Drop, in order, each canonical row that the rows still kept entail;
+    the result has c's solution set and no entailed row.  Dropping a row
+    keeps the solution set, so one `find_point` on c tells feasibility for
+    the whole scan: on a feasible c each row is one `_entailed` test (no
+    witness points are kept), and on an infeasible c a row goes iff the
+    rest stay infeasible."""
+    rows = _canonical(c.rows)
+    if satisfiable(c):
+        return _system(c.variables, _irredundant(rows))
+
+    def still_infeasible(rest: Sequence[Row], _row: Row) -> bool:
+        return not satisfiable(_system(c.variables, rest))
+
+    return _system(c.variables, _irredundant(rows, still_infeasible))
 
 
 def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
@@ -227,56 +229,22 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     rows = _canonical(c.rows)
     variables = c.variables
 
-    # Substitution phase: any to-eliminate variable held by an equality row
-    # goes first (each such step removes one row and one column).
-    while True:
-        idx = next(
-            (
-                i
-                for i, v in enumerate(variables)
-                if v not in keep and any(rel == EQ and d[i] for d, rel, _ in rows)
-            ),
-            None,
-        )
-        if idx is None:
-            break
-        rows = _prune(_eliminate(rows, idx)[0])[0]
+    def cost(i: int) -> tuple[int, int]:
+        # Substitution through an equality first, in index order (each such
+        # step removes one row and one column); then the variable with the
+        # fewest (upper, lower) pairs.  Pairing never creates an equality.
+        if any(rel == EQ and d[i] for d, rel, _ in rows):
+            return 0, 0
+        return 1, sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows)
+
+    for _ in range(sum(v not in keep for v in variables)):
+        idx = min((i for i, v in enumerate(variables) if v not in keep), key=cost)
+        stepped = _prune(_eliminate(rows, idx))
+        rows = _irredundant(stepped) if len(stepped) > len(rows) else stepped
         variables = variables[:idx] + variables[idx + 1 :]
 
-    # Pairing phase: pure FM with Chernikov's counting rule.  Ancestries
-    # are sets of baseline row indices; after k eliminations a non-strict
-    # row combining more than k+1 baseline rows is redundant.  Strict rows
-    # are exempted (their strictness may not be re-derivable) and left to
-    # the exact prune at the end.
-    ancestry = [frozenset([i]) for i in range(len(rows))]
-    eliminated = 0
-    remaining = [v for v in variables if v not in keep]
-    while remaining:
-        # The variable with the fewest (upper, lower) pairs goes next.
-        idx = min(
-            (variables.index(v) for v in remaining),
-            key=lambda i: sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows),
-        )
-        remaining.remove(variables[idx])
-        produced, parents = _eliminate(rows, idx)
-        variables = variables[:idx] + variables[idx + 1 :]
-        eliminated += 1
-        new_rows: list[tuple] = []
-        new_anc: list[frozenset] = []
-        for row, pair in zip(produced, parents):
-            anc = frozenset().union(*(ancestry[p] for p in pair))
-            if row[1] != LT and len(anc) > eliminated + 1:
-                continue
-            new_rows.append(row)
-            new_anc.append(anc)
-        rows, kept_idx = _prune(new_rows)
-        ancestry = [new_anc[i] for i in kept_idx]
-
-        if len(rows) > _FULL_PRUNE_THRESHOLD:
-            kept = set(_canonical(remove_redundant(_system(variables, rows)).rows))
-            ancestry = [a for r, a in zip(rows, ancestry) if r in kept]
-            rows = [r for r in rows if r in kept]
-
+    # Permuting columns can flip an equality's leading sign;
+    # `remove_redundant` gives every row its canonical form again.
     perm = [variables.index(name) for name in keep]
     rows = [(tuple(d[i] for i in perm), rel, const) for d, rel, const in rows]
     return remove_redundant(_system(keep, rows))

@@ -23,7 +23,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
 
 from .constraints import EQ, GE, GT, LE, LT, ConstraintSystem
 from .rationals import Rational, integer_scaling, rat
@@ -96,22 +95,6 @@ def lp(objective, maximize, rows, signs) -> LpProblem:
     return LpProblem(obj, maximize, norm_rows, tuple(signs))
 
 
-@dataclass(frozen=True)
-class StandardFormMap:
-    """Recovers original-variable values from standard-form points."""
-
-    columns: tuple[tuple[int, int | None], ...]  # per original var: (col+, col-)
-
-    def recover(self, standard_point: Sequence[Rational]) -> tuple[Rational, ...]:
-        out = []
-        for plus, minus in self.columns:
-            value = standard_point[plus]
-            if minus is not None:
-                value -= standard_point[minus]
-            out.append(value)
-        return tuple(out)
-
-
 def _integer_standard_form(p: LpProblem):
     """The layout of p's standard form, as int rows.  Each variable gets a
     column pair (col+, col-), col- None for a nonnegative one, and the
@@ -150,18 +133,6 @@ def _integer_standard_form(p: LpProblem):
         scale, ints = integer_scaling(p.objective)
         objective = (scale, widen([-v for v in ints] if p.maximize else ints)[:-1])
     return tuple(columns), n, rows, scales, objective
-
-
-def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardFormMap]:
-    """Equalities-and-nonnegatives form: each free variable splits into a
-    difference of two nonnegatives, each inequality gains one slack."""
-    columns, n, rows, scales, objective = _integer_standard_form(p)
-    std_rows = tuple(
-        (tuple(Fraction(v, scale) for v in row[:-1]), EQ, Fraction(row[-1], scale))
-        for row, scale in zip(rows, scales)
-    )
-    std_obj = None if objective is None else tuple(Fraction(v, objective[0]) for v in objective[1])
-    return LpProblem(std_obj, False, std_rows, (NONNEG,) * n), StandardFormMap(columns)
 
 
 # --- tableau core -----------------------------------------------------------
@@ -323,6 +294,14 @@ def _solve_standard(rows, scales, objective, n):
     return LpStatus.OPTIMAL, point, None
 
 
+def _recover(columns, standard_point):
+    """Original-variable values of a standard-form point: col+ - col-."""
+    return tuple(
+        standard_point[plus] if minus is None else standard_point[plus] - standard_point[minus]
+        for plus, minus in columns
+    )
+
+
 def solve(p: LpProblem) -> LpOutcome:
     """Exact resolution: infeasible, unbounded (with certificate ray),
     optimal (with point and value), or a bare feasible point when the
@@ -332,10 +311,9 @@ def solve(p: LpProblem) -> LpOutcome:
     status, point, ray = _solve_standard(rows, scales, costs, n)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
-    vmap = StandardFormMap(columns)
-    orig_point = vmap.recover(point)
+    orig_point = _recover(columns, point)
     if status is LpStatus.UNBOUNDED:
-        return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=vmap.recover(ray))
+        return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=_recover(columns, ray))
     if status is LpStatus.FEASIBLE:
         return LpOutcome(LpStatus.FEASIBLE, point=orig_point)
     value = sum((c * x for c, x in zip(p.objective, orig_point)), Fraction(0))

@@ -49,6 +49,20 @@ def unsat_loop():
     return load_loop("unsat.loop")
 
 
+@pytest.fixture(scope="session")
+def seed207_loop():
+    """A `random_loop`-shaped loop whose decreasing space once came out too
+    large: an ancestry-count filter in `project` dropped the row
+    4*mu1 - mu2 <= -2, so mu = (2, 8) was taken for a ranking function
+    although the least decrease of 2*x1 + 8*x2 over the loop is 0."""
+    return parse_loop(
+        "vars: x1 x2\n"
+        "single: x1 >= 0, 2*x2 >= 6, 4*x1 + 2*x2 - 4*x1' + 4*x2' <= 24,"
+        " 4*x2 + 5*x1' + 2*x2' >= 21, -2*x1 + 5*x2 + 2*x1' <= 19,"
+        " 5*x1 - 4*x2 - 3*x1' + 2*x2' <= -3, 2*x2 - 2*x2' >= 1\n"
+    )
+
+
 def sample_points(c: ConstraintSystem, rng: random.Random, want: int) -> list[tuple]:
     """Up to `want` points of c: optimized vertices in random directions,
     densified with convex combinations (still solutions by convexity)."""

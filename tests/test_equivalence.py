@@ -17,6 +17,7 @@ from linrank.ms import (
     RankingSpace,
     TerminationStatus,
     ms_analyze,
+    ms_decreasing_space,
     ms_space,
 )
 from linrank.pr import pr_analyze
@@ -131,3 +132,8 @@ def test_random_loop_row_budget_respected():
     for i in range(30):
         loop = random_loop(rng, max_rows=8, force_rank=(i % 2 == 0), guarded=(i % 3 == 0))
         assert len(loop_system(loop).rows) <= 8
+
+
+def test_projection_keeps_the_row_that_rules_out_a_false_ranking_function(seed207_loop):
+    assert cross_check(seed207_loop).spaces_equivalent is True
+    assert not ms_decreasing_space(seed207_loop).contains((0, 2, 8))

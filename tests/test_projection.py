@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from linrank.constraints import ConstraintError, LinConstraint
+from linrank.constraints import ConstraintError, LinConstraint, loop_system
+from linrank.ms import _embed, build_ms_systems
 from linrank.projection import (
     eliminate,
     entails,
@@ -337,3 +339,66 @@ def test_redundancy_and_entailment_match_the_negation_rule():
             answers.add((answer, row.is_strict))
     assert infeasible >= 20 and strict >= 100
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _stepwise(c, keep):
+    """Plain Fourier-Motzkin: `eliminate` each variable outside keep, in
+    order, with no pruning between steps, then `remove_redundant`."""
+    for v in c.variables:
+        if v not in keep:
+            c = eliminate(c, v)
+    return remove_redundant(c)
+
+
+def test_project_matches_stepwise_elimination(seed207_loop):
+    """project, which prunes between steps, gives the solution set of plain
+    stepwise elimination, on small systems with strict rows, equalities,
+    fractional coefficients and infeasible inputs, and on the decrease
+    system of `seed207_loop` projected onto its mu block."""
+    rng = random.Random(97)
+    cases = []
+    for _ in range(240):
+        nv = rng.randint(2, 4)
+        names = tuple(f"v{i}" for i in range(nv))
+        p = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nv)]
+        rows = []
+        for _ in range(rng.randint(2, 7)):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nv)]
+            lhs = sum(a * b for a, b in zip(coeffs, p))
+            rel = rng.choice(tuple(_FLIPPED))
+            slack = rng.randint(-1, 3)
+            const = lhs if rel == "=" else lhs + slack if rel in ("<=", "<") else lhs - slack
+            rows.append((coeffs, rel, const))
+        keep = tuple(v for v in names if rng.random() < 0.5) or names[:1]
+        cases.append((cs(names, rows), keep))
+    assert sum(not satisfiable(c) for c, _ in cases) >= 20
+    assert sum(c.has_strict_rows() for c, _ in cases) >= 100
+    assert sum(any(r.rel == "=" for r in c.rows) for c, _ in cases) >= 100
+
+    decrease, _ = build_ms_systems(loop_system(seed207_loop))
+    mu = ("mu0", "mu1", "mu2")
+    cases.append((_embed(decrease, tuple(v for v in decrease.variables if v[0] == "y") + mu), mu))
+    for c, keep in cases:
+        assert equivalent(project(c, keep), _stepwise(c, keep))
+
+
+def test_projection_growth_stays_within_budget():
+    """A feasible system of 6 variables and 13 rows whose projection onto
+    two variables ran past a minute while intermediate Fourier-Motzkin
+    steps could grow unpruned; pruning each step that grows the system
+    keeps it within seconds."""
+    rng = random.Random(0)
+    nv = rng.randint(5, 6)
+    p = [rng.randint(-3, 3) for _ in range(nv)]
+    rows = []
+    for _ in range(rng.randint(10, 13)):
+        coeffs = [rng.randint(-4, 4) for _ in range(nv)]
+        rel = rng.choice(["<=", "<", ">=", ">"])
+        lhs = sum(a * b for a, b in zip(coeffs, p))
+        slack = rng.randint(1, 3)
+        rows.append((coeffs, rel, lhs + slack if rel in ("<=", "<") else lhs - slack))
+    c = cs(tuple(f"v{i}" for i in range(nv)), rows)
+    assert (c.n_vars, len(c.rows)) == (6, 13)
+    start = time.perf_counter()
+    fm_sampling_check(rng, c, c.variables[:2])
+    assert time.perf_counter() - start < 30

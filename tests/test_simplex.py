@@ -14,7 +14,6 @@ from linrank.simplex import (
     lp,
     satisfiable,
     solve,
-    to_standard_form,
 )
 from tests.oracles import constraint, optimize, system
 
@@ -83,47 +82,6 @@ def test_objective_without_rows(maximize, sign, status, ray):
     assert out.point == (Fraction(0),)
     assert out.ray == ray
     assert out.value == (Fraction(0) if status is LpStatus.OPTIMAL else None)
-
-
-def test_standard_form_is_fixpoint_on_equality_problems():
-    p = lp([1, 2], False, [([1, 1], "=", 3)], [NONNEG, NONNEG])
-    std, vmap = to_standard_form(p)
-    assert std.rows == p.rows
-    assert std.signs == p.signs
-    assert std.objective == p.objective
-    assert vmap.recover((Fraction(1), Fraction(2))) == (Fraction(1), Fraction(2))
-
-
-def test_standard_form_splits_free_and_adds_slack():
-    p = lp([1], True, [([1], "<=", 5)], [FREE])
-    std, vmap = to_standard_form(p)
-    assert std.n_vars == 3  # x+, x-, slack
-    assert len(std.rows) == 1 and std.rows[0][1] == "="
-    assert all(s == NONNEG for s in std.signs)
-    assert vmap.recover((Fraction(7), Fraction(2), Fraction(0))) == (Fraction(5),)
-    # maximization became minimization of the negated objective
-    assert std.objective[0] == -1
-
-
-def test_standard_form_counts_for_worked_instance(log2_clp_loop):
-    # The final multiplier system of the recursive log clause: m=5 dual
-    # variables, n=2 coefficient variables, all nonnegative; 2n homogeneous
-    # <= rows plus the decrease row.  Standard form must add exactly one
-    # slack per inequality: 5 equalities over (5+2) + 5 = 12 variables.
-    from linrank.ms import build_svg_system
-
-    sys_rows = build_svg_system(log2_clp_loop.single)
-    ineq_rows = [r for r in sys_rows.rows if not (r.rel == ">=" and r.const == 0 and sum(1 for c in r.coeffs if c != 0) == 1)]
-    assert len(ineq_rows) == 5  # 2n homogeneous rows + decrease row
-    p = lp(
-        None,
-        False,
-        [(r.coeffs, r.rel, r.const) for r in ineq_rows],  # lp takes >= rows as they are
-        [NONNEG] * 7,
-    )
-    std, _ = to_standard_form(p)
-    assert len(std.rows) == 5
-    assert std.n_vars == 12
 
 
 def test_dual_of_min_geq_shape():
