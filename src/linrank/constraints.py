@@ -23,7 +23,6 @@ from .rationals import Rational, format_rational, rat
 LE, LT, EQ, GE, GT = "<=", "<", "=", ">=", ">"
 RELATIONS = (LE, LT, EQ, GE, GT)
 
-_RELAX = {LT: LE, GT: GE, LE: LE, GE: GE, EQ: EQ}
 HOLDS = {LE: operator.le, LT: operator.lt, EQ: operator.eq, GE: operator.ge, GT: operator.gt}
 
 
@@ -85,10 +84,11 @@ class LinConstraint:
     def lhs_at(self, point: Sequence[Rational]) -> Rational:
         if len(point) != len(self.coeffs):
             raise ConstraintError("point dimension mismatch")
-        return sum(
-            (c * (x if type(x) is Fraction else Fraction(x)) for c, x in zip(self.coeffs, point)),
-            Fraction(0),
-        )
+        try:
+            values = [x if type(x) is Fraction else rat(x) for x in point]
+        except ValueError as err:
+            raise ConstraintError(str(err)) from None
+        return sum((c * x for c, x in zip(self.coeffs, values)), Fraction(0))
 
     def satisfied_by(self, point: Sequence[Rational]) -> bool:
         return HOLDS[self.rel](self.lhs_at(point), self.const)
@@ -100,10 +100,6 @@ class LinConstraint:
     @property
     def is_strict(self) -> bool:
         return self.rel in (LT, GT)
-
-    def relaxed(self) -> "LinConstraint":
-        """The non-strict closure of this row."""
-        return LinConstraint(self.coeffs, _RELAX[self.rel], self.const)
 
     def render(self, variables: Sequence[str]) -> str:
         if len(variables) != len(self.coeffs):
@@ -165,9 +161,6 @@ class ConstraintSystem:
         if other.variables != self.variables:
             raise ConstraintError("cannot conjoin systems over different variables")
         return self.with_rows(self.rows + other.rows)
-
-    def relaxed(self) -> "ConstraintSystem":
-        return self.with_rows(row.relaxed() for row in self.rows)
 
     def render(self) -> list[str]:
         return [row.render(self.variables) for row in self.rows]

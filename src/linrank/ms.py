@@ -46,7 +46,7 @@ from .constraints import (
     to_geq_matrix,
 )
 from .projection import project, remove_redundant
-from .rationals import Rational
+from .rationals import Rational, rat
 from .simplex import find_point, satisfiable
 
 SVG, MS_FULL, MS_DECREASING, MS_BOUNDED, PR = (
@@ -81,7 +81,7 @@ class RankingFunction:
     def value_at(self, x: Sequence[Rational]) -> Rational:
         if len(x) != len(self.mu):
             raise ValueError("point dimension mismatch")
-        return self.mu0 + sum((m * Fraction(v) for m, v in zip(self.mu, x)), Fraction(0))
+        return self.mu0 + sum((m * rat(v) for m, v in zip(self.mu, x)), Fraction(0))
 
 
 @dataclass(frozen=True)

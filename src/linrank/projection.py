@@ -18,9 +18,10 @@ so `_prune` restores the canonical form.  `project` prunes exactly when a
 step grows the system: a step that leaves more rows than it started with
 is followed by the exact greedy scan `_irredundant`, so no step ends with
 more rows than the larger of its input count and an irredundant system's.
+The result gets one final scan, unless the last step already had one.
 That is sound because `project` only eliminates from a feasible input,
 and the projection of a feasible system is feasible, as `_entailed`
-requires.
+requires; one `satisfiable` call on the input covers every scan.
 
 Entailment is one test, `_entailed`, in the space's own dimension.  By
 Farkas' lemma, min y.b over the multipliers y >= 0 (free on an equality)
@@ -28,10 +29,9 @@ with sum y_i d_i = a is the supremum of a.x over a feasible system's
 closure: a dual LP with one equality row per variable, however many rows
 the system has.  When a strict a.x < b meets that supremum exactly, a
 second LP decides it (Motzkin's transposition theorem): it holds iff the
-multipliers reaching b can weight a strict row.  Solution-set equality
-adds, after mutual entailment of the relaxed systems, one feasibility call
-per strict row: the boundary hyperplane of a strict row of one system must
-miss the other.
+multipliers reaching b can weight a strict row.  So `_entailed` is exact
+for strict rows too, and solution-set equality is mutual entailment of the
+canonical rows.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .constraints import (
     LinConstraint,
 )
 from .rationals import integer_scaling
-from .simplex import FREE, NONNEG, LpProblem, LpStatus, find_point, satisfiable, solve
+from .simplex import FREE, NONNEG, LpProblem, LpStatus, satisfiable, solve
 
 Row = tuple[tuple[int, ...], str, Fraction]
 
@@ -168,12 +168,6 @@ def _entailed(rest: Sequence[Row], row: Row) -> bool:
     return face.status is LpStatus.UNBOUNDED or face.value > 0
 
 
-def _entails_system(c: ConstraintSystem, rows: Iterable[LinConstraint]) -> bool:
-    """Every point of c, which must be feasible, satisfies every row."""
-    premise = _canonical(c.rows)
-    return all(_entailed(premise, row) for row in _canonical(rows))
-
-
 def entails(c: ConstraintSystem, k: LinConstraint) -> bool:
     """True iff every rational solution of c satisfies k; c must be
     satisfiable.  One `_entailed` test, no primal LP over c's rows."""
@@ -181,7 +175,8 @@ def entails(c: ConstraintSystem, k: LinConstraint) -> bool:
         raise ConstraintError("entailment over an unsatisfiable system")
     if len(k.coeffs) != c.n_vars:
         raise ConstraintError(f"row has {len(k.coeffs)} coefficients for {c.n_vars} variables")
-    return _entails_system(c, (k,))
+    premise = _canonical(c.rows)
+    return all(_entailed(premise, row) for row in _canonical((k,)))
 
 
 def _irredundant(rows: Sequence[Row], redundant=_entailed) -> list[Row]:
@@ -218,7 +213,8 @@ def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
 
 def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     """Eliminate every variable outside `keep`, then remove redundancy.
-    The result's variables follow the order of `keep`."""
+    The result's variables follow the order of `keep`.  Feasibility is
+    checked once, on c; every redundancy scan is an `_irredundant` pass."""
     keep = tuple(keep)
     for name in keep:
         c.index_of(name)  # validates membership
@@ -237,43 +233,31 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
             return 0, 0
         return 1, sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows)
 
+    grew = False
     for _ in range(sum(v not in keep for v in variables)):
         idx = min((i for i, v in enumerate(variables) if v not in keep), key=cost)
         stepped = _prune(_eliminate(rows, idx))
-        rows = _irredundant(stepped) if len(stepped) > len(rows) else stepped
+        grew = len(stepped) > len(rows)
+        rows = _irredundant(stepped) if grew else stepped
         variables = variables[:idx] + variables[idx + 1 :]
 
-    # Permuting columns can flip an equality's leading sign;
-    # `remove_redundant` gives every row its canonical form again.
+    # Permuting columns can flip an equality's leading sign, so the rows are
+    # pruned again.  After a growing last step they are already irredundant.
     perm = [variables.index(name) for name in keep]
-    rows = [(tuple(d[i] for i in perm), rel, const) for d, rel, const in rows]
-    return remove_redundant(_system(keep, rows))
+    rows = _prune((tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
+    return _system(keep, rows if grew else _irredundant(rows))
 
 
 def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
     """Exact solution-set equality of two (possibly strict) systems over the
-    same variables.
-
-    After mutual entailment of the relaxed closures, the sets can only
-    differ at a point of one system lying on the boundary hyperplane of a
-    strict row of the other, so each such hyperplane is intersected with
-    the other system; equality holds iff every intersection is empty.
-    """
+    same variables: both empty, or each system entails every canonical row
+    of the other, by `_entailed`, which is exact for strict rows."""
     if c1.variables != c2.variables:
         raise ConstraintError("cannot compare systems over different variables")
-    if set(_canonical(c1.rows)) == set(_canonical(c2.rows)):
+    rows1, rows2 = _canonical(c1.rows), _canonical(c2.rows)
+    if set(rows1) == set(rows2):
         return True
     sat1, sat2 = satisfiable(c1), satisfiable(c2)
     if not sat1 or not sat2:
         return sat1 == sat2
-    r1, r2 = c1.relaxed(), c2.relaxed()
-    if not _entails_system(r1, r2.rows) or not _entails_system(r2, r1.rows):
-        return False
-    for source, other in ((c1, c2), (c2, c1)):
-        for row in source.rows:
-            if not row.is_strict:
-                continue
-            boundary = LinConstraint(row.coeffs, EQ, row.const)
-            if find_point(other.with_rows(other.rows + (boundary,))) is not None:
-                return False
-    return True
+    return all(_entailed(rows1, r) for r in rows2) and all(_entailed(rows2, r) for r in rows1)

@@ -216,26 +216,15 @@ def _solve_standard(rows, scales, objective, n):
     """
     m = len(rows)
     rows = [[-e for e in row] if row[-1] < 0 else row for row in rows]
-    # Crash basis: a column that is a unit vector serves as the basic
-    # variable of its row; only uncovered rows get an artificial variable.
+    # Crash basis: a row's basic variable is the first column whose only
+    # nonzero is that row's scale (a unit column of the rational row); only
+    # uncovered rows get an artificial variable.
     basis = [-1] * m
-    unit_candidates: dict[int, list[int]] = {}
     for j in range(n):
-        row_idx = None
-        ok = True
-        for i in range(m):
-            v = rows[i][j]
-            if v == 0:
-                continue
-            if v == scales[i] and row_idx is None:
-                row_idx = i
-            else:
-                ok = False
-                break
-        if ok and row_idx is not None:
-            unit_candidates.setdefault(row_idx, []).append(j)
-    for i, cols in unit_candidates.items():
-        basis[i] = cols[0]
+        nonzero = (i for i in range(m) if rows[i][j])
+        i = next(nonzero, None)
+        if i is not None and basis[i] < 0 and rows[i][j] == scales[i] and next(nonzero, None) is None:
+            basis[i] = j
     uncovered = [i for i in range(m) if basis[i] < 0]
     n_art = len(uncovered)
     for k, i in enumerate(uncovered):

@@ -68,11 +68,20 @@ def permute_rows(m: LeqMatrixForm, order: Sequence[int]) -> LeqMatrixForm:
     )
 
 
+_RELAXED = {LT: LE, GT: GE}
+
+
+def closure(c: ConstraintSystem) -> ConstraintSystem:
+    """c with every strict row relaxed: the topological closure of a
+    feasible c's solution set."""
+    return c.with_rows(LinConstraint(r.coeffs, _RELAXED.get(r.rel, r.rel), r.const) for r in c.rows)
+
+
 def optimize(
     c: ConstraintSystem, objective: Sequence[Rational], maximize: bool
 ) -> LpOutcome:
     """Optimize over the topological closure of c (strict rows relaxed)."""
-    signs, rows = _lp_rows(c.relaxed(), False)
+    signs, rows = _lp_rows(closure(c), False)
     problem = LpProblem(tuple(Fraction(v) for v in objective), maximize, tuple(rows), signs)
     return solve(problem)
 
@@ -145,3 +154,25 @@ def remove_redundant_by_negation(c: ConstraintSystem) -> ConstraintSystem:
         else:
             i += 1
     return c.with_rows(keep)
+
+
+def equivalent_by_boundaries(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
+    """The boundary-hyperplane rule for solution-set equality.  Two feasible
+    systems whose closures entail each other can only differ at a point of
+    one that lies on the boundary hyperplane of a strict row of the other,
+    so they are equal iff every such hyperplane misses the other system."""
+    sat1, sat2 = find_point(c1) is not None, find_point(c2) is not None
+    if not sat1 or not sat2:
+        return sat1 == sat2
+    r1, r2 = closure(c1), closure(c2)
+    if not all(entails_by_negation(r1, k) for k in r2.rows):
+        return False
+    if not all(entails_by_negation(r2, k) for k in r1.rows):
+        return False
+    for source, other in ((c1, c2), (c2, c1)):
+        for row in source.rows:
+            if row.is_strict:
+                boundary = LinConstraint(row.coeffs, EQ, row.const)
+                if find_point(other.with_rows(other.rows + (boundary,))) is not None:
+                    return False
+    return True

@@ -17,6 +17,7 @@ from linrank.constraints import (
     to_geq_matrix,
     to_leq_matrix,
 )
+from linrank.ms import RankingFunction
 from linrank.projection import remove_redundant
 from linrank.simplex import find_point, satisfiable
 from tests.oracles import constraint, geq_satisfied_by, leq_satisfied_by, system
@@ -234,6 +235,20 @@ def test_inexact_row_values_are_rejected(value):
         LinConstraint((value,), "<=", 1)
     with pytest.raises(ConstraintError):
         LinConstraint((1,), "<=", value)
+
+
+@pytest.mark.parametrize("value", (0.1, 0.5, "0.5", "1e3", " 1.0 "))
+def test_inexact_point_values_are_rejected(value):
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, which
+    # exceeds 1/10: taken as it is, the point would miss the row.
+    row = LinConstraint((1,), "<=", Fraction(1, 10))
+    assert row.satisfied_by((Fraction(1, 10),)) and row.satisfied_by(("1/10",))
+    with pytest.raises(ConstraintError):
+        row.satisfied_by((value,))
+    f = RankingFunction(Fraction(0), (Fraction(1),), Fraction(1), Fraction(0))
+    assert f.value_at(("1/10",)) == Fraction(1, 10)
+    with pytest.raises(ValueError):
+        f.value_at((value,))
 
 
 @pytest.mark.parametrize("rel", RELATIONS)

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from linrank import projection
 from linrank.constraints import ConstraintError, LinConstraint, loop_system
 from linrank.ms import _embed, build_ms_systems
 from linrank.projection import (
@@ -19,6 +20,7 @@ from tests.conftest import sample_points
 from tests.oracles import (
     constraint,
     entails_by_negation,
+    equivalent_by_boundaries,
     remove_redundant_by_negation,
     system,
 )
@@ -339,6 +341,52 @@ def test_redundancy_and_entailment_match_the_negation_rule():
             answers.add((answer, row.is_strict))
     assert infeasible >= 20 and strict >= 100
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+_TOGGLED = {"<=": "<", "<": "<=", "=": "=", ">=": ">", ">": ">="}
+
+
+def test_equivalent_matches_the_boundary_rule():
+    """equivalent, which is mutual entailment, gives the answer of the
+    boundary-hyperplane rule on pairs built from one system: a rescaled and
+    reordered copy, the copy with one row's strictness toggled or its bound
+    moved, and the system plus one candidate row (equal iff it entails the
+    row, which tests strict faces)."""
+    rng = random.Random(83)
+    answers = {True: 0, False: 0}  # on feasible pairs with a strict row
+    for _ in range(90):
+        names, rows = _noncanonical_system(rng)
+        c = cs(names, rows)
+        copy = _rescaled(rng, rows)
+        rng.shuffle(copy)
+        i = rng.randrange(len(rows))
+        coeffs, rel, const = rows[i]
+        toggled = rows[:i] + [(coeffs, _TOGGLED[rel], const)] + rows[i + 1 :]
+        moved = rows[:i] + [(coeffs, rel, const + rng.choice((-1, 1)))] + rows[i + 1 :]
+        others = [cs(names, copy), cs(names, toggled), cs(names, moved)]
+        candidates = _candidates(rng, c)
+        others += [c.with_rows(c.rows + (k,)) for k in rng.sample(candidates, min(3, len(candidates)))]
+        for other in others:
+            answer = equivalent(c, other)
+            assert answer == equivalent(other, c) == equivalent_by_boundaries(c, other)
+            if satisfiable(c) and satisfiable(other) and c.conjoin(other).has_strict_rows():
+                answers[answer] += 1
+    assert answers[True] >= 100 and answers[False] >= 50
+
+
+def test_project_checks_feasibility_once(monkeypatch):
+    """One satisfiable call on a feasible input serves every redundancy scan
+    of its projection, since the projection of a feasible system is
+    feasible."""
+    calls = []
+    original = projection.satisfiable
+    monkeypatch.setattr(projection, "satisfiable", lambda c: calls.append(c) or original(c))
+    rng = random.Random(41)
+    for _ in range(20):
+        c = _random_system(rng)
+        calls.clear()
+        project(c, c.variables[1:])
+        assert calls == [c]
 
 
 def _stepwise(c, keep):
