@@ -38,7 +38,7 @@ from .ms import (
 from .pr import pr_alt_analyze, pr_alt_space, pr_analyze, pr_space
 from .projection import equivalent
 from .rationals import format_rational
-from .simplex import find_point
+from .simplex import find_point, satisfiable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -187,7 +187,7 @@ def cmd_space(args, out) -> int:
     except UnsatisfiableLoopError:  # for svg: no point over Q+
         if args.format == "json":
             _emit({"status": "trivially-terminating", "method": args.method}, "json", out)
-        elif args.method == "svg" and find_point(loop_system(loop)) is not None:
+        elif args.method == "svg" and satisfiable(loop_system(loop)):
             print("trivially-terminating: no nonnegative point satisfies the loop body", file=out)
         else:
             print("trivially-terminating: loop body is unsatisfiable", file=out)

@@ -52,7 +52,7 @@ from .ms import (
 )
 from .pr import build_pr_system, extraction_rows, pr_analyze, pr_space, with_affine_slot
 from .projection import eliminate, equivalent, remove_redundant
-from .simplex import find_point
+from .simplex import satisfiable
 
 
 def cone_extend(space: RankingSpace) -> RankingSpace:
@@ -83,7 +83,7 @@ def witness_in_pr_set(m: LeqMatrixForm, f: RankingFunction) -> bool:
     base = build_pr_system(m)
     values = (f.mu0,) + f.mu
     extra = tuple(LinConstraint(r, EQ, v) for r, v in zip(extraction_rows(m), values))
-    return find_point(base.with_rows(base.rows + extra)) is not None
+    return satisfiable(base.with_rows(base.rows + extra))
 
 
 def witness_in_ms_denormalized(loop: LoopModel, f: RankingFunction) -> bool:
@@ -110,7 +110,7 @@ def witness_in_ms_denormalized(loop: LoopModel, f: RankingFunction) -> bool:
     rows.append(
         LinConstraint((Fraction(0),) * (len(variables) - 1) + (Fraction(1),), GT, Fraction(0))
     )
-    return find_point(ConstraintSystem(variables, tuple(rows))) is not None
+    return satisfiable(ConstraintSystem(variables, tuple(rows)))
 
 
 @dataclass(frozen=True)

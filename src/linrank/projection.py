@@ -71,7 +71,8 @@ def _prune(rows: Iterable[tuple]) -> list[Row]:
     trivially-true rows and duplicates, and among parallel rows of the same
     direction keep only the tightest one.  A ground-false row, or two
     parallel equalities that disagree, collapse the whole system to the
-    single row 0 < 0."""
+    single row 0 < 0.  Coefficients may be ints or Fractions; const is a
+    Fraction, rescaled only when the row's scale is not +-1."""
     best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const)
     for coeffs, rel, const in rows:
         if not any(coeffs):
@@ -89,7 +90,10 @@ def _prune(rows: Iterable[tuple]) -> list[Row]:
             divisor = -divisor
         direction = tuple(v // divisor for v in nums)
         key = (EQ if rel == EQ else LE, direction)
-        scaled_const = const * Fraction(denom, divisor)
+        if denom == 1 and abs(divisor) == 1:
+            scaled_const = const if divisor == 1 else -const
+        else:
+            scaled_const = const * Fraction(denom, divisor)
         incumbent = best.get(key)
         if incumbent is not None and rel == EQ:
             if incumbent[1] != scaled_const:
@@ -197,7 +201,7 @@ def _irredundant(rows: Sequence[Row], redundant=_entailed) -> list[Row]:
 def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
     """Drop, in order, each canonical row that the rows still kept entail;
     the result has c's solution set and no entailed row.  Dropping a row
-    keeps the solution set, so one `find_point` on c tells feasibility for
+    keeps the solution set, so one `satisfiable` on c tells feasibility for
     the whole scan: on a feasible c each row is one `_entailed` test (no
     witness points are kept), and on an infeasible c a row goes iff the
     rest stay infeasible."""

@@ -46,7 +46,9 @@ def parse_rational(text: str) -> Rational:
 
 def integer_scaling(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """The positive lcm of the values' denominators, and the values times
-    it as ints."""
+    it as ints.  All-int values are returned as they are, with scale 1."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 

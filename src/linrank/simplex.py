@@ -13,7 +13,8 @@ sign rows into variable bounds and keeps the rest as LP rows.  Feasibility
 of systems that mix strict and non-strict rows is decided by maximizing
 one shared slack added to every strict row -- the system has a point
 satisfying all strict rows strictly iff the optimal slack is positive or
-unbounded.
+unbounded.  `satisfiable` answers from that one LP; only `find_point`,
+whose callers read the point, pins an unbounded slack to 1 in a second LP.
 """
 
 from __future__ import annotations
@@ -368,15 +369,28 @@ def _lp_rows(c: ConstraintSystem, slack: bool):
     return tuple(signs), rows
 
 
+def _slack_lp(c: ConstraintSystem):
+    """Maximize a shared slack s with every strict row  e.z < f  of c
+    tightened to  e.z + s <= f.  Returns (outcome, signs, rows, feasible):
+    c has a point honoring its strict rows strictly iff the optimum is
+    positive or unbounded."""
+    signs, rows = _lp_rows(c, True)
+    objective = (Fraction(0),) * c.n_vars + (Fraction(1),)
+    outcome = solve(LpProblem(objective, True, tuple(rows), signs + (NONNEG,)))
+    feasible = outcome.status is LpStatus.UNBOUNDED or (
+        outcome.status is LpStatus.OPTIMAL and outcome.value > 0
+    )
+    return outcome, signs + (NONNEG,), rows, feasible
+
+
 @lru_cache(maxsize=8192)
 def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
     """A rational point of c honoring strict rows strictly, or None.
 
-    With strict rows present, maximize a shared slack s with every strict
-    row  e.z < f  tightened to  e.z + s <= f: a qualifying point exists iff
-    the optimum is positive or unbounded.  Results are memoized (systems
-    are immutable value objects and whole-loop analyses re-ask the same
-    satisfiability questions many times).
+    With strict rows present, the shared-slack LP decides; an optimal slack
+    gives the point, and an unbounded one is pinned to 1 by a second LP
+    for a point.  Results are memoized (systems are immutable value
+    objects and whole-loop analyses re-ask the same questions many times).
     """
     n = c.n_vars
     if all(row.holds_at_zero() for row in c.rows):
@@ -386,22 +400,22 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
         outcome = solve(LpProblem(None, False, tuple(rows), signs))
         return outcome.point if outcome.is_feasible else None
 
-    signs, rows = _lp_rows(c, True)
-    objective = (Fraction(0),) * n + (Fraction(1),)
-    problem = LpProblem(objective, True, tuple(rows), signs + (NONNEG,))
-    outcome = solve(problem)
-    if outcome.status is LpStatus.INFEASIBLE:
+    outcome, signs, rows, feasible = _slack_lp(c)
+    if not feasible:
         return None
     if outcome.status is LpStatus.OPTIMAL:
-        if outcome.value <= 0:
-            return None
         return outcome.point[:n]
     # Unbounded slack: pin it to 1 and take any feasible point.
     pinned = rows + [((Fraction(0),) * n + (Fraction(1),), EQ, Fraction(1))]
-    feas = solve(LpProblem(None, False, tuple(pinned), signs + (NONNEG,)))
+    feas = solve(LpProblem(None, False, tuple(pinned), signs))
     assert feas.is_feasible, "slack unbounded implies slack=1 is attainable"
     return feas.point[:n]
 
 
 def satisfiable(c: ConstraintSystem) -> bool:
+    """Whether `find_point(c)` finds a point.  A system with strict rows
+    that the origin misses is decided by the shared-slack LP alone, with no
+    pinned LP and no memo; every other system asks `find_point`."""
+    if c.has_strict_rows() and not all(row.holds_at_zero() for row in c.rows):
+        return _slack_lp(c)[3]
     return find_point(c) is not None

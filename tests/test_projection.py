@@ -297,6 +297,27 @@ def test_projection_output_is_canonical_and_ignores_row_scaling():
             assert_canonical(out)
 
 
+def test_prune_gives_int_and_fraction_rows_the_same_triples():
+    """Rows of equal value prune to identical triples whether their
+    coefficients are ints or Fractions: coprime int directions and
+    Fraction constants."""
+    rng = random.Random(61)
+    for _ in range(300):
+        nv = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            factor = rng.choice((1, 1, 2, 6, 2**65))
+            coeffs = [rng.randint(-4, 4) * factor for _ in range(nv)]
+            const = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+            rows.append((coeffs, rng.choice(tuple(_FLIPPED)), const))
+        pruned = projection._prune(rows)
+        as_fractions = [([Fraction(v) for v in d], rel, b) for d, rel, b in rows]
+        assert pruned == projection._prune(as_fractions)
+        for direction, rel, const in pruned:
+            assert all(type(v) is int for v in direction)
+            assert type(const) is Fraction
+
+
 def _upper_bound(row):
     """(coeffs, const) of an inequality row read as  coeffs . x  <=  const."""
     if row.rel in (">=", ">"):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from linrank.rationals import format_rational, parse_rational, rat
+from linrank.rationals import format_rational, integer_scaling, parse_rational, rat
 
 
 def test_exact_fraction_addition():
@@ -69,3 +69,14 @@ def test_decimal_literals_rejected():
         parse_rational("1e3")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_integer_scaling_of_ints_matches_integral_fractions():
+    rng = random.Random(17)
+    for _ in range(200):
+        ints = [rng.randint(-2**70, 2**70) if rng.random() < 0.2 else rng.randint(-9, 9)
+                for _ in range(rng.randint(1, 6))]
+        scale, nums = integer_scaling(ints)
+        assert (scale, nums) == integer_scaling([Fraction(v) for v in ints]) == (1, ints)
+        assert all(type(v) is int for v in nums)
+    assert integer_scaling([Fraction(1, 2), 3]) == (2, [1, 6])

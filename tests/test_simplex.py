@@ -238,6 +238,49 @@ def test_optimize_and_satisfiable_bridge():
     assert find_point(c) is not None
 
 
+def test_satisfiable_answers_strict_systems_from_one_lp(monkeypatch):
+    """`satisfiable` decides a strict system from the shared-slack LP alone,
+    with one `solve` call even when the slack is unbounded; only
+    `find_point` pins the slack in a second LP, for its point.  Both always
+    agree."""
+    from linrank import simplex
+    from tests.test_simplex_golden import N_SYSTEMS, _system_case
+
+    outcomes = []
+    original = simplex.solve
+    monkeypatch.setattr(simplex, "solve", lambda p: outcomes.append(original(p)) or outcomes[-1])
+
+    def answers(c):
+        outcomes.clear()
+        find_point.cache_clear()
+        answer = satisfiable(c)
+        asked = list(outcomes)
+        find_point.cache_clear()
+        assert answer == (find_point(c) is not None), c.render()
+        return asked
+
+    unbounded = system(("x", "y"), [constraint((1, -1), "<", 0), constraint((1, 0), ">=", 1)])
+    asked = answers(unbounded)
+    assert [out.status for out in asked] == [LpStatus.UNBOUNDED]
+    # find_point: the same slack LP, then the pinned LP for its point
+    assert [out.status for out in outcomes[1:]] == [LpStatus.UNBOUNDED, LpStatus.FEASIBLE]
+
+    # the golden's strict systems, and as many again from further seeds
+    cases = set()
+    for seed in range(2 * N_SYSTEMS):
+        asked = answers(_system_case(seed))
+        assert len(asked) <= 1
+        if asked:
+            out = asked[0]
+            if out.status is LpStatus.UNBOUNDED:
+                cases.add("unbounded")
+            elif out.status is LpStatus.OPTIMAL and out.value > 0:
+                cases.add("positive")
+            else:
+                cases.add("none")
+    assert cases == {"unbounded", "positive", "none"}
+
+
 @pytest.mark.parametrize("value", (0.1, 0.5, "0.5", "1e3"))
 def test_lp_rejects_inexact_values(value):
     cases = (([value], []), (None, [([value], "<=", 1)]), (None, [([1], "<=", value)]))
