@@ -7,6 +7,12 @@ rational row is built on the way.  Every reported point, value and
 certificate is an exact `Fraction`.  Problems here are small (tens of
 rows), which makes the dense tableau the right trade-off.
 
+Phase 1 keeps no artificial columns: each row has one artificial cell,
+the basic entry of its artificial variable while that is basic, and only
+real columns are priced.  No pivot changes, as an artificial would enter
+only where the simplex multipliers are a Farkas certificate that the LP
+is infeasible (see `_bland_min`).
+
 Besides the raw `LpProblem` interface this module bridges from
 `ConstraintSystem`: one pass orients each row as <=, < or =, turns plain
 sign rows into variable bounds and keeps the rest as LP rows.  Feasibility
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .constraints import EQ, GE, GT, LE, LT, ConstraintSystem
 from .rationals import Rational, integer_scaling, rat
@@ -103,7 +109,8 @@ def _integer_standard_form(p: LpProblem):
     columns, the column count n, the rows (n + 1 ints each, rhs last), the
     positive scale of each row (row i stands for rows[i] / scales[i]: one
     `integer_scaling` of its coeffs and rhs, slack +-scale), and the
-    objective to minimize as (scale, ints), or None."""
+    objective to minimize as ints, or None.  A value that is neither int
+    nor Fraction raises LpShapeError."""
     columns: list[tuple[int, int | None]] = []
     slack = 0
     for sign in p.signs:
@@ -120,19 +127,21 @@ def _integer_standard_form(p: LpProblem):
         return row
 
     rows, scales = [], []
-    for coeffs, rel, rhs in p.rows:
-        scale, ints = integer_scaling((*coeffs, rhs))
-        row = widen(ints)
-        row[-1] = ints[-1]
-        if rel != EQ:
-            row[slack] = scale if rel == LE else -scale
-            slack += 1
-        rows.append(row)
-        scales.append(scale)
-    objective = None
-    if p.objective is not None:
-        scale, ints = integer_scaling(p.objective)
-        objective = (scale, widen([-v for v in ints] if p.maximize else ints)[:-1])
+    try:
+        for coeffs, rel, rhs in p.rows:
+            scale, ints = integer_scaling((*coeffs, rhs))
+            row = widen(ints)
+            row[-1] = ints[-1]
+            if rel != EQ:
+                row[slack] = scale if rel == LE else -scale
+                slack += 1
+            rows.append(row)
+            scales.append(scale)
+        objective = None if p.objective is None else integer_scaling(p.objective)[1]
+    except AttributeError:  # a float or a str has no denominator
+        raise LpShapeError("LP values must be ints or Fractions") from None
+    if objective is not None:
+        objective = widen([-v for v in objective] if p.maximize else objective)[:-1]
     return tuple(columns), n, rows, scales, objective
 
 
@@ -144,7 +153,8 @@ def _integer_standard_form(p: LpProblem):
 # positive.  Every sign test and ratio comparison of the rational tableau
 # therefore reads off the integers directly, so the pivots are exactly those
 # of the rational simplex; rationals are rebuilt only for the reported point
-# and ray.
+# and ray.  A phase-1 row is the n real columns, the artificial cell and
+# the rhs; artificial k keeps the virtual column n + k in `basis`.
 
 
 def _combine(row, prow, p, f):
@@ -154,8 +164,10 @@ def _combine(row, prow, p, f):
     return [e // g for e in out] if g > 1 else out
 
 
-def _pivot(tableau, basis, r, col):
+def _pivot(tableau, basis, r, col, n):
     prow = tableau[r]
+    if basis[r] >= n:  # a leaving artificial: its column goes, so clear its cell
+        prow[n] = 0
     p = prow[col]
     if p < 0:  # only the phase-1 drive-out pivots on a negative entry
         prow = tableau[r] = [-e for e in prow]
@@ -167,17 +179,21 @@ def _pivot(tableau, basis, r, col):
     basis[r] = col
 
 
-def _bland_min(tableau, basis, cost, n_cols, stop_at_zero=False):
-    """Minimize over the current tableau; cost is the reduced-cost row with
-    the negated objective value in its last cell, as ints scaled by a
-    positive factor.  Updates cost in place and returns ('optimal',) or
-    ('unbounded', entering_col).  With stop_at_zero, returns as soon as the
-    objective value reaches zero (used by phase 1, whose optimum is never
-    negative)."""
+def _bland_min(tableau, basis, cost, n, phase1=False):
+    """Minimize over the current tableau by Bland's rule, pricing the n real
+    columns only; cost is the reduced-cost row with the negated objective
+    value in its last cell, as ints scaled by a positive factor.  Updates
+    cost in place and returns ('optimal',) or ('unbounded', entering_col).
+    With phase1, cost prices w >= 0, the sum of the artificials, and the
+    run returns once w is zero.  An artificial would enter only if every
+    real column priced non-negative: pi.A <= 0 for the simplex multipliers
+    pi.  A feasible x >= 0 would give w = pi.b = pi.A x <= 0, so with w > 0
+    pi is a Farkas certificate of infeasibility, and the run returns there
+    instead, with -w < 0 in the last cost cell."""
     while True:
-        if stop_at_zero and cost[-1] >= 0:
+        if phase1 and cost[-1] >= 0:
             return ("optimal",)
-        entering = next((j for j in range(n_cols) if cost[j] < 0), None)
+        entering = next((j for j in range(n) if cost[j] < 0), None)
         if entering is None:
             return ("optimal",)
         # Bland's ratio test: least rhs / entry over positive entries,
@@ -193,24 +209,16 @@ def _bland_min(tableau, basis, cost, n_cols, stop_at_zero=False):
                 leaving, best_a, best_b = r, a, row[-1]
         if leaving is None:
             return ("unbounded", entering)
-        _pivot(tableau, basis, leaving, entering)
+        _pivot(tableau, basis, leaving, entering, n)
         cost[:] = _combine(cost, tableau[leaving], best_a, cost[entering])
-
-
-def _reduced_cost_row(tableau, basis, c):
-    """Integer reduced-cost row of c (ints), zero on every basic column."""
-    cost = list(c) + [0]
-    for r, row in enumerate(tableau):
-        f = cost[basis[r]]
-        if f:
-            cost = _combine(cost, row, row[basis[r]], f)
-    return cost
 
 
 def _solve_standard(rows, scales, objective, n):
     """Simplex on  min objective . x  s.t.  rows x = rhs, x >= 0  over n
     variables.  Row i is n + 1 ints, the last one its rhs, and stands for
     the rational row divided by scales[i] > 0; objective is ints or None.
+    Rows the crash basis leaves uncovered get an artificial in their cell;
+    the phase-1 cost row is minus those rows, each times lcm / scales[i].
 
     Returns (status, point, ray) in standard-form coordinates; objective
     None solves feasibility only.
@@ -227,22 +235,18 @@ def _solve_standard(rows, scales, objective, n):
         if i is not None and basis[i] < 0 and rows[i][j] == scales[i] and next(nonzero, None) is None:
             basis[i] = j
     uncovered = [i for i in range(m) if basis[i] < 0]
-    n_art = len(uncovered)
+    tableau = [row[:-1] + [0, row[-1]] for row in rows]
     for k, i in enumerate(uncovered):
+        # An artificial basic entry is 1 in the rational row, so its row's scale.
         basis[i] = n + k
+        tableau[i][n] = scales[i]
 
-    # An artificial basic entry is 1 in the rational row, so its row's scale.
-    tableau = []
-    for i, row in enumerate(rows):
-        art = [0] * n_art
-        if basis[i] >= n:
-            art[basis[i] - n] = scales[i]
-        tableau.append(row[:-1] + art + row[-1:])
-    total = n + n_art
-
-    if n_art:
-        cost = _reduced_cost_row(tableau, basis, [0] * n + [1] * n_art)
-        outcome = _bland_min(tableau, basis, cost, total, stop_at_zero=True)
+    keep = range(m)
+    if uncovered:
+        common = lcm(*(scales[i] for i in uncovered))
+        cost = [-sum(common // scales[i] * tableau[i][j] for i in uncovered) for j in range(n + 2)]
+        cost[n] = 0
+        outcome = _bland_min(tableau, basis, cost, n, phase1=True)
         assert outcome[0] == "optimal", "phase 1 is bounded below by zero"
         if cost[-1] < 0:
             return LpStatus.INFEASIBLE, None, None
@@ -255,12 +259,10 @@ def _solve_standard(rows, scales, objective, n):
                 pivot_col = next((j for j in range(n) if tableau[r][j] != 0), None)
                 if pivot_col is None:
                     continue
-                _pivot(tableau, basis, r, pivot_col)
+                _pivot(tableau, basis, r, pivot_col, n)
             keep.append(r)
-        tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
-        basis = [basis[r] for r in keep]
-    else:
-        tableau = [row[:n] + [row[-1]] for row in tableau]
+    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
 
     def current_point():
         point = [Fraction(0)] * n
@@ -271,7 +273,10 @@ def _solve_standard(rows, scales, objective, n):
     if objective is None:
         return LpStatus.FEASIBLE, current_point(), None
 
-    cost = _reduced_cost_row(tableau, basis, objective)
+    cost = list(objective) + [0]  # priced out: zero on every basic column
+    for r, row in enumerate(tableau):
+        if cost[basis[r]]:
+            cost = _combine(cost, row, row[basis[r]], cost[basis[r]])
     outcome = _bland_min(tableau, basis, cost, n)
     point = current_point()
     if outcome[0] == "unbounded":
@@ -297,8 +302,7 @@ def solve(p: LpProblem) -> LpOutcome:
     optimal (with point and value), or a bare feasible point when the
     problem has no objective."""
     columns, n, rows, scales, objective = _integer_standard_form(p)
-    costs = None if objective is None else objective[1]
-    status, point, ray = _solve_standard(rows, scales, costs, n)
+    status, point, ray = _solve_standard(rows, scales, objective, n)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     orig_point = _recover(columns, point)

@@ -23,7 +23,10 @@ from linrank.simplex import (
     LpOutcome,
     LpProblem,
     LpStatus,
+    _combine,
+    _integer_standard_form,
     _lp_rows,
+    _recover,
     find_point,
     solve,
 )
@@ -176,3 +179,134 @@ def equivalent_by_boundaries(c1: ConstraintSystem, c2: ConstraintSystem) -> bool
                 if find_point(other.with_rows(other.rows + (boundary,))) is not None:
                     return False
     return True
+
+
+# --- phase 1 with an explicit artificial block -------------------------------
+#
+# The textbook tableau layout: every artificial variable has a column of its
+# own, priced and updated at every pivot like a real column, so phase 1 runs
+# until no column at all prices negative.  `solve` keeps one artificial cell
+# per row and prices real columns only; it must return exactly what this
+# returns.
+
+
+def _block_pivot(tableau, basis, r, col):
+    prow = tableau[r]
+    p = prow[col]
+    if p < 0:  # only the phase-1 drive-out pivots on a negative entry
+        prow = tableau[r] = [-e for e in prow]
+        p = -p
+    for i, other in enumerate(tableau):
+        f = other[col]
+        if f and i != r:
+            tableau[i] = _combine(other, prow, p, f)
+    basis[r] = col
+
+
+def _block_bland_min(tableau, basis, cost, n_cols, stop_at_zero=False):
+    """Bland's rule over the first n_cols columns; returns ('optimal',) or
+    ('unbounded', entering_col).  With stop_at_zero, returns as soon as the
+    objective value reaches zero."""
+    while True:
+        if stop_at_zero and cost[-1] >= 0:
+            return ("optimal",)
+        entering = next((j for j in range(n_cols) if cost[j] < 0), None)
+        if entering is None:
+            return ("optimal",)
+        leaving = None
+        for r, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0:
+                if leaving is not None:
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leaving]):
+                        continue
+                leaving, best_a, best_b = r, a, row[-1]
+        if leaving is None:
+            return ("unbounded", entering)
+        _block_pivot(tableau, basis, leaving, entering)
+        cost[:] = _combine(cost, tableau[leaving], best_a, cost[entering])
+
+
+def _block_reduced_cost_row(tableau, basis, c):
+    cost = list(c) + [0]
+    for r, row in enumerate(tableau):
+        f = cost[basis[r]]
+        if f:
+            cost = _combine(cost, row, row[basis[r]], f)
+    return cost
+
+
+def _block_solve_standard(rows, scales, objective, n):
+    m = len(rows)
+    rows = [[-e for e in row] if row[-1] < 0 else row for row in rows]
+    basis = [-1] * m
+    for j in range(n):
+        nonzero = (i for i in range(m) if rows[i][j])
+        i = next(nonzero, None)
+        if i is not None and basis[i] < 0 and rows[i][j] == scales[i] and next(nonzero, None) is None:
+            basis[i] = j
+    uncovered = [i for i in range(m) if basis[i] < 0]
+    n_art = len(uncovered)
+    for k, i in enumerate(uncovered):
+        basis[i] = n + k
+    tableau = []
+    for i, row in enumerate(rows):
+        art = [0] * n_art
+        if basis[i] >= n:
+            art[basis[i] - n] = scales[i]
+        tableau.append(row[:-1] + art + row[-1:])
+
+    if n_art:
+        cost = _block_reduced_cost_row(tableau, basis, [0] * n + [1] * n_art)
+        outcome = _block_bland_min(tableau, basis, cost, n + n_art, stop_at_zero=True)
+        assert outcome[0] == "optimal", "phase 1 is bounded below by zero"
+        if cost[-1] < 0:
+            return LpStatus.INFEASIBLE, None, None
+        keep = []
+        for r in range(m):
+            if basis[r] >= n:
+                pivot_col = next((j for j in range(n) if tableau[r][j] != 0), None)
+                if pivot_col is None:
+                    continue
+                _block_pivot(tableau, basis, r, pivot_col)
+            keep.append(r)
+        tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+        basis = [basis[r] for r in keep]
+    else:
+        tableau = [row[:n] + [row[-1]] for row in tableau]
+
+    def current_point():
+        point = [Fraction(0)] * n
+        for r, row in enumerate(tableau):
+            point[basis[r]] = Fraction(row[-1], row[basis[r]])
+        return tuple(point)
+
+    if objective is None:
+        return LpStatus.FEASIBLE, current_point(), None
+    cost = _block_reduced_cost_row(tableau, basis, objective)
+    outcome = _block_bland_min(tableau, basis, cost, n)
+    point = current_point()
+    if outcome[0] == "unbounded":
+        entering = outcome[1]
+        ray = [Fraction(0)] * n
+        ray[entering] = Fraction(1)
+        for r, row in enumerate(tableau):
+            ray[basis[r]] = Fraction(-row[entering], row[basis[r]])
+        return LpStatus.UNBOUNDED, point, tuple(ray)
+    return LpStatus.OPTIMAL, point, None
+
+
+def solve_with_artificial_block(p: LpProblem) -> LpOutcome:
+    """`solve` on the same standard form, with the artificial block."""
+    columns, n, rows, scales, objective = _integer_standard_form(p)
+    status, point, ray = _block_solve_standard(rows, scales, objective, n)
+    if status is LpStatus.INFEASIBLE:
+        return LpOutcome(LpStatus.INFEASIBLE)
+    orig_point = _recover(columns, point)
+    if status is LpStatus.UNBOUNDED:
+        return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=_recover(columns, ray))
+    if status is LpStatus.FEASIBLE:
+        return LpOutcome(LpStatus.FEASIBLE, point=orig_point)
+    value = sum((c * x for c, x in zip(p.objective, orig_point)), Fraction(0))
+    return LpOutcome(LpStatus.OPTIMAL, point=orig_point, value=value)

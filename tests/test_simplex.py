@@ -287,5 +287,10 @@ def test_lp_rejects_inexact_values(value):
     for objective, rows in cases:
         with pytest.raises(LpShapeError):
             lp(objective, False, rows, [FREE])
+        # an LpProblem keeps its values as given; solve rejects them alike
+        hand_built = LpProblem(objective, False, tuple(rows), (FREE,))
+        with pytest.raises(LpShapeError):
+            solve(hand_built)
     exact = lp(["1/2"], False, [([True], ">=", Fraction(1, 3))], [FREE])
     assert exact.objective == (Fraction(1, 2),)
+
