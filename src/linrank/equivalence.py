@@ -7,9 +7,11 @@ space.  This module turns those facts into executable checks:
 
 * `cone_extend` closes a normalized space under positive scaling by
   homogenizing the right-hand sides with a fresh k > 0 and eliminating k;
-* witness membership in the *other* engine's solution set is decided by
-  one feasibility query on the un-projected multiplier systems, so it
-  stays cheap enough to run on hundreds of fuzzed loops;
+* witness membership in the *other* engine's solution set is read off the
+  witness's certificate (`certify.certificate_holds`, whose module
+  docstring gives the algebra), with no LP.  `witness_in_pr_set` and
+  `witness_in_ms_denormalized` answer the same questions by one
+  feasibility query each, as a reference;
 * `cross_check` bundles verdict agreement, the two cross-memberships and
   exact space equality into one report.
 
@@ -25,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certify import certificate_holds
 from .constraints import (
     EQ,
     GE,
@@ -134,9 +137,10 @@ def cross_check(loop: LoopModel, compare_spaces: bool = True) -> CrossCheckRepor
     """Run both engines and verify their agreement.
 
     When both prove termination, each witness must belong to the other
-    method's solution set; when the loop constraint is satisfiable and
-    `compare_spaces` is set, the scaled duality-based space must equal the
-    multiplier-based space exactly (strict faces included)."""
+    method's solution set, which its certificate proves (see `certify`).
+    When the loop constraint is satisfiable and `compare_spaces` is set,
+    the scaled duality-based space must equal the multiplier-based space
+    exactly (strict faces included)."""
     vm = ms_analyze(loop)
     vp = pr_analyze(loop)
     agree = vm.status == vp.status
@@ -144,8 +148,8 @@ def cross_check(loop: LoopModel, compare_spaces: bool = True) -> CrossCheckRepor
     ms_in_pr = pr_in_ms = None
     if vm.status is TerminationStatus.TERMINATING and vp.status is TerminationStatus.TERMINATING:
         m = to_leq_matrix(loop_system(loop), loop.space)
-        ms_in_pr = witness_in_pr_set(m, vm.witness)
-        pr_in_ms = witness_in_ms_denormalized(loop, vp.witness)
+        ms_in_pr = certificate_holds(m, vm.witness)
+        pr_in_ms = certificate_holds(m, vp.witness)
 
     spaces_equal = None
     if compare_spaces and vm.status is not TerminationStatus.TRIVIALLY_TERMINATING:

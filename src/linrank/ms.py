@@ -27,7 +27,7 @@ bounded-only candidate spaces used for conditional termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -71,12 +71,25 @@ class TerminationStatus(Enum):
 @dataclass(frozen=True)
 class RankingFunction:
     """f(x) = mu0 + mu . x, certified to decrease by at least `delta` per
-    iteration and to stay >= `lower_bound` while the loop runs."""
+    iteration and to stay >= `lower_bound` while the loop runs.
+
+    `certificate`, when set, is a pair (decrease, bound) of nonnegative
+    multiplier vectors over the rows of the loop's <=-form
+    `to_leq_matrix(loop_system(loop), loop.space)`, in `to_leq_rows`
+    order.  Summing the rows with weights `decrease` gives f(x) - f(x') >=
+    delta, and with weights `bound` gives f(x) >= lower_bound;
+    `certify.certificate_holds` checks both.  The engines' terminating
+    verdicts carry one (MS: the y block and the z block without its two
+    x0 rows; PR: lam2 and lam1); it takes no part in equality, hashing or
+    repr."""
 
     mu0: Rational
     mu: tuple[Rational, ...]
     delta: Rational
     lower_bound: Rational
+    certificate: tuple[tuple[Rational, ...], tuple[Rational, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def value_at(self, x: Sequence[Rational]) -> Rational:
         if len(x) != len(self.mu):
@@ -310,7 +323,11 @@ def ms_analyze(loop: LoopModel) -> Verdict:
     names = conjoined.variables
     mu0 = point[names.index("mu0")]
     mu = tuple(point[names.index(f"mu{i}")] for i in range(1, n + 1))
-    witness = RankingFunction(mu0, mu, Fraction(1), Fraction(0))
+    # The variables are y (one per row of to_geq_matrix(c), the rows of
+    # to_leq_rows(c) negated), z (two x0 rows, then one per row) and mu0..mun.
+    rows = (len(names) - n - 3) // 2
+    certificate = (tuple(point[:rows]), tuple(point[rows + 2 : 2 * rows + 2]))
+    witness = RankingFunction(mu0, mu, Fraction(1), Fraction(0), certificate)
     return Verdict.terminating(witness)
 
 

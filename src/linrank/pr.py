@@ -178,12 +178,14 @@ def extraction_rows(m: LeqMatrixForm) -> list[tuple[Rational, ...]]:
 
 def extract_rf(w: PrWitness, m: LeqMatrixForm) -> RankingFunction:
     """mu = lam2^T A', mu0 = lam1^T b, delta = -lam2^T b; the function
-    mu0 + mu . x is nonnegative on reachable states (lower bound 0)."""
+    mu0 + mu . x is nonnegative on reachable states (lower bound 0).  Its
+    certificate is (lam2, lam1): the witness equations give lam2^T A = -mu
+    and lam1^T A = lam2^T A."""
     w.check(m)
     mu = _combine(w.lambda2, m.a_prime, m.n_vars)
     mu0 = _dot(w.lambda1, m.b)
     delta = -_dot(w.lambda2, m.b)
-    return RankingFunction(mu0, mu, delta, Fraction(0))
+    return RankingFunction(mu0, mu, delta, Fraction(0), (w.lambda2, w.lambda1))
 
 
 def pr_analyze(loop: LoopModel) -> Verdict:

@@ -267,3 +267,20 @@ def test_origin_tests_agree_with_satisfied_by(rel, const):
             assert kept == (() if at_origin else (LinConstraint((0, 0), "<", 0),))
         if at_origin:
             assert find_point(ConstraintSystem(("x", "y"), (row,))) == (0, 0)
+
+
+def test_find_point_memo_hits_on_an_equal_but_distinct_system():
+    first = cs(("x", "y"), [((1, "1/3"), ">=", 2), ((1, -1), "<", 0)])
+    second = ConstraintSystem(
+        ("x", "y"),
+        (
+            LinConstraint((Fraction(3, 3), Fraction(2, 6)), ">=", Fraction(2)),
+            LinConstraint(("1", "-1"), "<", "0/7"),
+        ),
+    )
+    assert second is not first and second == first
+    find_point.cache_clear()
+    point = find_point(first)
+    assert find_point(second) is point
+    assert find_point.cache_info().hits == 1 and find_point.cache_info().misses == 1
+    find_point.cache_clear()
