@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .constraints import ConstraintError, LoopModel, loop_system
@@ -333,10 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parse_args keeps no state
+    in the parser, and the commands look their engines up at call time."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
     except CliError as exc:

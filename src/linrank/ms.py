@@ -36,6 +36,7 @@ from .constraints import (
     EQ,
     GE,
     LE,
+    LT,
     ConstraintError,
     ConstraintSystem,
     LinConstraint,
@@ -47,7 +48,7 @@ from .constraints import (
 )
 from .projection import project, remove_redundant
 from .rationals import Rational, rat
-from .simplex import find_point, satisfiable
+from .simplex import FREE, NONNEG, LpProblem, find_point, satisfiable, solve
 
 SVG, MS_FULL, MS_DECREASING, MS_BOUNDED, PR = (
     "svg",
@@ -161,14 +162,49 @@ def _sign_rows(variables: tuple[str, ...], names: Sequence[str]) -> list[LinCons
     return rows
 
 
-def _mu_rows(a_c: Rows, n: int, rel: str) -> list[LinConstraint]:
+# A multiplier system is stated once per engine, as (coeffs, rel, const)
+# triples without the multipliers' sign rows, and packaged two ways: as a
+# `ConstraintSystem` for projection and the reference checks, and as the
+# `LpProblem` that decides feasibility, with the signs as variable bounds.
+
+
+def _multiplier_system(
+    variables: tuple[str, ...], rows: list, nonneg: Sequence[str]
+) -> ConstraintSystem:
+    """The rows, then a sign row v >= 0 for each variable named in nonneg."""
+    out = [LinConstraint(coeffs, rel, const) for coeffs, rel, const in rows]
+    out.extend(_sign_rows(variables, nonneg))
+    return ConstraintSystem(variables, tuple(out))
+
+
+def _multiplier_lp(rows: list, signs: tuple[str, ...]) -> LpProblem:
+    """The LP that `find_point` solves for the `_multiplier_system` of these
+    rows: each >= row negated to <=, and a strict row e.v < 0 tightened to
+    e.v <= -1.  The tightening is sound and complete because every system
+    with a strict row here is homogeneous, so its solutions scale."""
+    out = []
+    for coeffs, rel, const in rows:
+        if rel == GE:
+            coeffs, rel, const = tuple(-v for v in coeffs), LE, -const
+        elif rel == LT:
+            rel, const = LE, Fraction(-1)
+        out.append((coeffs, rel, const))
+    return LpProblem(None, False, tuple(out), signs)
+
+
+def _feasible_point(problem: LpProblem) -> tuple[Rational, ...] | None:
+    outcome = solve(problem)
+    return outcome.point if outcome.is_feasible else None
+
+
+def _mu_rows(a_c: Rows, n: int, rel: str) -> list:
     """The 2n homogeneous rows  A_c^T y  rel  <mu, -mu>  over (y, mu1..mun)."""
     m = len(a_c)
     rows = []
     for j in range(2 * n):
         coeffs = [row[j] for row in a_c] + [Fraction(0)] * n
         coeffs[m + j % n] = Fraction(-1) if j < n else Fraction(1)
-        rows.append(LinConstraint(tuple(coeffs), rel, Fraction(0)))
+        rows.append((tuple(coeffs), rel, Fraction(0)))
     return rows
 
 
@@ -184,9 +220,8 @@ def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
     y_names = tuple(f"y{i}" for i in range(1, len(a_c) + 1))
     variables = y_names + _mu_names(n, with_mu0=False)
     rows = _mu_rows(a_c, n, LE)
-    rows.append(LinConstraint(b_c + (Fraction(0),) * n, GE, Fraction(1)))
-    rows.extend(_sign_rows(variables, variables))
-    return ConstraintSystem(variables, tuple(rows))
+    rows.append((b_c + (Fraction(0),) * n, GE, Fraction(1)))
+    return _multiplier_system(variables, rows, variables)
 
 
 def _satisfiable_nonneg(c: ConstraintSystem) -> bool:
@@ -239,15 +274,23 @@ def svg_global_space(clauses: Sequence[ConstraintSystem]) -> RankingSpace:
     return RankingSpace(params, merged, SVG)
 
 
-def _extended_geq(
-    a_c: Rows, b_c: tuple[Rational, ...], n: int
-) -> tuple[Rows, tuple[Rational, ...]]:
-    """Prepend the two rows encoding x0 = 1 to the >=-form matrix; columns
-    become (x0, x, x')."""
-    zeros = (Fraction(0),) * (2 * n)
-    rows = ((Fraction(1),) + zeros, (Fraction(-1),) + zeros)
-    rows += tuple((Fraction(0),) + row for row in a_c)
-    return rows, (Fraction(1), Fraction(-1)) + b_c
+def _ms_rows(c: ConstraintSystem) -> tuple[int, int, list, list]:
+    """(n, m, decrease rows over (y, mu), boundedness rows over (z, mu0, mu))
+    for the m rows of  A_c <x, x'> >= b_c  (see `build_ms_systems`)."""
+    n = combined_varspace(c).n
+    a_c, b_c = to_geq_matrix(c)
+    m = len(a_c)
+    zero, one = Fraction(0), Fraction(1)
+    decrease = [(b_c + (zero,) * n, GE, one)] + _mu_rows(a_c, n, EQ)
+    # The x0 = 1 rows lead the extended matrix: z1 - z2 takes mu0's column.
+    bounded = [((one, -one) + b_c + (zero,) * (n + 1), GE, zero)]
+    bounded.append(((one, -one) + (zero,) * m + (-one,) + (zero,) * n, EQ, zero))
+    for j in range(2 * n):
+        coeffs = [zero, zero] + [row[j] for row in a_c] + [zero] * (n + 1)
+        if j < n:
+            coeffs[m + 3 + j] = -one
+        bounded.append((tuple(coeffs), EQ, zero))
+    return n, m, decrease, bounded
 
 
 def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintSystem]:
@@ -257,31 +300,27 @@ def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintS
         decrease:  b_c^T y >= 1,   A_c^T y  = <mu, -mu>,   y >= 0
         bounded:   bt^T  z >= 0,   At^T  z  = <mu0, mu, 0>, z >= 0
 
-    where (At, bt) extend (A_c, b_c) with the rows encoding x0 = 1.
+    where (At, bt) extend (A_c, b_c) with the two leading rows encoding
+    x0 = 1.
     """
-    n = combined_varspace(c).n
-    a_c, b_c = to_geq_matrix(c)
+    n, m, decrease, bounded = _ms_rows(c)
+    y_names = tuple(f"y{i}" for i in range(1, m + 1))
+    z_names = tuple(f"z{i}" for i in range(1, m + 3))
+    return (
+        _multiplier_system(y_names + _mu_names(n, with_mu0=False), decrease, y_names),
+        _multiplier_system(z_names + _mu_names(n, with_mu0=True), bounded, z_names),
+    )
 
-    y_names = tuple(f"y{i}" for i in range(1, len(a_c) + 1))
-    dec_vars = y_names + _mu_names(n, with_mu0=False)
-    dec_rows = [LinConstraint(b_c + (Fraction(0),) * n, GE, Fraction(1))]
-    dec_rows.extend(_mu_rows(a_c, n, EQ))
-    dec_rows.extend(_sign_rows(dec_vars, y_names))
-    decrease = ConstraintSystem(dec_vars, tuple(dec_rows))
 
-    ext_rows, ext_consts = _extended_geq(a_c, b_c, n)
-    mz = len(ext_rows)
-    z_names = tuple(f"z{i}" for i in range(1, mz + 1))
-    bnd_vars = z_names + _mu_names(n, with_mu0=True)
-    bnd_rows = [LinConstraint(ext_consts + (Fraction(0),) * (n + 1), GE, Fraction(0))]
-    for j in range(2 * n + 1):
-        coeffs = [row[j] for row in ext_rows] + [Fraction(0)] * (n + 1)
-        if j <= n:
-            coeffs[mz + j] = Fraction(-1)
-        bnd_rows.append(LinConstraint(tuple(coeffs), EQ, Fraction(0)))
-    bnd_rows.extend(_sign_rows(bnd_vars, z_names))
-    bounded = ConstraintSystem(bnd_vars, tuple(bnd_rows))
-    return decrease, bounded
+def _ms_lp(c: ConstraintSystem) -> tuple[int, LpProblem]:
+    """m and the decision LP of `conjoined_ms_system(c)`, whose columns are
+    y (one per row of to_geq_matrix(c), the rows of to_leq_rows(c)
+    negated), z (two x0 rows, then one per row) and mu0..mun."""
+    n, m, decrease, bounded = _ms_rows(c)
+    pad, lead = (Fraction(0),) * (m + 3), (Fraction(0),) * m
+    rows = [(coeffs[:m] + pad + coeffs[m:], rel, k) for coeffs, rel, k in decrease]
+    rows += [(lead + coeffs, rel, k) for coeffs, rel, k in bounded]
+    return m, _multiplier_lp(rows, (NONNEG,) * (2 * m + 2) + (FREE,) * (n + 1))
 
 
 def _embed(c: ConstraintSystem, variables: tuple[str, ...]) -> ConstraintSystem:
@@ -309,24 +348,19 @@ def conjoined_ms_system(c: ConstraintSystem) -> ConstraintSystem:
 
 
 def ms_analyze(loop: LoopModel) -> Verdict:
-    """Affine ranking-function existence test over Q: satisfiability of the
-    conjoined decrease+boundedness system, after short-circuiting loops
-    whose body constraint is unsatisfiable."""
+    """Affine ranking-function existence test over Q: feasibility of the
+    conjoined decrease+boundedness system, solved as one LP straight off
+    the loop's >=-form matrix, after short-circuiting loops whose body
+    constraint is unsatisfiable."""
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()
-    conjoined = conjoined_ms_system(c)
-    point = find_point(conjoined)
+    m, problem = _ms_lp(c)
+    point = _feasible_point(problem)
     if point is None:
         return Verdict.unknown()
-    n = loop.space.n
-    names = conjoined.variables
-    mu0 = point[names.index("mu0")]
-    mu = tuple(point[names.index(f"mu{i}")] for i in range(1, n + 1))
-    # The variables are y (one per row of to_geq_matrix(c), the rows of
-    # to_leq_rows(c) negated), z (two x0 rows, then one per row) and mu0..mun.
-    rows = (len(names) - n - 3) // 2
-    certificate = (tuple(point[:rows]), tuple(point[rows + 2 : 2 * rows + 2]))
+    certificate = (point[:m], point[m + 2 : 2 * m + 2])
+    mu0, mu = point[2 * m + 2], point[2 * m + 3 :]
     witness = RankingFunction(mu0, mu, Fraction(1), Fraction(0), certificate)
     return Verdict.terminating(witness)
 

@@ -26,18 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
+from .certify import _combine, _dot
 from .constraints import (
     EQ,
-    LE,
     LT,
     ConstraintError,
     ConstraintSystem,
     LeqMatrixForm,
     LinConstraint,
     LoopModel,
-    Rows,
     loop_system,
     merge_guarded,
     to_leq_matrix,
@@ -49,25 +47,18 @@ from .ms import (
     RankingSpace,
     UnsatisfiableLoopError,
     Verdict,
+    _feasible_point,
+    _multiplier_lp,
+    _multiplier_system,
     _mu_names,
-    _sign_rows,
 )
 from .projection import project
 from .rationals import Rational
-from .simplex import find_point, satisfiable
+from .simplex import NONNEG, LpProblem, satisfiable
 
 
 class InvalidWitnessError(ValueError):
     """Multiplier vectors do not satisfy the witness equations exactly."""
-
-
-def _combine(weights: Sequence[Rational], rows: Rows, n: int) -> tuple[Rational, ...]:
-    """The row combination  weights^T M  of an n-column matrix M."""
-    return tuple(sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(n))
-
-
-def _dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -86,11 +77,10 @@ class PrWitness:
         l1, l2, n = self.lambda1, self.lambda2, m.n_vars
         if any(_combine(l1, m.a_prime, n)):
             raise InvalidWitnessError("lam1^T A' != 0")
-        diff = tuple(a - b for a, b in zip(l1, l2))
-        if any(_combine(diff, m.a, n)):
+        l2_a = _combine(l2, m.a, n)
+        if _combine(l1, m.a, n) != l2_a:
             raise InvalidWitnessError("(lam1 - lam2)^T A != 0")
-        summed = tuple(tuple(p + q for p, q in zip(r, rp)) for r, rp in zip(m.a, m.a_prime))
-        if any(_combine(l2, summed, n)):
+        if any(p + q for p, q in zip(l2_a, _combine(l2, m.a_prime, n))):
             raise InvalidWitnessError("lam2^T (A + A') != 0")
         if _dot(l2, m.b) >= 0:
             raise InvalidWitnessError("lam2^T b is not negative")
@@ -131,40 +121,33 @@ def with_affine_slot(m: LeqMatrixForm) -> LeqMatrixForm:
     return LeqMatrixForm(m.a + zero, m.a_prime + zero, m.b + (Fraction(1),), m.n_vars)
 
 
-def build_pr_system(m: LeqMatrixForm) -> ConstraintSystem:
-    """The witness equations over (lam1, lam2), the final row kept strict."""
+def _pr_rows(m: LeqMatrixForm) -> list:
+    """The witness equations over (lam1, lam2), the strict row last."""
     rows_n, n = m.n_rows, m.n_vars
-    l1_names, l2_names = _lambda_names(rows_n)
-    variables = l1_names + l2_names
-    out: list[LinConstraint] = []
-    zeros = (Fraction(0),) * rows_n
+    zero = Fraction(0)
+    zeros = (zero,) * rows_n
+    out = []
     for j in range(n):  # lam1^T A' = 0
-        coeffs = tuple(row[j] for row in m.a_prime) + zeros
-        out.append(LinConstraint(coeffs, EQ, Fraction(0)))
+        out.append((tuple(row[j] for row in m.a_prime) + zeros, EQ, zero))
     for j in range(n):  # (lam1 - lam2)^T A = 0
         col = tuple(row[j] for row in m.a)
-        out.append(LinConstraint(col + tuple(-v for v in col), EQ, Fraction(0)))
+        out.append((col + tuple(-v for v in col), EQ, zero))
     for j in range(n):  # lam2^T (A + A') = 0
-        coeffs = zeros + tuple(r[j] + rp[j] for r, rp in zip(m.a, m.a_prime))
-        out.append(LinConstraint(coeffs, EQ, Fraction(0)))
-    out.append(LinConstraint(zeros + m.b, LT, Fraction(0)))  # lam2^T b < 0
-    out.extend(_sign_rows(variables, variables))
-    return ConstraintSystem(variables, tuple(out))
+        out.append((zeros + tuple(r[j] + rp[j] for r, rp in zip(m.a, m.a_prime)), EQ, zero))
+    out.append((zeros + m.b, LT, zero))  # lam2^T b < 0
+    return out
 
 
-def _normalize_strict(system: ConstraintSystem) -> ConstraintSystem:
-    """Replace each strict homogeneous row e.z < 0 by e.z <= -1; sound and
-    complete for feasibility because solutions scale."""
-    rows = []
-    for row in system.rows:
-        if row.is_strict:
-            if row.const != 0:
-                raise ConstraintError("scaling normalization needs a homogeneous strict row")
-            coeffs = row.coeffs if row.rel == LT else tuple(-v for v in row.coeffs)
-            rows.append(LinConstraint(coeffs, LE, Fraction(-1)))
-        else:
-            rows.append(row)
-    return system.with_rows(tuple(rows))
+def build_pr_system(m: LeqMatrixForm) -> ConstraintSystem:
+    """The witness equations over (lam1, lam2), the final row kept strict."""
+    l1_names, l2_names = _lambda_names(m.n_rows)
+    variables = l1_names + l2_names
+    return _multiplier_system(variables, _pr_rows(m), variables)
+
+
+def _pr_lp(m: LeqMatrixForm) -> LpProblem:
+    """The decision LP of `build_pr_system(m)`, strict row at <= -1."""
+    return _multiplier_lp(_pr_rows(m), (NONNEG,) * (2 * m.n_rows))
 
 
 def extraction_rows(m: LeqMatrixForm) -> list[tuple[Rational, ...]]:
@@ -189,18 +172,18 @@ def extract_rf(w: PrWitness, m: LeqMatrixForm) -> RankingFunction:
 
 
 def pr_analyze(loop: LoopModel) -> Verdict:
-    """Feasibility of the multiplier system (strict row normalized to <= -1)
-    proves termination and yields an extracted witness."""
+    """Feasibility of the witness equations, solved as one LP straight off
+    the loop's <=-form matrix with the strict row at <= -1, proves
+    termination and yields an extracted witness."""
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()
     m = to_leq_matrix(c, loop.space)
-    system = _normalize_strict(build_pr_system(m))
-    point = find_point(system)
+    point = _feasible_point(_pr_lp(m))
     if point is None:
         return Verdict.unknown()
     rows_n = m.n_rows
-    witness = PrWitness(tuple(point[:rows_n]), tuple(point[rows_n : 2 * rows_n]))
+    witness = PrWitness(point[:rows_n], point[rows_n : 2 * rows_n])
     return Verdict.terminating(extract_rf(witness, m))
 
 
@@ -242,6 +225,25 @@ def _guard_update_matrices(loop: LoopModel):
     return a_b, b_b, update
 
 
+def _pr_alt_rows(loop: LoopModel) -> tuple[int, int, list]:
+    """(r guard rows, s update rows, the witness equations over (v1, v2, v3)
+    with the strict row last)."""
+    a_b, b_b, update = _guard_update_matrices(loop)
+    r, zero = len(a_b), Fraction(0)
+    rows = []
+    for j in range(loop.space.n):
+        guard_col = tuple(row[j] for row in a_b)
+        upd_col = tuple(row[j] for row in update.a)
+        rows.append((guard_col + tuple(-v for v in guard_col + upd_col), EQ, zero))
+    zeros = (zero,) * r
+    for j in range(loop.space.n):
+        guard_col = tuple(row[j] for row in a_b)
+        upd_col = tuple(u[j] + up[j] for u, up in zip(update.a, update.a_prime))
+        rows.append((zeros + guard_col + upd_col, EQ, zero))
+    rows.append((zeros + b_b + update.b, LT, zero))
+    return r, update.n_rows, rows
+
+
 def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
     """Witness equations over (v1, v2, v3) for a guarded loop:
 
@@ -255,42 +257,33 @@ def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
     reachable-state projection can make the search miss witnesses whose
     nonnegativity relies on update rows.
     """
-    a_b, b_b, update = _guard_update_matrices(loop)
-    r, s, n = len(a_b), update.n_rows, loop.space.n
+    r, s, rows = _pr_alt_rows(loop)
     v1 = tuple(f"v1_{i}" for i in range(1, r + 1))
     v2 = tuple(f"v2_{i}" for i in range(1, r + 1))
     v3 = tuple(f"v3_{i}" for i in range(1, s + 1))
     variables = v1 + v2 + v3
-    rows: list[LinConstraint] = []
-    for j in range(n):
-        guard_col = tuple(row[j] for row in a_b)
-        upd_col = tuple(row[j] for row in update.a)
-        coeffs = guard_col + tuple(-v for v in guard_col + upd_col)
-        rows.append(LinConstraint(coeffs, EQ, Fraction(0)))
-    zeros = (Fraction(0),) * r
-    for j in range(n):
-        guard_col = tuple(row[j] for row in a_b)
-        upd_col = tuple(u[j] + up[j] for u, up in zip(update.a, update.a_prime))
-        rows.append(LinConstraint(zeros + guard_col + upd_col, EQ, Fraction(0)))
-    rows.append(LinConstraint(zeros + b_b + update.b, LT, Fraction(0)))
-    rows.extend(_sign_rows(variables, variables))
-    return ConstraintSystem(variables, tuple(rows))
+    return _multiplier_system(variables, rows, variables)
+
+
+def _pr_alt_lp(loop: LoopModel) -> tuple[int, LpProblem]:
+    """r and the decision LP of `build_pr_alt_system(loop)`, strict row at
+    <= -1."""
+    r, s, rows = _pr_alt_rows(loop)
+    return r, _multiplier_lp(rows, (NONNEG,) * (2 * r + s))
 
 
 def pr_alt_analyze(loop: LoopModel) -> Verdict:
-    """Same verdict as pr_analyze, computed on the guard/update split; the
-    witness is reconstructed onto the merged system for extraction."""
+    """Same verdict as pr_analyze, computed on the guard/update split as one
+    LP straight off the guard and update matrices; the witness is
+    reconstructed onto the merged system for extraction."""
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()
-    r = len(_guard_update_matrices(loop)[0])
-    system = _normalize_strict(build_pr_alt_system(loop))
-    point = find_point(system)
+    r, problem = _pr_alt_lp(loop)
+    point = _feasible_point(problem)
     if point is None:
         return Verdict.unknown()
-    witness = PrAltWitness(
-        tuple(point[:r]), tuple(point[r : 2 * r]), tuple(point[2 * r :])
-    )
+    witness = PrAltWitness(point[:r], point[r : 2 * r], point[2 * r :])
     merged = to_leq_matrix(merge_guarded(loop), loop.space)
     return Verdict.terminating(extract_rf(witness.reconstruct(), merged))
 

@@ -13,14 +13,19 @@ real columns are priced.  No pivot changes, as an artificial would enter
 only where the simplex multipliers are a Farkas certificate that the LP
 is infeasible (see `_bland_min`).
 
-Besides the raw `LpProblem` interface this module bridges from
-`ConstraintSystem`: one pass orients each row as <=, < or =, turns plain
-sign rows into variable bounds and keeps the rest as LP rows.  Feasibility
-of systems that mix strict and non-strict rows is decided by maximizing
-one shared slack added to every strict row -- the system has a point
-satisfying all strict rows strictly iff the optimal slack is positive or
-unbounded.  `satisfiable` answers from that one LP; only `find_point`,
-whose callers read the point, pins an unbounded slack to 1 in a second LP.
+`solve` takes an `LpProblem`.  The termination analyses (`ms_analyze`,
+`pr_analyze`, `pr_alt_analyze`) build theirs straight from the loop's
+matrices, with the multipliers' signs as variable bounds, as projection's
+entailment test builds its dual LPs.  A question asked of a `ConstraintSystem`
+(loop bodies, spaces, projection's feasibility checks, `svg_analyze`)
+goes through the bridge below: one pass orients each row as <=, < or =,
+turns plain sign rows into variable bounds and keeps the rest as LP rows.
+Feasibility of systems that mix strict and non-strict rows is decided by
+maximizing one shared slack added to every strict row -- the system has a
+point satisfying all strict rows strictly iff the optimal slack is
+positive or unbounded.  `satisfiable` answers from that one LP; only
+`find_point`, whose callers read the point, pins an unbounded slack to 1
+in a second LP.
 """
 
 from __future__ import annotations
@@ -393,8 +398,10 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
 
     With strict rows present, the shared-slack LP decides; an optimal slack
     gives the point, and an unbounded one is pinned to 1 by a second LP
-    for a point.  Results are memoized (systems are immutable value
-    objects and whole-loop analyses re-ask the same questions many times).
+    for a point.  Results are memoized because every analysis and space of
+    a loop first asks `satisfiable` of the same loop body: those repeats
+    are nearly all of the measured hits (on the 144-op `decide` cycle, 144
+    of the 288 lookups, all of them loop bodies).
     """
     n = c.n_vars
     if all(row.holds_at_zero() for row in c.rows):

@@ -80,6 +80,19 @@ def closure(c: ConstraintSystem) -> ConstraintSystem:
     return c.with_rows(LinConstraint(r.coeffs, _RELAXED.get(r.rel, r.rel), r.const) for r in c.rows)
 
 
+def normalize_strict(c: ConstraintSystem) -> ConstraintSystem:
+    """c with each strict homogeneous row e.z < 0 (or > 0) replaced by
+    e.z <= -1: the same feasibility for a cone, whose solutions scale."""
+    rows = []
+    for row in c.rows:
+        if row.is_strict:
+            assert row.const == 0, "scaling normalization needs a homogeneous strict row"
+            coeffs = row.coeffs if row.rel == LT else tuple(-v for v in row.coeffs)
+            row = LinConstraint(coeffs, LE, Fraction(-1))
+        rows.append(row)
+    return c.with_rows(rows)
+
+
 def optimize(
     c: ConstraintSystem, objective: Sequence[Rational], maximize: bool
 ) -> LpOutcome:

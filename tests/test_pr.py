@@ -30,7 +30,7 @@ from linrank.pr import (
 from linrank.projection import equivalent
 from linrank.simplex import find_point
 from tests.conftest import sample_points
-from tests.oracles import constraint, permute_rows, system
+from tests.oracles import constraint, normalize_strict, permute_rows, system
 
 GOLDEN_A = ((-1, 0), (-1, 0), (1, 0), (0, 1), (0, -1), (0, 0))
 GOLDEN_A_PRIME = ((0, 0), (2, 0), (-2, 0), (0, -1), (0, 1), (0, -1))
@@ -179,9 +179,7 @@ def test_alt_system_log2(log2_loop):
 
 def test_alt_witness_reconstruction(log2_loop):
     sys_rows = build_pr_alt_system(log2_loop)
-    from linrank.pr import _normalize_strict
-
-    point = find_point(_normalize_strict(sys_rows))
+    point = find_point(normalize_strict(sys_rows))
     assert point is not None
     r = 1
     s = 5
