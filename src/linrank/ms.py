@@ -304,12 +304,16 @@ def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintS
     x0 = 1.
     """
     n, m, decrease, bounded = _ms_rows(c)
-    y_names = tuple(f"y{i}" for i in range(1, m + 1))
-    z_names = tuple(f"z{i}" for i in range(1, m + 3))
-    return (
-        _multiplier_system(y_names + _mu_names(n, with_mu0=False), decrease, y_names),
-        _multiplier_system(z_names + _mu_names(n, with_mu0=True), bounded, z_names),
-    )
+    return _ms_system(n, m, decrease, False), _ms_system(n, m, bounded, True)
+
+
+def _ms_system(n: int, m: int, rows: list, bounded: bool) -> ConstraintSystem:
+    """One of the two systems of `build_ms_systems`, from its `_ms_rows`
+    rows: the boundedness system over (z, mu0, mu), or the decrease system
+    over (y, mu)."""
+    block, size = ("z", m + 2) if bounded else ("y", m)
+    names = tuple(f"{block}{i}" for i in range(1, size + 1))
+    return _multiplier_system(names + _mu_names(n, with_mu0=bounded), rows, names)
 
 
 def _ms_lp(c: ConstraintSystem) -> tuple[int, LpProblem]:
@@ -389,8 +393,8 @@ def ms_space(loop: LoopModel) -> RankingSpace:
 
 def ms_decreasing_space(loop: LoopModel) -> RankingSpace:
     """Candidates that decrease by >= 1 each iteration (mu0 unconstrained)."""
-    c = _require_satisfiable(loop)
-    decrease, _ = build_ms_systems(c)
+    n, m, rows, _ = _ms_rows(_require_satisfiable(loop))
+    decrease = _ms_system(n, m, rows, False)
     params = _mu_names(loop.space.n, with_mu0=True)
     widened = _embed(decrease, tuple(v for v in decrease.variables if v.startswith("y")) + params)
     projected = project(widened, params)
@@ -399,8 +403,8 @@ def ms_decreasing_space(loop: LoopModel) -> RankingSpace:
 
 def ms_bounded_space(loop: LoopModel) -> RankingSpace:
     """Candidates bounded below by 0 on the loop's reachable states."""
-    c = _require_satisfiable(loop)
-    _, bounded = build_ms_systems(c)
+    n, m, _, rows = _ms_rows(_require_satisfiable(loop))
+    bounded = _ms_system(n, m, rows, True)
     params = _mu_names(loop.space.n, with_mu0=True)
     projected = project(bounded, params)
     return RankingSpace(params, projected, MS_BOUNDED)

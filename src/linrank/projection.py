@@ -2,19 +2,25 @@
 for constraint systems that may contain strict rows.
 
 Inside this module a row is a triple (direction, rel, const): direction a
-tuple of coprime ints, rel one of <=, < or =, and const a Fraction.
-`_prune` is the one canonicalizer.  It takes (coeffs, rel, const) triples
-in any form and gives each row its canonical form: oriented <=, < or =, a
+tuple of coprime ints, rel one of <=, < or =, and const an int when it is
+integral and a Fraction otherwise, so elimination, the tightest-row compare
+and the entailment LPs run in int arithmetic on integral rows.  `_prune`
+is the one canonicalizer.  It takes (coeffs, rel, const) triples in any
+form and gives each row its canonical form: oriented <=, < or =, a
 coprime-integer direction (an equality's leading coefficient positive),
 parallel rows collapsed to the tightest representative, and `0 < 0` as the
-only empty row.  `LinConstraint`s are built only on the way out.
+only empty row.  `LinConstraint`s are built only on the way out, so public
+rows keep Fraction constants.
 
 Elimination is Fourier-Motzkin with the standard accelerations, one column
 per `_eliminate` step.  A variable occurring in an equality row is
 eliminated by substitution through that row (row count never grows);
 otherwise each upper row is paired with each lower row.  Both combine
 integer directions into a positive multiple of the rational combination,
-so `_prune` restores the canonical form.  `project` prunes exactly when a
+so `_prune` restores the canonical form.  A row with a zero in the
+eliminated column is copied with that zero dropped, which keeps it
+canonical, so `_prune` passes it straight to the parallel-row collapse
+with no integer scaling or gcd.  `project` prunes exactly when a
 step grows the system: a step that leaves more rows than it started with
 is followed by the exact greedy scan `_irredundant`, so no step ends with
 more rows than the larger of its input count and an irredundant system's.
@@ -31,12 +37,14 @@ the system has.  When a strict a.x < b meets that supremum exactly, a
 second LP decides it (Motzkin's transposition theorem): it holds iff the
 multipliers reaching b can weight a strict row.  So `_entailed` is exact
 for strict rows too, and solution-set equality is mutual entailment of the
-canonical rows.
+canonical rows.  No LP is needed when a coordinate of the row's direction
+has a sign that no row can supply to the dual's equality for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -54,7 +62,7 @@ from .constraints import (
 from .rationals import integer_scaling
 from .simplex import FREE, NONNEG, LpProblem, LpStatus, satisfiable, solve
 
-Row = tuple[tuple[int, ...], str, Fraction]
+Row = tuple[tuple[int, ...], str, int | Fraction]
 
 
 def _system(variables: tuple[str, ...], rows: Iterable[Row]) -> ConstraintSystem:
@@ -63,46 +71,54 @@ def _system(variables: tuple[str, ...], rows: Iterable[Row]) -> ConstraintSystem
 
 def _false_row(width: int) -> Row:
     """0 < 0, the one row of an empty system."""
-    return (0,) * width, LT, Fraction(0)
+    return (0,) * width, LT, 0
 
 
-def _prune(rows: Iterable[tuple]) -> list[Row]:
+def _prune(rows: Iterable[tuple], copied: Iterable[bool] = ()) -> list[Row]:
     """Give each (coeffs, rel, const) row its canonical form, drop
     trivially-true rows and duplicates, and among parallel rows of the same
     direction keep only the tightest one.  A ground-false row, or two
     parallel equalities that disagree, collapse the whole system to the
-    single row 0 < 0.  Coefficients may be ints or Fractions; const is a
-    Fraction, rescaled only when the row's scale is not +-1."""
+    single row 0 < 0.  Coefficients may be ints or Fractions, and const an
+    int or a Fraction; the canonical const is an int exactly when it is
+    integral.  A row flagged in `copied` is canonical already (`_eliminate`
+    copied it with a zero dropped) and goes straight to the collapse."""
     best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const)
-    for coeffs, rel, const in rows:
+    for (coeffs, rel, const), canonical in zip(rows, chain(copied, repeat(False))):
         if not any(coeffs):
             if HOLDS[rel](0, const):
                 continue
             return [_false_row(len(coeffs))]
-        # Equalities canonicalize up to sign, inequalities only up to
-        # positive scaling; directions are kept as coprime integers, so the
-        # divisor's sign orients the row as <=, < or = in the same step.
-        denom, nums = integer_scaling(coeffs)
-        divisor = gcd(*nums)
-        if rel == GE or rel == GT:
-            divisor, rel = -divisor, (LE if rel == GE else LT)
-        elif rel == EQ and next(v for v in nums if v) < 0:
-            divisor = -divisor
-        direction = tuple(v // divisor for v in nums)
-        key = (EQ if rel == EQ else LE, direction)
-        if denom == 1 and abs(divisor) == 1:
-            scaled_const = const if divisor == 1 else -const
+        if canonical:
+            direction = coeffs
         else:
-            scaled_const = const * Fraction(denom, divisor)
+            # Equalities canonicalize up to sign, inequalities only up to
+            # positive scaling; directions are kept as coprime integers, so
+            # the divisor's sign orients the row as <=, < or = in one step.
+            denom, nums = integer_scaling(coeffs)
+            divisor = gcd(*nums)
+            if rel == GE or rel == GT:
+                divisor, rel = -divisor, (LE if rel == GE else LT)
+            elif rel == EQ and next(v for v in nums if v) < 0:
+                divisor = -divisor
+            if divisor == 1:
+                direction = tuple(nums)
+            elif divisor == -1:
+                direction = tuple(-v for v in nums)
+            else:
+                direction = tuple(v // divisor for v in nums)
+            # const * denom / divisor, an int when it is integral
+            num, den = const.numerator * denom, const.denominator * divisor
+            quotient, remainder = divmod(num, den)
+            const = Fraction(num, den) if remainder else quotient
+        key = (EQ if rel == EQ else LE, direction)
         incumbent = best.get(key)
         if incumbent is not None and rel == EQ:
-            if incumbent[1] != scaled_const:
+            if incumbent[1] != const:
                 return [_false_row(len(direction))]
             continue
-        if incumbent is None or scaled_const < incumbent[1] or (
-            scaled_const == incumbent[1] and rel == LT
-        ):
-            best[key] = (rel, scaled_const)
+        if incumbent is None or const < incumbent[1] or (const == incumbent[1] and rel == LT):
+            best[key] = (rel, const)
     return [(direction, rel, const) for (_, direction), (rel, const) in best.items()]
 
 
@@ -110,22 +126,26 @@ def _canonical(rows: Iterable[LinConstraint]) -> list[Row]:
     return _prune((row.coeffs, row.rel, row.const) for row in rows)
 
 
-def _eliminate(rows: Sequence[Row], idx: int) -> list[tuple]:
+def _eliminate(rows: Sequence[Row], idx: int) -> tuple[list[tuple], list[bool]]:
     """Remove column idx from canonical rows, by substitution through the
     first equality that holds it, or else by one Fourier-Motzkin step.
-    Returns the new rows, with int directions but not yet pruned.  A
-    paired row is strict iff either parent is."""
+    Returns the new rows, with int directions but not yet pruned, and for
+    each a flag: whether it is a row copied with a zero dropped, which is
+    still canonical.  A paired row is strict iff either parent is."""
     dropped = [d[:idx] + d[idx + 1 :] for d, _, _ in rows]
     out: list[tuple] = []
+    copied: list[bool] = []
 
     def combine(i: int, a: int, k: int, b: int, rel: str) -> None:
         coeffs = tuple(x * a + y * b for x, y in zip(dropped[i], dropped[k]))
         out.append((coeffs, rel, rows[i][2] * a + rows[k][2] * b))
+        copied.append(False)
 
     pivot = next((k for k, (d, rel, _) in enumerate(rows) if rel == EQ and d[idx]), None)
     for i, (d, rel, const) in enumerate(rows):
         if d[idx] == 0:
             out.append((dropped[i], rel, const))
+            copied.append(True)
         elif pivot is not None and i != pivot:
             # |p|*row - sign(p)*f*pivot: a positive multiple of row - (f/p)*pivot
             p = rows[pivot][0][idx]
@@ -138,14 +158,14 @@ def _eliminate(rows: Sequence[Row], idx: int) -> list[tuple]:
                 # up*pl + low*pu: a positive multiple of up/pu + low/pl
                 rel = LT if LT in (rows[i][1], rows[k][1]) else LE
                 combine(i, -rows[k][0][idx], k, rows[i][0][idx], rel)
-    return out
+    return out, copied
 
 
 def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
     """Project c's solution set along one variable; the result ranges over
     the remaining variables.  A combined row is strict iff either parent is."""
     idx = c.index_of(var)
-    rows = _prune(_eliminate(_canonical(c.rows), idx))
+    rows = _prune(*_eliminate(_canonical(c.rows), idx))
     return _system(c.variables[:idx] + c.variables[idx + 1 :], rows)
 
 
@@ -157,15 +177,25 @@ def _entailed(rest: Sequence[Row], row: Row) -> bool:
     if rel == EQ:
         opposite = (tuple(-v for v in direction), LE, -const)
         return _entailed(rest, (direction, LE, const)) and _entailed(rest, opposite)
-    signs = tuple(FREE if r == EQ else NONNEG for _, r, _ in rest)
+    rels = [r for _, r, _ in rest]
+    columns = list(zip(*(d for d, _, _ in rest))) if rest else [()] * len(direction)
+    # The dual's row j, sum_i y_i d_ij = a_j, needs a term of a_j's sign: an
+    # inequality row (y_i >= 0) of that sign in column j, or an equality row
+    # (y_i free) with any nonzero there.  Without one it is infeasible.
+    for a, column in zip(direction, columns):
+        if a == 0 or (max(column, default=0) > 0 if a > 0 else min(column, default=0) < 0):
+            continue
+        if not any(v for v, r in zip(column, rels) if r == EQ):
+            return False
+    signs = tuple(FREE if r == EQ else NONNEG for r in rels)
     consts = tuple(b for _, _, b in rest)
-    gradient = tuple((tuple(d[j] for d, _, _ in rest), EQ, a) for j, a in enumerate(direction))
+    gradient = tuple((column, EQ, a) for column, a in zip(columns, direction))
     bound = solve(LpProblem(consts, False, gradient, signs))
     if bound.status is LpStatus.INFEASIBLE or bound.value > const:
         return False
     if bound.value < const or rel == LE:
         return True
-    strict = tuple(int(r == LT) for _, r, _ in rest)
+    strict = tuple(int(r == LT) for r in rels)
     if not any(strict):
         return False
     face = solve(LpProblem(strict, True, gradient + ((consts, EQ, const),), signs))
@@ -240,7 +270,7 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     grew = False
     for _ in range(sum(v not in keep for v in variables)):
         idx = min((i for i, v in enumerate(variables) if v not in keep), key=cost)
-        stepped = _prune(_eliminate(rows, idx))
+        stepped = _prune(*_eliminate(rows, idx))
         grew = len(stepped) > len(rows)
         rows = _irredundant(stepped) if grew else stepped
         variables = variables[:idx] + variables[idx + 1 :]

@@ -6,8 +6,11 @@ denominator), so equality is structural and no operation ever rounds.
 Vectors and matrices are plain tuples of Fractions.  Two places work
 internally on rows scaled to Python ints by `integer_scaling`: the simplex
 tableau, and `projection`, whose rows keep the coprime int directions that
-`projection._prune` gives them through every elimination step.  Floats
-and decimal strings are rejected, never rounded.
+`projection._prune` gives them through every elimination step, and a
+constant that is an int when it is integral and a Fraction otherwise.  So
+the LPs that projection asks are mostly all-int, which `integer_scaling`
+passes through as they are.  Floats and decimal strings are rejected,
+never rounded.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ def integer_scaling(values: Sequence[Rational]) -> tuple[int, list[int]]:
     if all(type(v) is int for v in values):
         return 1, list(values)
     scale = lcm(*(v.denominator for v in values))
+    if scale == 1:
+        return 1, [v.numerator for v in values]
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 

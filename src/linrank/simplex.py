@@ -41,6 +41,7 @@ from .rationals import Rational, integer_scaling, rat
 
 NONNEG = "nonneg"
 FREE = "free"
+_ZERO = Fraction(0)
 
 
 class LpShapeError(ValueError):
@@ -114,21 +115,28 @@ def _integer_standard_form(p: LpProblem):
     columns, the column count n, the rows (n + 1 ints each, rhs last), the
     positive scale of each row (row i stands for rows[i] / scales[i]: one
     `integer_scaling` of its coeffs and rhs, slack +-scale), and the
-    objective to minimize as ints, or None.  A value that is neither int
-    nor Fraction raises LpShapeError."""
+    objective to minimize as ints, or None.  All-int values, as projection
+    gives them, are taken as they are, with scale 1.  A value that is
+    neither int nor Fraction raises LpShapeError."""
     columns: list[tuple[int, int | None]] = []
     slack = 0
     for sign in p.signs:
         columns.append((slack, None if sign == NONNEG else slack + 1))
         slack += 1 if sign == NONNEG else 2
     n = slack + sum(1 for _, rel, _ in p.rows if rel != EQ)
+    # With every variable nonnegative, variable j is column j, so a row is
+    # widened by appending its zero slack cells.
+    pad = [0] * (n - slack) if slack == len(p.signs) else None
 
     def widen(ints):
+        if pad is not None:
+            return ints[: len(columns)] + pad + ints[len(columns) :]
         row = [0] * (n + 1)
         for (plus, minus), v in zip(columns, ints):
             row[plus] = v
             if minus is not None:
                 row[minus] = -v
+        row[-1] = ints[-1]
         return row
 
     rows, scales = [], []
@@ -136,7 +144,6 @@ def _integer_standard_form(p: LpProblem):
         for coeffs, rel, rhs in p.rows:
             scale, ints = integer_scaling((*coeffs, rhs))
             row = widen(ints)
-            row[-1] = ints[-1]
             if rel != EQ:
                 row[slack] = scale if rel == LE else -scale
                 slack += 1
@@ -146,7 +153,9 @@ def _integer_standard_form(p: LpProblem):
     except AttributeError:  # a float or a str has no denominator
         raise LpShapeError("LP values must be ints or Fractions") from None
     if objective is not None:
-        objective = widen([-v for v in objective] if p.maximize else objective)[:-1]
+        if p.maximize:
+            objective = [-v for v in objective]
+        objective = widen(objective + [0])[:-1]
     return tuple(columns), n, rows, scales, objective
 
 
@@ -158,8 +167,12 @@ def _integer_standard_form(p: LpProblem):
 # positive.  Every sign test and ratio comparison of the rational tableau
 # therefore reads off the integers directly, so the pivots are exactly those
 # of the rational simplex; rationals are rebuilt only for the reported point
-# and ray.  A phase-1 row is the n real columns, the artificial cell and
-# the rhs; artificial k keeps the virtual column n + k in `basis`.
+# and ray, from the basic rows' nonzero entries only.  The layout is one
+# pass: the crash basis is one sweep over the columns, and the phase-1 cost
+# row the column sums of the rows it leaves uncovered.  Only then does each
+# row get its artificial cell, so a phase-1 row is the n real columns, the
+# artificial cell and the rhs; artificial k keeps the virtual column n + k
+# in `basis`.  An LP the crash basis covers skips phase 1 with n + 1 wide rows.
 
 
 def _combine(row, prow, p, f):
@@ -223,33 +236,40 @@ def _solve_standard(rows, scales, objective, n):
     variables.  Row i is n + 1 ints, the last one its rhs, and stands for
     the rational row divided by scales[i] > 0; objective is ints or None.
     Rows the crash basis leaves uncovered get an artificial in their cell;
-    the phase-1 cost row is minus those rows, each times lcm / scales[i].
+    the phase-1 cost row is minus the column sums of those rows, each
+    times lcm / scales[i].
 
-    Returns (status, point, ray) in standard-form coordinates; objective
-    None solves feasibility only.
+    Returns (status, point, ray) in standard-form coordinates, the point
+    built from the basic rows with a nonzero rhs; objective None solves
+    feasibility only.
     """
     m = len(rows)
-    rows = [[-e for e in row] if row[-1] < 0 else row for row in rows]
-    # Crash basis: a row's basic variable is the first column whose only
-    # nonzero is that row's scale (a unit column of the rational row); only
-    # uncovered rows get an artificial variable.
+    tableau = [[-e for e in row] if row[-1] < 0 else row for row in rows]
+    # Crash basis, in one sweep over the columns: a row's basic variable is
+    # the first column whose only nonzero is that row's scale (a unit
+    # column of the rational row); only uncovered rows get an artificial.
     basis = [-1] * m
-    for j in range(n):
-        nonzero = (i for i in range(m) if rows[i][j])
-        i = next(nonzero, None)
-        if i is not None and basis[i] < 0 and rows[i][j] == scales[i] and next(nonzero, None) is None:
-            basis[i] = j
+    for j, column in zip(range(n), zip(*tableau)):
+        top = max(column)
+        if top > 0 and column.count(0) == m - 1:
+            i = column.index(top)
+            if basis[i] < 0 and top == scales[i]:
+                basis[i] = j
     uncovered = [i for i in range(m) if basis[i] < 0]
-    tableau = [row[:-1] + [0, row[-1]] for row in rows]
-    for k, i in enumerate(uncovered):
-        # An artificial basic entry is 1 in the rational row, so its row's scale.
-        basis[i] = n + k
-        tableau[i][n] = scales[i]
 
-    keep = range(m)
     if uncovered:
+        for row in tableau:
+            row.insert(n, 0)
+        for k, i in enumerate(uncovered):
+            # An artificial basic entry is 1 in the rational row, so its row's scale.
+            basis[i] = n + k
+            tableau[i][n] = scales[i]
         common = lcm(*(scales[i] for i in uncovered))
-        cost = [-sum(common // scales[i] * tableau[i][j] for i in uncovered) for j in range(n + 2)]
+        weighted = (
+            tableau[i] if scales[i] == common else [common // scales[i] * e for e in tableau[i]]
+            for i in uncovered
+        )
+        cost = [-sum(column) for column in zip(*weighted)]
         cost[n] = 0
         outcome = _bland_min(tableau, basis, cost, n, phase1=True)
         assert outcome[0] == "optimal", "phase 1 is bounded below by zero"
@@ -266,14 +286,15 @@ def _solve_standard(rows, scales, objective, n):
                     continue
                 _pivot(tableau, basis, r, pivot_col, n)
             keep.append(r)
-    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
-    basis = [basis[r] for r in keep]
+        tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+        basis = [basis[r] for r in keep]
 
     def current_point():
-        point = [Fraction(0)] * n
+        point = [_ZERO] * n
         for r, row in enumerate(tableau):
-            point[basis[r]] = Fraction(row[-1], row[basis[r]])
-        return tuple(point)
+            if row[-1]:
+                point[basis[r]] = Fraction(row[-1], row[basis[r]])
+        return point
 
     if objective is None:
         return LpStatus.FEASIBLE, current_point(), None
@@ -286,18 +307,20 @@ def _solve_standard(rows, scales, objective, n):
     point = current_point()
     if outcome[0] == "unbounded":
         entering = outcome[1]
-        ray = [Fraction(0)] * n
+        ray = [_ZERO] * n
         ray[entering] = Fraction(1)
         for r, row in enumerate(tableau):
-            ray[basis[r]] = Fraction(-row[entering], row[basis[r]])
-        return LpStatus.UNBOUNDED, point, tuple(ray)
+            if row[entering]:
+                ray[basis[r]] = Fraction(-row[entering], row[basis[r]])
+        return LpStatus.UNBOUNDED, point, ray
     return LpStatus.OPTIMAL, point, None
 
 
 def _recover(columns, standard_point):
     """Original-variable values of a standard-form point: col+ - col-."""
     return tuple(
-        standard_point[plus] if minus is None else standard_point[plus] - standard_point[minus]
+        standard_point[plus] if minus is None or not standard_point[minus]
+        else standard_point[plus] - standard_point[minus]
         for plus, minus in columns
     )
 
@@ -315,7 +338,7 @@ def solve(p: LpProblem) -> LpOutcome:
         return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=_recover(columns, ray))
     if status is LpStatus.FEASIBLE:
         return LpOutcome(LpStatus.FEASIBLE, point=orig_point)
-    value = sum((c * x for c, x in zip(p.objective, orig_point)), Fraction(0))
+    value = sum((c * x for c, x in zip(p.objective, orig_point) if x), _ZERO)
     return LpOutcome(LpStatus.OPTIMAL, point=orig_point, value=value)
 
 
@@ -424,9 +447,13 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
 
 
 def satisfiable(c: ConstraintSystem) -> bool:
-    """Whether `find_point(c)` finds a point.  A system with strict rows
-    that the origin misses is decided by the shared-slack LP alone, with no
-    pinned LP and no memo; every other system asks `find_point`."""
-    if c.has_strict_rows() and not all(row.holds_at_zero() for row in c.rows):
+    """Whether `find_point(c)` finds a point.  A system the origin satisfies
+    (every MS boundedness system, for one) is answered before the memo
+    hashes it.  One with strict rows is decided by the shared-slack LP
+    alone, with no pinned LP and no memo; every other system asks
+    `find_point`."""
+    if all(row.holds_at_zero() for row in c.rows):
+        return True
+    if c.has_strict_rows():
         return _slack_lp(c)[3]
     return find_point(c) is not None

@@ -17,7 +17,7 @@ from linrank.constraints import (
     to_geq_matrix,
     to_leq_matrix,
 )
-from linrank.ms import RankingFunction
+from linrank.ms import RankingFunction, build_ms_systems
 from linrank.projection import remove_redundant
 from linrank.simplex import find_point, satisfiable
 from tests.oracles import constraint, geq_satisfied_by, leq_satisfied_by, system
@@ -267,6 +267,25 @@ def test_origin_tests_agree_with_satisfied_by(rel, const):
             assert kept == (() if at_origin else (LinConstraint((0, 0), "<", 0),))
         if at_origin:
             assert find_point(ConstraintSystem(("x", "y"), (row,))) == (0, 0)
+
+
+def test_satisfiable_answers_an_origin_system_before_the_memo():
+    """A system the origin satisfies, strict rows and all, is satisfiable
+    without a memo lookup; find_point still finds the origin.  Every MS
+    boundedness system is one."""
+    countdown = loop_system(parse_loop("vars: x\nsingle: x >= 0, x' = x - 1"))
+    origin_systems = [
+        cs(("x", "y"), [((1, -1), ">=", 0), ((1, 1), "=", 0), ((2, 3), "<", 5)]),
+        cs(("x", "y", "z"), [((0, 1, -1), "<=", 0), ((1, 0, 0), ">=", 0), ((1, 1, 1), ">", -1)]),
+        build_ms_systems(countdown)[1],
+    ]
+    find_point.cache_clear()
+    for c in origin_systems:
+        before = find_point.cache_info()
+        assert satisfiable(c)
+        assert find_point.cache_info() == before
+        assert find_point(c) == (0,) * c.n_vars
+    find_point.cache_clear()
 
 
 def test_find_point_memo_hits_on_an_equal_but_distinct_system():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from linrank import parse_loop
+from linrank import ms, parse_loop
 from linrank.constraints import (
     LinConstraint,
     loop_system,
@@ -186,6 +186,23 @@ def test_ms_systems_shapes(countdown_loop):
     assert decrease.satisfied_by(hand_dec)
     hand_bnd = [Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
     assert bounded.satisfied_by(hand_bnd)
+
+
+def test_ms_space_builds_each_multiplier_system_once(monkeypatch, log2_loop):
+    """The decreasing and the bounded space each package only their own
+    multiplier system, so one ms_space builds two, not both twice."""
+    built = []
+    package = ms._multiplier_system
+
+    def counting(variables, rows, nonneg):
+        built.append(variables[0])
+        return package(variables, rows, nonneg)
+
+    monkeypatch.setattr(ms, "_multiplier_system", counting)
+    space = ms_space(log2_loop)
+    assert built == ["y1", "z1"]
+    monkeypatch.undo()
+    assert space.constraints == ms_space(log2_loop).constraints
 
 
 def test_ms_analyze_log2(log2_loop):

@@ -15,7 +15,7 @@ from linrank.projection import (
     project,
     remove_redundant,
 )
-from linrank.simplex import satisfiable
+from linrank.simplex import FREE, NONNEG, LpProblem, LpStatus, satisfiable, solve
 from tests.conftest import sample_points
 from tests.oracles import (
     constraint,
@@ -271,6 +271,7 @@ def assert_canonical(c):
     kinds = set()
     for row in c.rows:
         assert row.rel in ("<=", "<", "=")
+        assert type(row.const) is Fraction  # public rows, whatever the internal form
         assert all(v.denominator == 1 for v in row.coeffs)
         if not any(row.coeffs):
             assert c.rows == (constraint((0,) * c.n_vars, "<", 0),)
@@ -299,8 +300,8 @@ def test_projection_output_is_canonical_and_ignores_row_scaling():
 
 def test_prune_gives_int_and_fraction_rows_the_same_triples():
     """Rows of equal value prune to identical triples whether their
-    coefficients are ints or Fractions: coprime int directions and
-    Fraction constants."""
+    coefficients are ints or Fractions: coprime int directions, and
+    constants that are ints exactly when integral, Fractions otherwise."""
     rng = random.Random(61)
     for _ in range(300):
         nv = rng.randint(1, 3)
@@ -315,7 +316,7 @@ def test_prune_gives_int_and_fraction_rows_the_same_triples():
         assert pruned == projection._prune(as_fractions)
         for direction, rel, const in pruned:
             assert all(type(v) is int for v in direction)
-            assert type(const) is Fraction
+            assert type(const) is (int if const.denominator == 1 else Fraction)
 
 
 def _upper_bound(row):
@@ -362,6 +363,62 @@ def test_redundancy_and_entailment_match_the_negation_rule():
             answers.add((answer, row.is_strict))
     assert infeasible >= 20 and strict >= 100
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _dual_lp(rest, direction):
+    """The dual LP of `_entailed`: min y.b with sum y_i d_i = direction,
+    y_i >= 0 on an inequality row and free on an equality."""
+    signs = tuple(FREE if rel == "=" else NONNEG for _, rel, _ in rest)
+    rows = tuple((tuple(d[j] for d, _, _ in rest), "=", a) for j, a in enumerate(direction))
+    return LpProblem(tuple(b for _, _, b in rest), False, rows, signs)
+
+
+def _entailed_and_lp_count(monkeypatch, rest, row):
+    calls = []
+    original = projection.solve
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "solve", lambda p: calls.append(p) or original(p))
+        answer = projection._entailed(rest, row)
+    return answer, len(calls)
+
+
+def test_entailed_skips_the_lp_only_when_signs_decide(monkeypatch):
+    """`_entailed` answers False with no LP when a coordinate of the row's
+    direction has a sign no row of `rest` can supply; the skipped dual LP is
+    then infeasible.  Answers agree with the negation rule either way."""
+    rng = random.Random(89)
+    skipped = solved = 0
+    for _ in range(200):
+        names, rows = _noncanonical_system(rng)
+        c = cs(names, rows)
+        if not satisfiable(c):
+            continue
+        rest = projection._canonical(c.rows)
+        premise = projection._system(names, rest)
+        for candidate in _candidates(rng, c):
+            for direction, rel, const in projection._canonical((candidate,)):
+                if not any(direction):
+                    continue
+                halves = [(direction, rel, const)]
+                if rel == "=":  # an equality is tested as its two <= halves
+                    opposite = tuple(-v for v in direction)
+                    halves = [(direction, "<=", const), (opposite, "<=", -const)]
+                for row in halves:
+                    answer, lps = _entailed_and_lp_count(monkeypatch, rest, row)
+                    assert answer == entails_by_negation(premise, LinConstraint(*row))
+                    if lps:
+                        solved += 1
+                    else:
+                        skipped += 1
+                        assert not answer
+                        assert solve(_dual_lp(rest, row[0])).status is LpStatus.INFEASIBLE
+    assert skipped >= 100 and solved >= 1000, (skipped, solved)
+
+    # x = 0 supplies either sign in x's column, so -x <= 0 needs its LP.
+    x_is_zero = [((1, 0), "=", 0), ((0, 1), "<=", 1)]
+    assert _entailed_and_lp_count(monkeypatch, x_is_zero, ((-1, 0), "<=", 0)) == (True, 1)
+    x_at_most_zero = [((1, 0), "<=", 0), ((0, 1), "<=", 1)]
+    assert _entailed_and_lp_count(monkeypatch, x_at_most_zero, ((-1, 0), "<=", 0)) == (False, 0)
 
 
 _TOGGLED = {"<=": "<", "<": "<=", "=": "=", ">=": ">", ">": ">="}
