@@ -35,6 +35,7 @@ from typing import Sequence
 from .constraints import (
     EQ,
     GE,
+    HOLDS,
     LE,
     LT,
     ConstraintError,
@@ -46,7 +47,7 @@ from .constraints import (
     loop_system,
     to_geq_matrix,
 )
-from .projection import project, remove_redundant
+from .projection import _false_row, _project, _prune, _system, remove_redundant
 from .rationals import Rational, rat
 from .simplex import FREE, NONNEG, LpProblem, find_point, satisfiable, solve
 
@@ -148,40 +149,41 @@ def combined_varspace(c: ConstraintSystem) -> VarSpace:
     return space
 
 
+def _names(prefix: str, count: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(1, count + 1))
+
+
 def _mu_names(n: int, with_mu0: bool) -> tuple[str, ...]:
-    base = tuple(f"mu{i}" for i in range(1, n + 1))
-    return (("mu0",) + base) if with_mu0 else base
-
-
-def _sign_rows(variables: tuple[str, ...], names: Sequence[str]) -> list[LinConstraint]:
-    rows = []
-    for name in names:
-        coeffs = [Fraction(0)] * len(variables)
-        coeffs[variables.index(name)] = Fraction(1)
-        rows.append(LinConstraint(tuple(coeffs), GE, Fraction(0)))
-    return rows
+    return (("mu0",) if with_mu0 else ()) + _names("mu", n)
 
 
 # A multiplier system is stated once per engine, as (coeffs, rel, const)
-# triples without the multipliers' sign rows, and packaged two ways: as a
-# `ConstraintSystem` for projection and the reference checks, and as the
-# `LpProblem` that decides feasibility, with the signs as variable bounds.
+# triples without the multipliers' sign rows, and a sign per column.  The
+# engines decide feasibility from the `LpProblem` of the triples, with the
+# signs as variable bounds, and project the triples themselves
+# (`_multiplier_space`); the public builders package them as a
+# `ConstraintSystem` for the API and the reference checks.
 
 
-def _multiplier_system(
-    variables: tuple[str, ...], rows: list, nonneg: Sequence[str]
-) -> ConstraintSystem:
-    """The rows, then a sign row v >= 0 for each variable named in nonneg."""
-    out = [LinConstraint(coeffs, rel, const) for coeffs, rel, const in rows]
-    out.extend(_sign_rows(variables, nonneg))
-    return ConstraintSystem(variables, tuple(out))
+def _sign_rows(signs: tuple[str, ...], zero=0, one=1) -> list:
+    """A row v >= 0 for each NONNEG column v: int triples by default, and
+    for the builders Fraction ones, which `LinConstraint` takes as they are."""
+    columns = [j for j, sign in enumerate(signs) if sign == NONNEG]
+    return [(tuple(one if i == j else zero for i in range(len(signs))), GE, zero) for j in columns]
+
+
+def _multiplier_system(variables, rows: list, signs: tuple[str, ...]) -> ConstraintSystem:
+    """The rows, then their sign rows."""
+    rows = list(rows) + _sign_rows(signs, Fraction(0), Fraction(1))
+    return ConstraintSystem(variables, tuple(LinConstraint(*row) for row in rows))
 
 
 def _multiplier_lp(rows: list, signs: tuple[str, ...]) -> LpProblem:
     """The LP that `find_point` solves for the `_multiplier_system` of these
-    rows: each >= row negated to <=, and a strict row e.v < 0 tightened to
-    e.v <= -1.  The tightening is sound and complete because every system
-    with a strict row here is homogeneous, so its solutions scale."""
+    rows when none is a plain sign row (see `svg_analyze`): each >= row
+    negated to <=, and a strict row e.v < 0 tightened to e.v <= -1.  The
+    tightening is sound and complete because every system with a strict
+    row here is homogeneous, so its solutions scale."""
     out = []
     for coeffs, rel, const in rows:
         if rel == GE:
@@ -197,6 +199,33 @@ def _feasible_point(problem: LpProblem) -> tuple[Rational, ...] | None:
     return outcome.point if outcome.is_feasible else None
 
 
+def _has_point(rows: list, signs: tuple[str, ...]) -> bool:
+    """Whether the `_multiplier_system` of these rows is satisfiable: at
+    the origin when it satisfies every row, else by the decision LP."""
+    if all(HOLDS[rel](0, const) for _, rel, const in rows):
+        return True
+    return _feasible_point(_multiplier_lp(rows, signs)) is not None
+
+
+def _multiplier_space(
+    rows: list, signs: tuple[str, ...], params: tuple[str, ...], kind: str, defining=()
+) -> RankingSpace:
+    """The projection of a multiplier system onto its trailing columns,
+    named `params`.  The system is the rows, then their sign rows, then for
+    each of `defining`, a combination of the multipliers, the equality
+    that gives it one more column.  Its emptiness is `_has_point`'s."""
+    if not _has_point(rows, signs):
+        return RankingSpace(params, _system(params, [_false_row(len(params))]), kind)
+    extra = len(defining)
+    system = [(coeffs + (0,) * extra, rel, const) for coeffs, rel, const in rows]
+    system += _sign_rows(signs + (FREE,) * extra)
+    for k, coeffs in enumerate(defining):
+        system.append((tuple(coeffs) + tuple(-int(i == k) for i in range(extra)), EQ, 0))
+    width = len(signs) + extra
+    projected = _project(_prune(system), width, range(width - len(params), width))
+    return RankingSpace(params, _system(params, projected), kind)
+
+
 def _mu_rows(a_c: Rows, n: int, rel: str) -> list:
     """The 2n homogeneous rows  A_c^T y  rel  <mu, -mu>  over (y, mu1..mun)."""
     m = len(a_c)
@@ -208,6 +237,15 @@ def _mu_rows(a_c: Rows, n: int, rel: str) -> list:
     return rows
 
 
+def _svg_rows(c: ConstraintSystem) -> tuple[int, list]:
+    """(n, the rows of `build_svg_system(c)` without its sign rows)."""
+    n = combined_varspace(c).n
+    a_c, b_c = to_geq_matrix(c)
+    rows = _mu_rows(a_c, n, LE)
+    rows.append((b_c + (Fraction(0),) * n, GE, Fraction(1)))
+    return n, rows
+
+
 def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
     """Feasibility system deciding existence of a positive linear ranking
     function for a clause over nonnegative variables.
@@ -215,19 +253,15 @@ def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
     Rows, in order: the 2n homogeneous rows A_c^T y <= <mu, -mu>, the
     decrease row b_c^T y >= 1, then y >= 0 and mu >= 0.
     """
-    n = combined_varspace(c).n
-    a_c, b_c = to_geq_matrix(c)
-    y_names = tuple(f"y{i}" for i in range(1, len(a_c) + 1))
-    variables = y_names + _mu_names(n, with_mu0=False)
-    rows = _mu_rows(a_c, n, LE)
-    rows.append((b_c + (Fraction(0),) * n, GE, Fraction(1)))
-    return _multiplier_system(variables, rows, variables)
+    n, rows = _svg_rows(c)
+    variables = _names("y", len(rows[0][0]) - n) + _mu_names(n, with_mu0=False)
+    return _multiplier_system(variables, rows, (NONNEG,) * len(variables))
 
 
 def _satisfiable_nonneg(c: ConstraintSystem) -> bool:
     """Satisfiability of c with every variable restricted to Q+."""
-    extended = c.with_rows(tuple(c.rows) + tuple(_sign_rows(c.variables, c.variables)))
-    return satisfiable(extended)
+    signs = _sign_rows((NONNEG,) * c.n_vars, Fraction(0), Fraction(1))
+    return satisfiable(c.with_rows(c.rows + tuple(LinConstraint(*row) for row in signs)))
 
 
 def svg_analyze(c: ConstraintSystem) -> Verdict:
@@ -238,8 +272,12 @@ def svg_analyze(c: ConstraintSystem) -> Verdict:
     is inconclusive."""
     if not _satisfiable_nonneg(c):
         return Verdict.trivially_terminating()
-    system = build_svg_system(c)
-    point = find_point(system)
+    # The witness is find_point's point, not `_multiplier_lp`'s.  Where x_j's
+    # column of A_c is zero, its row of A_c^T y <= <mu, -mu> is -mu_j <= 0,
+    # a variable bound in find_point's layout and a row in `_multiplier_lp`.
+    # Of 2,450 `random_loop`s from Random(2450) (n <= 4, m <= 8), the two
+    # layouts differ on 48 and the point on 2.
+    point = find_point(build_svg_system(c))
     if point is not None:
         n = combined_varspace(c).n
         mu = point[-n:]
@@ -252,10 +290,9 @@ def svg_space(c: ConstraintSystem) -> RankingSpace:
     """Space of all positive linear ranking coefficient vectors mu."""
     if not _satisfiable_nonneg(c):
         raise UnsatisfiableLoopError("svg space of an unsatisfiable clause")
-    n = combined_varspace(c).n
-    params = _mu_names(n, with_mu0=False)
-    projected = project(build_svg_system(c), params)
-    return RankingSpace(params, projected, SVG)
+    n, rows = _svg_rows(c)
+    signs = (NONNEG,) * len(rows[0][0])
+    return _multiplier_space(rows, signs, _mu_names(n, with_mu0=False), SVG)
 
 
 def svg_global_space(clauses: Sequence[ConstraintSystem]) -> RankingSpace:
@@ -293,6 +330,11 @@ def _ms_rows(c: ConstraintSystem) -> tuple[int, int, list, list]:
     return n, m, decrease, bounded
 
 
+def _ms_signs(multipliers: int, n: int) -> tuple[str, ...]:
+    """Nonnegative multipliers, then free (mu0, mu1..mun)."""
+    return (NONNEG,) * multipliers + (FREE,) * (n + 1)
+
+
 def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintSystem]:
     """The decrease system over (y, mu) and the boundedness system over
     (z, mu0, mu); mu and mu0 are free-sign variables.
@@ -304,51 +346,35 @@ def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintS
     x0 = 1.
     """
     n, m, decrease, bounded = _ms_rows(c)
-    return _ms_system(n, m, decrease, False), _ms_system(n, m, bounded, True)
+    y, z = _names("y", m), _names("z", m + 2)
+    return (
+        _multiplier_system(y + _mu_names(n, False), decrease, (NONNEG,) * m + (FREE,) * n),
+        _multiplier_system(z + _mu_names(n, True), bounded, _ms_signs(m + 2, n)),
+    )
 
 
-def _ms_system(n: int, m: int, rows: list, bounded: bool) -> ConstraintSystem:
-    """One of the two systems of `build_ms_systems`, from its `_ms_rows`
-    rows: the boundedness system over (z, mu0, mu), or the decrease system
-    over (y, mu)."""
-    block, size = ("z", m + 2) if bounded else ("y", m)
-    names = tuple(f"{block}{i}" for i in range(1, size + 1))
-    return _multiplier_system(names + _mu_names(n, with_mu0=bounded), rows, names)
-
-
-def _ms_lp(c: ConstraintSystem) -> tuple[int, LpProblem]:
-    """m and the decision LP of `conjoined_ms_system(c)`, whose columns are
-    y (one per row of to_geq_matrix(c), the rows of to_leq_rows(c)
+def _conjoined_rows(c: ConstraintSystem) -> tuple[int, int, list]:
+    """(n, m, the rows of `conjoined_ms_system(c)` without its sign rows),
+    over y (one per row of to_geq_matrix(c), the rows of to_leq_rows(c)
     negated), z (two x0 rows, then one per row) and mu0..mun."""
     n, m, decrease, bounded = _ms_rows(c)
     pad, lead = (Fraction(0),) * (m + 3), (Fraction(0),) * m
     rows = [(coeffs[:m] + pad + coeffs[m:], rel, k) for coeffs, rel, k in decrease]
     rows += [(lead + coeffs, rel, k) for coeffs, rel, k in bounded]
-    return m, _multiplier_lp(rows, (NONNEG,) * (2 * m + 2) + (FREE,) * (n + 1))
+    return n, m, rows
 
 
-def _embed(c: ConstraintSystem, variables: tuple[str, ...]) -> ConstraintSystem:
-    """Widen c's rows onto a larger variable tuple (matching by name)."""
-    index = {name: variables.index(name) for name in c.variables}
-    rows = []
-    for row in c.rows:
-        coeffs = [Fraction(0)] * len(variables)
-        for name, coeff in zip(c.variables, row.coeffs):
-            coeffs[index[name]] = coeff
-        rows.append(LinConstraint(tuple(coeffs), row.rel, row.const))
-    return ConstraintSystem(variables, tuple(rows))
+def _ms_lp(c: ConstraintSystem) -> tuple[int, LpProblem]:
+    """m and the decision LP of `conjoined_ms_system(c)`."""
+    n, m, rows = _conjoined_rows(c)
+    return m, _multiplier_lp(rows, _ms_signs(2 * m + 2, n))
 
 
 def conjoined_ms_system(c: ConstraintSystem) -> ConstraintSystem:
     """Both systems over shared (mu0, mu) with disjoint y and z blocks."""
-    decrease, bounded = build_ms_systems(c)
-    y_names = tuple(v for v in decrease.variables if v.startswith("y"))
-    z_names = tuple(v for v in bounded.variables if v.startswith("z"))
-    mu_names = tuple(v for v in bounded.variables if v.startswith("mu"))
-    variables = y_names + z_names + mu_names
-    return ConstraintSystem(
-        variables, _embed(decrease, variables).rows + _embed(bounded, variables).rows
-    )
+    n, m, rows = _conjoined_rows(c)
+    variables = _names("y", m) + _names("z", m + 2) + _mu_names(n, with_mu0=True)
+    return _multiplier_system(variables, rows, _ms_signs(2 * m + 2, n))
 
 
 def ms_analyze(loop: LoopModel) -> Verdict:
@@ -376,6 +402,15 @@ def _require_satisfiable(loop: LoopModel) -> ConstraintSystem:
     return c
 
 
+def _ms_space(n: int, m: int, rows: list, kind: str) -> RankingSpace:
+    """The decreasing or the bounded space, projected from its `_ms_rows`
+    rows; the decrease rows get mu0's column, all zero."""
+    if kind == MS_DECREASING:
+        rows = [(coeffs[:m] + (0,) + coeffs[m:], rel, k) for coeffs, rel, k in rows]
+    signs = _ms_signs(len(rows[0][0]) - n - 1, n)
+    return _multiplier_space(rows, signs, _mu_names(n, with_mu0=True), kind)
+
+
 def ms_space(loop: LoopModel) -> RankingSpace:
     """Space of all normalized affine ranking functions (decrease >= 1,
     lower bound 0), as constraints over (mu0, mu1..muN).
@@ -383,28 +418,20 @@ def ms_space(loop: LoopModel) -> RankingSpace:
     The conjoined system's y and z blocks share only (mu0, mu), so its
     projection is computed block-by-block and conjoined; this is exact and
     keeps each elimination small.  An unsatisfiable loop raises
-    UnsatisfiableLoopError from ms_decreasing_space."""
-    params = _mu_names(loop.space.n, with_mu0=True)
-    decreasing = ms_decreasing_space(loop)
-    bounded = ms_bounded_space(loop)
-    merged = remove_redundant(decreasing.constraints.conjoin(bounded.constraints))
-    return RankingSpace(params, merged, MS_FULL)
+    UnsatisfiableLoopError."""
+    n, m, decrease, bounded = _ms_rows(_require_satisfiable(loop))
+    spaces = _ms_space(n, m, decrease, MS_DECREASING), _ms_space(n, m, bounded, MS_BOUNDED)
+    merged = remove_redundant(spaces[0].constraints.conjoin(spaces[1].constraints))
+    return RankingSpace(spaces[0].params, merged, MS_FULL)
 
 
 def ms_decreasing_space(loop: LoopModel) -> RankingSpace:
     """Candidates that decrease by >= 1 each iteration (mu0 unconstrained)."""
     n, m, rows, _ = _ms_rows(_require_satisfiable(loop))
-    decrease = _ms_system(n, m, rows, False)
-    params = _mu_names(loop.space.n, with_mu0=True)
-    widened = _embed(decrease, tuple(v for v in decrease.variables if v.startswith("y")) + params)
-    projected = project(widened, params)
-    return RankingSpace(params, projected, MS_DECREASING)
+    return _ms_space(n, m, rows, MS_DECREASING)
 
 
 def ms_bounded_space(loop: LoopModel) -> RankingSpace:
     """Candidates bounded below by 0 on the loop's reachable states."""
     n, m, _, rows = _ms_rows(_require_satisfiable(loop))
-    bounded = _ms_system(n, m, rows, True)
-    params = _mu_names(loop.space.n, with_mu0=True)
-    projected = project(bounded, params)
-    return RankingSpace(params, projected, MS_BOUNDED)
+    return _ms_space(n, m, rows, MS_BOUNDED)

@@ -34,7 +34,6 @@ from .constraints import (
     ConstraintError,
     ConstraintSystem,
     LeqMatrixForm,
-    LinConstraint,
     LoopModel,
     loop_system,
     merge_guarded,
@@ -45,14 +44,15 @@ from .ms import (
     PR,
     RankingFunction,
     RankingSpace,
-    UnsatisfiableLoopError,
     Verdict,
     _feasible_point,
     _multiplier_lp,
+    _multiplier_space,
     _multiplier_system,
     _mu_names,
+    _names,
+    _require_satisfiable,
 )
-from .projection import project
 from .rationals import Rational
 from .simplex import NONNEG, LpProblem, satisfiable
 
@@ -100,13 +100,6 @@ class PrAltWitness:
         return PrWitness(self.v1 + zeros, self.v2 + self.v3)
 
 
-def _lambda_names(rows: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return (
-        tuple(f"lam1_{i}" for i in range(1, rows + 1)),
-        tuple(f"lam2_{i}" for i in range(1, rows + 1)),
-    )
-
-
 def with_affine_slot(m: LeqMatrixForm) -> LeqMatrixForm:
     """Append the universally-true row 0 <= 1.
 
@@ -140,9 +133,8 @@ def _pr_rows(m: LeqMatrixForm) -> list:
 
 def build_pr_system(m: LeqMatrixForm) -> ConstraintSystem:
     """The witness equations over (lam1, lam2), the final row kept strict."""
-    l1_names, l2_names = _lambda_names(m.n_rows)
-    variables = l1_names + l2_names
-    return _multiplier_system(variables, _pr_rows(m), variables)
+    variables = _names("lam1_", m.n_rows) + _names("lam2_", m.n_rows)
+    return _multiplier_system(variables, _pr_rows(m), (NONNEG,) * len(variables))
 
 
 def _pr_lp(m: LeqMatrixForm) -> LpProblem:
@@ -187,61 +179,30 @@ def pr_analyze(loop: LoopModel) -> Verdict:
     return Verdict.terminating(extract_rf(witness, m))
 
 
-def _space_from(
-    base: ConstraintSystem, mu_defs: list[tuple[Rational, ...]], n: int
-) -> RankingSpace:
-    """Augment a multiplier system with (mu0, mu) and their defining
-    equalities, then eliminate the multipliers."""
-    params = _mu_names(n, with_mu0=True)
-    variables = base.variables + params
-    pad = len(params)
-    rows = [
-        LinConstraint(row.coeffs + (Fraction(0),) * pad, row.rel, row.const)
-        for row in base.rows
-    ]
-    for k, coeffs in enumerate(mu_defs):
-        full = list(coeffs) + [Fraction(0)] * pad
-        full[len(base.variables) + k] = Fraction(-1)
-        rows.append(LinConstraint(tuple(full), EQ, Fraction(0)))
-    projected = project(ConstraintSystem(variables, tuple(rows)), params)
-    return RankingSpace(params, projected, PR)
-
-
 def pr_space(loop: LoopModel) -> RankingSpace:
     """All ranking-function coefficient pairs <mu0, mu> reachable from
     witness multipliers; the strict witness row makes this a cone-like set
     with strict faces."""
-    c = loop_system(loop)
-    if not satisfiable(c):
-        raise UnsatisfiableLoopError("loop body constraint is unsatisfiable")
-    return pr_space_of_matrix(to_leq_matrix(c, loop.space))
-
-
-def _guard_update_matrices(loop: LoopModel):
-    if not loop.is_guarded:
-        raise ConstraintError("alternative formulation needs a guarded loop")
-    a_b, b_b = to_leq_rows(loop.guard)
-    update = to_leq_matrix(loop.update, loop.space)
-    return a_b, b_b, update
+    return pr_space_of_matrix(to_leq_matrix(_require_satisfiable(loop), loop.space))
 
 
 def _pr_alt_rows(loop: LoopModel) -> tuple[int, int, list]:
     """(r guard rows, s update rows, the witness equations over (v1, v2, v3)
     with the strict row last)."""
-    a_b, b_b, update = _guard_update_matrices(loop)
+    if not loop.is_guarded:
+        raise ConstraintError("alternative formulation needs a guarded loop")
+    a_b, b_b = to_leq_rows(loop.guard)
+    update = to_leq_matrix(loop.update, loop.space)
     r, zero = len(a_b), Fraction(0)
-    rows = []
+    zeros = (zero,) * r
+    first, second = [], []
     for j in range(loop.space.n):
         guard_col = tuple(row[j] for row in a_b)
         upd_col = tuple(row[j] for row in update.a)
-        rows.append((guard_col + tuple(-v for v in guard_col + upd_col), EQ, zero))
-    zeros = (zero,) * r
-    for j in range(loop.space.n):
-        guard_col = tuple(row[j] for row in a_b)
-        upd_col = tuple(u[j] + up[j] for u, up in zip(update.a, update.a_prime))
-        rows.append((zeros + guard_col + upd_col, EQ, zero))
-    rows.append((zeros + b_b + update.b, LT, zero))
-    return r, update.n_rows, rows
+        first.append((guard_col + tuple(-v for v in guard_col + upd_col), EQ, zero))
+        upd_sum = tuple(u[j] + up[j] for u, up in zip(update.a, update.a_prime))
+        second.append((zeros + guard_col + upd_sum, EQ, zero))
+    return r, update.n_rows, first + second + [(zeros + b_b + update.b, LT, zero)]
 
 
 def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
@@ -258,11 +219,8 @@ def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
     nonnegativity relies on update rows.
     """
     r, s, rows = _pr_alt_rows(loop)
-    v1 = tuple(f"v1_{i}" for i in range(1, r + 1))
-    v2 = tuple(f"v2_{i}" for i in range(1, r + 1))
-    v3 = tuple(f"v3_{i}" for i in range(1, s + 1))
-    variables = v1 + v2 + v3
-    return _multiplier_system(variables, rows, variables)
+    variables = _names("v1_", r) + _names("v2_", r) + _names("v3_", s)
+    return _multiplier_system(variables, rows, (NONNEG,) * len(variables))
 
 
 def _pr_alt_lp(loop: LoopModel) -> tuple[int, LpProblem]:
@@ -304,6 +262,9 @@ def pr_alt_space(loop: LoopModel) -> RankingSpace:
 def pr_space_of_matrix(m: LeqMatrixForm) -> RankingSpace:
     """The multiplier-to-space projection for any <=-form matrix; pr_space
     is this applied to the loop's merged form.  The affine slot row is
-    appended first so the mu0 coordinate ranges over every valid offset."""
+    appended first so the mu0 coordinate ranges over every valid offset.
+    The parameters are defined by the extraction rows: mu0 = lam1^T b and
+    mu = lam2^T A'."""
     ext = with_affine_slot(m)
-    return _space_from(build_pr_system(ext), extraction_rows(ext), ext.n_vars)
+    signs, params = (NONNEG,) * (2 * ext.n_rows), _mu_names(ext.n_vars, with_mu0=True)
+    return _multiplier_space(_pr_rows(ext), signs, params, PR, extraction_rows(ext))

@@ -20,14 +20,17 @@ integer directions into a positive multiple of the rational combination,
 so `_prune` restores the canonical form.  A row with a zero in the
 eliminated column is copied with that zero dropped, which keeps it
 canonical, so `_prune` passes it straight to the parallel-row collapse
-with no integer scaling or gcd.  `project` prunes exactly when a
-step grows the system: a step that leaves more rows than it started with
-is followed by the exact greedy scan `_irredundant`, so no step ends with
-more rows than the larger of its input count and an irredundant system's.
-The result gets one final scan, unless the last step already had one.
-That is sound because `project` only eliminates from a feasible input,
-and the projection of a feasible system is feasible, as `_entailed`
-requires; one `satisfiable` call on the input covers every scan.
+with no integer scaling or gcd.  `_project`, the one elimination loop,
+prunes exactly when a step grows the system: a step that leaves more rows
+than it started with is followed by the exact greedy scan `_irredundant`,
+so no step ends with more rows than the larger of its input count and an
+irredundant system's.  The result gets one final scan, unless the last
+step already had one.  That is sound because `_project` only takes a
+feasible input, and the projection of a feasible system is feasible, as
+`_entailed` requires.  `project` checks that with one `satisfiable` call
+on its `ConstraintSystem`; the engines' space routes
+(`ms._multiplier_space`) check it with their own decision LP, then hand
+`_project` their row triples, canonicalized, with no system built.
 
 Entailment is one test, `_entailed`, in the space's own dimension.  By
 Farkas' lemma, min y.b over the multipliers y >= 0 (free on an equality)
@@ -250,36 +253,42 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     The result's variables follow the order of `keep`.  Feasibility is
     checked once, on c; every redundancy scan is an `_irredundant` pass."""
     keep = tuple(keep)
-    for name in keep:
-        c.index_of(name)  # validates membership
+    columns = [c.index_of(name) for name in keep]  # validates membership
     # Projecting an empty set is the empty set; eliminating variables from
     # an infeasible system head-on can blow up combinatorially instead.
     if not satisfiable(c):
         return _system(keep, [_false_row(len(keep))])
-    rows = _canonical(c.rows)
-    variables = c.variables
+    return _system(keep, _project(_canonical(c.rows), c.n_vars, columns))
+
+
+def _project(rows: list[Row], width: int, keep: Sequence[int]) -> list[Row]:
+    """Eliminate every column outside `keep` from feasible canonical rows
+    over `width` columns, then remove redundancy; the result's columns
+    follow the order of `keep`."""
+    columns = list(range(width))
+    kept = set(keep)
 
     def cost(i: int) -> tuple[int, int]:
         # Substitution through an equality first, in index order (each such
-        # step removes one row and one column); then the variable with the
+        # step removes one row and one column); then the column with the
         # fewest (upper, lower) pairs.  Pairing never creates an equality.
         if any(rel == EQ and d[i] for d, rel, _ in rows):
             return 0, 0
         return 1, sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows)
 
     grew = False
-    for _ in range(sum(v not in keep for v in variables)):
-        idx = min((i for i, v in enumerate(variables) if v not in keep), key=cost)
+    for _ in range(width - len(kept)):
+        idx = min((i for i, col in enumerate(columns) if col not in kept), key=cost)
         stepped = _prune(*_eliminate(rows, idx))
         grew = len(stepped) > len(rows)
         rows = _irredundant(stepped) if grew else stepped
-        variables = variables[:idx] + variables[idx + 1 :]
+        del columns[idx]
 
     # Permuting columns can flip an equality's leading sign, so the rows are
     # pruned again.  After a growing last step they are already irredundant.
-    perm = [variables.index(name) for name in keep]
+    perm = [columns.index(col) for col in keep]
     rows = _prune((tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
-    return _system(keep, rows if grew else _irredundant(rows))
+    return rows if grew else _irredundant(rows)
 
 
 def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:

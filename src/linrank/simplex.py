@@ -14,12 +14,14 @@ only where the simplex multipliers are a Farkas certificate that the LP
 is infeasible (see `_bland_min`).
 
 `solve` takes an `LpProblem`.  The termination analyses (`ms_analyze`,
-`pr_analyze`, `pr_alt_analyze`) build theirs straight from the loop's
-matrices, with the multipliers' signs as variable bounds, as projection's
-entailment test builds its dual LPs.  A question asked of a `ConstraintSystem`
-(loop bodies, spaces, projection's feasibility checks, `svg_analyze`)
-goes through the bridge below: one pass orients each row as <=, < or =,
-turns plain sign rows into variable bounds and keeps the rest as LP rows.
+`pr_analyze`, `pr_alt_analyze`) and the space routes' emptiness checks
+build theirs straight from the engines' multiplier rows, with the
+multipliers' signs as variable bounds, as projection's entailment test
+builds its dual LPs.  A question asked of a `ConstraintSystem` (loop
+bodies, spaces, `project` and `remove_redundant` on a system,
+`svg_analyze`) goes through the bridge below: one pass orients each row
+as <=, < or =, turns plain sign rows into variable bounds and keeps the
+rest as LP rows.
 Feasibility of systems that mix strict and non-strict rows is decided by
 maximizing one shared slack added to every strict row -- the system has a
 point satisfying all strict rows strictly iff the optimal slack is
@@ -375,11 +377,11 @@ def dual(p: LpProblem) -> LpProblem:
 def _lp_rows(c: ConstraintSystem, slack: bool):
     """Orient each row of c once and turn it into LP data; returns (signs,
     rows).  A plain sign row (c*x >= 0, one nonzero positive coefficient)
-    becomes a variable bound, which halves the standard-form column count
-    for the multiplier systems, as they consist mostly of nonnegative
-    variables.  Every other row becomes an LP row over c's variables, oriented
-    as <=, < or =, plus a trailing slack column when requested; strict rows
-    are tightened by that shared slack."""
+    becomes a variable bound, so a nonnegative variable takes one
+    standard-form column, not two, and its sign row no LP row.  Every other
+    row becomes an LP row over c's variables, oriented as <=, < or =, plus
+    a trailing slack column when requested; strict rows are tightened by
+    that shared slack."""
     signs = [FREE] * c.n_vars
     rows = []
     zero_slack = (Fraction(0),) if slack else ()
@@ -448,7 +450,7 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
 
 def satisfiable(c: ConstraintSystem) -> bool:
     """Whether `find_point(c)` finds a point.  A system the origin satisfies
-    (every MS boundedness system, for one) is answered before the memo
+    (any homogeneous one without strict rows) is answered before the memo
     hashes it.  One with strict rows is decided by the shared-slack LP
     alone, with no pinned LP and no memo; every other system asks
     `find_point`."""

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from linrank.ms import (
     svg_global_space,
     svg_space,
 )
+from linrank.pr import pr_alt_space, pr_space
 from linrank.projection import entails, equivalent, project
 from linrank.simplex import find_point, satisfiable
 from tests.conftest import sample_points
@@ -188,21 +190,33 @@ def test_ms_systems_shapes(countdown_loop):
     assert bounded.satisfied_by(hand_bnd)
 
 
-def test_ms_space_builds_each_multiplier_system_once(monkeypatch, log2_loop):
-    """The decreasing and the bounded space each package only their own
-    multiplier system, so one ms_space builds two, not both twice."""
-    built = []
-    package = ms._multiplier_system
+def _golden_space_rows() -> list:
+    """Each space's rows (or its error type) on every `loops/*.loop`."""
+    out = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "loops").glob("*.loop")):
+        loop = parse_loop(path.read_text())
+        calls = [(f, loop) for f in (ms_space, ms_decreasing_space, ms_bounded_space)]
+        calls += [(pr_space, loop), (pr_alt_space, loop), (svg_space, loop_system(loop))]
+        for space, arg in calls:
+            try:
+                out.append(space(arg).constraints.rows)
+            except ValueError as err:
+                out.append(type(err))
+    return out
 
-    def counting(variables, rows, nonneg):
-        built.append(variables[0])
-        return package(variables, rows, nonneg)
 
-    monkeypatch.setattr(ms, "_multiplier_system", counting)
-    space = ms_space(log2_loop)
-    assert built == ["y1", "z1"]
-    monkeypatch.undo()
-    assert space.constraints == ms_space(log2_loop).constraints
+def test_spaces_project_without_packaging_a_multiplier_system(monkeypatch):
+    """The space routes project the engines' row triples straight away: no
+    space packages a multiplier system as a `ConstraintSystem`, and each
+    still returns its rows."""
+    expected = _golden_space_rows()
+    assert sum(isinstance(rows, tuple) for rows in expected) >= 20
+
+    def packaging(*_args):
+        raise AssertionError("a space route packaged a multiplier system")
+
+    monkeypatch.setattr(ms, "_multiplier_system", packaging)
+    assert _golden_space_rows() == expected
 
 
 def test_ms_analyze_log2(log2_loop):

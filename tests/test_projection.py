@@ -7,7 +7,7 @@ import pytest
 
 from linrank import projection
 from linrank.constraints import ConstraintError, LinConstraint, loop_system
-from linrank.ms import _embed, build_ms_systems
+from linrank.ms import build_ms_systems
 from linrank.projection import (
     eliminate,
     entails,
@@ -501,9 +501,13 @@ def test_project_matches_stepwise_elimination(seed207_loop):
     assert sum(c.has_strict_rows() for c, _ in cases) >= 100
     assert sum(any(r.rel == "=" for r in c.rows) for c, _ in cases) >= 100
 
+    # The decrease system over (y, mu1, mu2), with an all-zero mu0 column
+    # inserted before mu1.
     decrease, _ = build_ms_systems(loop_system(seed207_loop))
+    m = decrease.n_vars - 2
+    rows = [(r.coeffs[:m] + (0,) + r.coeffs[m:], r.rel, r.const) for r in decrease.rows]
     mu = ("mu0", "mu1", "mu2")
-    cases.append((_embed(decrease, tuple(v for v in decrease.variables if v[0] == "y") + mu), mu))
+    cases.append((cs(decrease.variables[:m] + mu, rows), mu))
     for c, keep in cases:
         assert equivalent(project(c, keep), _stepwise(c, keep))
 
