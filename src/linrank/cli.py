@@ -56,7 +56,7 @@ class CliError(Exception):
 def _load_loop(path: str) -> LoopModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_loop(text)
@@ -246,7 +246,7 @@ def cmd_bench(args, out) -> int:
     for path in sorted(directory.glob("*.loop")):
         try:
             loop = parse_loop(path.read_text(encoding="utf-8"))
-        except (LoopParseError, OSError):
+        except (LoopParseError, OSError, UnicodeDecodeError):
             print(f"{path.name},,,parse-error,parse-error,,,", file=out)
             continue
         c = loop_system(loop)

@@ -124,6 +124,8 @@ class _TermParser:
                     magnitude = Fraction(value)
                 except ZeroDivisionError:
                     raise LoopParseError("zero denominator", self.line, col) from None
+                except ValueError:  # more digits than int() converts
+                    raise LoopParseError("number has too many digits", self.line, col) from None
                 nkind, nvalue, ncol = self.peek()
                 if nkind == "op" and nvalue == "*":
                     self.take()

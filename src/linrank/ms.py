@@ -35,9 +35,7 @@ from typing import Sequence
 from .constraints import (
     EQ,
     GE,
-    HOLDS,
     LE,
-    LT,
     ConstraintError,
     ConstraintSystem,
     LinConstraint,
@@ -49,7 +47,7 @@ from .constraints import (
 )
 from .projection import _false_row, _project, _prune, _system, remove_redundant
 from .rationals import Rational, rat
-from .simplex import FREE, NONNEG, LpProblem, find_point, satisfiable, solve
+from .simplex import FREE, NONNEG, _point, satisfiable
 
 SVG, MS_FULL, MS_DECREASING, MS_BOUNDED, PR = (
     "svg",
@@ -159,10 +157,11 @@ def _mu_names(n: int, with_mu0: bool) -> tuple[str, ...]:
 
 # A multiplier system is stated once per engine, as (coeffs, rel, const)
 # triples without the multipliers' sign rows, and a sign per column.  The
-# engines decide feasibility from the `LpProblem` of the triples, with the
-# signs as variable bounds, and project the triples themselves
-# (`_multiplier_space`); the public builders package them as a
-# `ConstraintSystem` for the API and the reference checks.
+# analyses and the spaces' emptiness checks hand the triples and signs to
+# `simplex._point`, which lays them out as `find_point` lays out a system's
+# rows; the spaces project the triples themselves (`_multiplier_space`);
+# the public builders package them as a `ConstraintSystem` for the API and
+# the reference checks.
 
 
 def _sign_rows(signs: tuple[str, ...], zero=0, one=1) -> list:
@@ -178,43 +177,15 @@ def _multiplier_system(variables, rows: list, signs: tuple[str, ...]) -> Constra
     return ConstraintSystem(variables, tuple(LinConstraint(*row) for row in rows))
 
 
-def _multiplier_lp(rows: list, signs: tuple[str, ...]) -> LpProblem:
-    """The LP that `find_point` solves for the `_multiplier_system` of these
-    rows when none is a plain sign row (see `svg_analyze`): each >= row
-    negated to <=, and a strict row e.v < 0 tightened to e.v <= -1.  The
-    tightening is sound and complete because every system with a strict
-    row here is homogeneous, so its solutions scale."""
-    out = []
-    for coeffs, rel, const in rows:
-        if rel == GE:
-            coeffs, rel, const = tuple(-v for v in coeffs), LE, -const
-        elif rel == LT:
-            rel, const = LE, Fraction(-1)
-        out.append((coeffs, rel, const))
-    return LpProblem(None, False, tuple(out), signs)
-
-
-def _feasible_point(problem: LpProblem) -> tuple[Rational, ...] | None:
-    outcome = solve(problem)
-    return outcome.point if outcome.is_feasible else None
-
-
-def _has_point(rows: list, signs: tuple[str, ...]) -> bool:
-    """Whether the `_multiplier_system` of these rows is satisfiable: at
-    the origin when it satisfies every row, else by the decision LP."""
-    if all(HOLDS[rel](0, const) for _, rel, const in rows):
-        return True
-    return _feasible_point(_multiplier_lp(rows, signs)) is not None
-
-
 def _multiplier_space(
     rows: list, signs: tuple[str, ...], params: tuple[str, ...], kind: str, defining=()
 ) -> RankingSpace:
     """The projection of a multiplier system onto its trailing columns,
     named `params`.  The system is the rows, then their sign rows, then for
     each of `defining`, a combination of the multipliers, the equality
-    that gives it one more column.  Its emptiness is `_has_point`'s."""
-    if not _has_point(rows, signs):
+    that gives it one more column.  It is empty iff `_point` finds no
+    point of the rows."""
+    if _point(rows, signs) is None:
         return RankingSpace(params, _system(params, [_false_row(len(params))]), kind)
     extra = len(defining)
     system = [(coeffs + (0,) * extra, rel, const) for coeffs, rel, const in rows]
@@ -272,14 +243,9 @@ def svg_analyze(c: ConstraintSystem) -> Verdict:
     is inconclusive."""
     if not _satisfiable_nonneg(c):
         return Verdict.trivially_terminating()
-    # The witness is find_point's point, not `_multiplier_lp`'s.  Where x_j's
-    # column of A_c is zero, its row of A_c^T y <= <mu, -mu> is -mu_j <= 0,
-    # a variable bound in find_point's layout and a row in `_multiplier_lp`.
-    # Of 2,450 `random_loop`s from Random(2450) (n <= 4, m <= 8), the two
-    # layouts differ on 48 and the point on 2.
-    point = find_point(build_svg_system(c))
+    n, rows = _svg_rows(c)
+    point = _point(rows, (NONNEG,) * len(rows[0][0]))
     if point is not None:
-        n = combined_varspace(c).n
         mu = point[-n:]
         witness = RankingFunction(Fraction(0), mu, Fraction(1), Fraction(0))
         return Verdict.terminating(witness)
@@ -364,12 +330,6 @@ def _conjoined_rows(c: ConstraintSystem) -> tuple[int, int, list]:
     return n, m, rows
 
 
-def _ms_lp(c: ConstraintSystem) -> tuple[int, LpProblem]:
-    """m and the decision LP of `conjoined_ms_system(c)`."""
-    n, m, rows = _conjoined_rows(c)
-    return m, _multiplier_lp(rows, _ms_signs(2 * m + 2, n))
-
-
 def conjoined_ms_system(c: ConstraintSystem) -> ConstraintSystem:
     """Both systems over shared (mu0, mu) with disjoint y and z blocks."""
     n, m, rows = _conjoined_rows(c)
@@ -385,8 +345,8 @@ def ms_analyze(loop: LoopModel) -> Verdict:
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()
-    m, problem = _ms_lp(c)
-    point = _feasible_point(problem)
+    n, m, rows = _conjoined_rows(c)
+    point = _point(rows, _ms_signs(2 * m + 2, n))
     if point is None:
         return Verdict.unknown()
     certificate = (point[:m], point[m + 2 : 2 * m + 2])

@@ -45,8 +45,6 @@ from .ms import (
     RankingFunction,
     RankingSpace,
     Verdict,
-    _feasible_point,
-    _multiplier_lp,
     _multiplier_space,
     _multiplier_system,
     _mu_names,
@@ -54,7 +52,7 @@ from .ms import (
     _require_satisfiable,
 )
 from .rationals import Rational
-from .simplex import NONNEG, LpProblem, satisfiable
+from .simplex import NONNEG, _point, satisfiable
 
 
 class InvalidWitnessError(ValueError):
@@ -137,11 +135,6 @@ def build_pr_system(m: LeqMatrixForm) -> ConstraintSystem:
     return _multiplier_system(variables, _pr_rows(m), (NONNEG,) * len(variables))
 
 
-def _pr_lp(m: LeqMatrixForm) -> LpProblem:
-    """The decision LP of `build_pr_system(m)`, strict row at <= -1."""
-    return _multiplier_lp(_pr_rows(m), (NONNEG,) * (2 * m.n_rows))
-
-
 def extraction_rows(m: LeqMatrixForm) -> list[tuple[Rational, ...]]:
     """Coefficients over (lam1, lam2) of the extracted offset lam1^T b,
     then of each coordinate of mu = lam2^T A'."""
@@ -171,7 +164,7 @@ def pr_analyze(loop: LoopModel) -> Verdict:
     if not satisfiable(c):
         return Verdict.trivially_terminating()
     m = to_leq_matrix(c, loop.space)
-    point = _feasible_point(_pr_lp(m))
+    point = _point(_pr_rows(m), (NONNEG,) * (2 * m.n_rows))
     if point is None:
         return Verdict.unknown()
     rows_n = m.n_rows
@@ -223,13 +216,6 @@ def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
     return _multiplier_system(variables, rows, (NONNEG,) * len(variables))
 
 
-def _pr_alt_lp(loop: LoopModel) -> tuple[int, LpProblem]:
-    """r and the decision LP of `build_pr_alt_system(loop)`, strict row at
-    <= -1."""
-    r, s, rows = _pr_alt_rows(loop)
-    return r, _multiplier_lp(rows, (NONNEG,) * (2 * r + s))
-
-
 def pr_alt_analyze(loop: LoopModel) -> Verdict:
     """Same verdict as pr_analyze, computed on the guard/update split as one
     LP straight off the guard and update matrices; the witness is
@@ -237,8 +223,8 @@ def pr_alt_analyze(loop: LoopModel) -> Verdict:
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()
-    r, problem = _pr_alt_lp(loop)
-    point = _feasible_point(problem)
+    r, s, rows = _pr_alt_rows(loop)
+    point = _point(rows, (NONNEG,) * (2 * r + s))
     if point is None:
         return Verdict.unknown()
     witness = PrAltWitness(point[:r], point[r : 2 * r], point[2 * r :])

@@ -13,15 +13,14 @@ real columns are priced.  No pivot changes, as an artificial would enter
 only where the simplex multipliers are a Farkas certificate that the LP
 is infeasible (see `_bland_min`).
 
-`solve` takes an `LpProblem`.  The termination analyses (`ms_analyze`,
-`pr_analyze`, `pr_alt_analyze`) and the space routes' emptiness checks
-build theirs straight from the engines' multiplier rows, with the
-multipliers' signs as variable bounds, as projection's entailment test
-builds its dual LPs.  A question asked of a `ConstraintSystem` (loop
-bodies, spaces, `project` and `remove_redundant` on a system,
-`svg_analyze`) goes through the bridge below: one pass orients each row
-as <=, < or =, turns plain sign rows into variable bounds and keeps the
-rest as LP rows.
+`solve` takes an `LpProblem`.  Projection's entailment test builds its
+dual LPs itself; every other row reaches `solve` through one bridge,
+`_lp_rows`: one pass over (coeffs, rel, const) rows and a starting sign
+per column orients each row as <= or =, turns plain sign rows into
+variable bounds and tightens strict rows, by a shared slack or, in a
+homogeneous system, to <= -1.  `_point` asks it for a point; the four
+termination analyses and the space routes' emptiness checks hand it the
+engines' multiplier rows, and `find_point` a `ConstraintSystem`'s rows.
 Feasibility of systems that mix strict and non-strict rows is decided by
 maximizing one shared slack added to every strict row -- the system has a
 point satisfying all strict rows strictly iff the optimal slack is
@@ -38,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .constraints import EQ, GE, GT, LE, LT, ConstraintSystem
+from .constraints import EQ, GE, GT, HOLDS, LE, LT, ConstraintSystem
 from .rationals import Rational, integer_scaling, rat
 
 NONNEG = "nonneg"
@@ -372,35 +371,58 @@ def dual(p: LpProblem) -> LpProblem:
     return LpProblem(objective, not p.maximize, tuple(dual_rows), (NONNEG,) * m)
 
 
-# --- constraint-system bridge ------------------------------------------------
+# --- the row bridge -----------------------------------------------------------
 
-def _lp_rows(c: ConstraintSystem, slack: bool):
-    """Orient each row of c once and turn it into LP data; returns (signs,
-    rows).  A plain sign row (c*x >= 0, one nonzero positive coefficient)
-    becomes a variable bound, so a nonnegative variable takes one
-    standard-form column, not two, and its sign row no LP row.  Every other
-    row becomes an LP row over c's variables, oriented as <=, < or =, plus
-    a trailing slack column when requested; strict rows are tightened by
-    that shared slack."""
-    signs = [FREE] * c.n_vars
-    rows = []
+def _lp_rows(rows, signs: tuple[str, ...], slack: bool):
+    """Turn (coeffs, rel, const) rows with a starting sign per column into
+    LP data; returns (signs, rows).  A plain sign row (c*x >= 0, one nonzero
+    positive coefficient) becomes a variable bound, so a nonnegative
+    variable takes one standard-form column, not two, and its sign row no
+    LP row.  Every other row becomes an LP row, oriented as <= or =.  A
+    strict row e.x < f gets the shared slack column s, e.x + s <= f, when
+    `slack` is set; without it, it becomes e.x <= -1, which is exact only
+    for a homogeneous system, whose solutions scale, so a strict row with
+    any nonzero constant raises LpShapeError."""
+    signs = list(signs)
+    out = []
+    strict = inhomogeneous = False
     zero_slack = (Fraction(0),) if slack else ()
-    for row in c.rows:
-        coeffs, rel, const = row.coeffs, row.rel, row.const
-        if const == 0 and (rel == GE or rel == LE):
+    for coeffs, rel, const in rows:
+        if const:
+            inhomogeneous = True
+        elif rel == GE or rel == LE:
             nonzero = [(j, v) for j, v in enumerate(coeffs) if v]
             if len(nonzero) == 1 and (nonzero[0][1] > 0) == (rel == GE):
                 signs[nonzero[0][0]] = NONNEG
                 continue
         if rel == GE or rel == GT:
             coeffs, rel, const = tuple(-v for v in coeffs), LE if rel == GE else LT, -const
-        if rel == LT:
-            if not slack:
-                raise LpShapeError("strict row needs the slack encoding")
-            rows.append((coeffs + (Fraction(1),), LE, const))
+        if rel != LT:
+            out.append((coeffs + zero_slack, rel, const))
+        elif slack:
+            out.append((coeffs + (Fraction(1),), LE, const))
         else:
-            rows.append((coeffs + zero_slack, rel, const))
-    return tuple(signs), rows
+            strict = True
+            out.append((coeffs, LE, Fraction(-1)))
+    if strict and inhomogeneous:
+        raise LpShapeError("a strict row of an inhomogeneous system needs the slack encoding")
+    return tuple(signs), tuple(out)
+
+
+def _point(rows, signs: tuple[str, ...]) -> tuple[Rational, ...] | None:
+    """A point of the rows with the columns signed as given, or None: the
+    origin when it satisfies every row, else the feasibility LP's point,
+    each strict row of a homogeneous system tightened to <= -1."""
+    if all(HOLDS[rel](0, const) for _, rel, const in rows):
+        return (_ZERO,) * len(signs)
+    signs, lp_rows = _lp_rows(rows, signs, False)
+    outcome = solve(LpProblem(None, False, lp_rows, signs))
+    return outcome.point if outcome.is_feasible else None
+
+
+def _triples(c: ConstraintSystem):
+    """c's rows as (coeffs, rel, const) triples, for `_lp_rows`."""
+    return [(row.coeffs, row.rel, row.const) for row in c.rows]
 
 
 def _slack_lp(c: ConstraintSystem):
@@ -408,9 +430,9 @@ def _slack_lp(c: ConstraintSystem):
     tightened to  e.z + s <= f.  Returns (outcome, signs, rows, feasible):
     c has a point honoring its strict rows strictly iff the optimum is
     positive or unbounded."""
-    signs, rows = _lp_rows(c, True)
+    signs, rows = _lp_rows(_triples(c), (FREE,) * c.n_vars, True)
     objective = (Fraction(0),) * c.n_vars + (Fraction(1),)
-    outcome = solve(LpProblem(objective, True, tuple(rows), signs + (NONNEG,)))
+    outcome = solve(LpProblem(objective, True, rows, signs + (NONNEG,)))
     feasible = outcome.status is LpStatus.UNBOUNDED or (
         outcome.status is LpStatus.OPTIMAL and outcome.value > 0
     )
@@ -421,29 +443,27 @@ def _slack_lp(c: ConstraintSystem):
 def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
     """A rational point of c honoring strict rows strictly, or None.
 
-    With strict rows present, the shared-slack LP decides; an optimal slack
-    gives the point, and an unbounded one is pinned to 1 by a second LP
-    for a point.  Results are memoized because every analysis and space of
-    a loop first asks `satisfiable` of the same loop body: those repeats
-    are nearly all of the measured hits (on the 144-op `decide` cycle, 144
-    of the 288 lookups, all of them loop bodies).
+    Without strict rows, `_point` of c's rows answers.  With them, the
+    shared-slack LP decides; an optimal slack gives the point, and an
+    unbounded one is pinned to 1 by a second LP for a point.  Results are
+    memoized because every analysis and space of a loop first asks
+    `satisfiable` of the same loop body: those repeats are nearly all of
+    the measured hits (on the 144-op `decide` cycle, 144 of the 288
+    lookups, all of them loop bodies).
     """
     n = c.n_vars
+    if not c.has_strict_rows():
+        return _point(_triples(c), (FREE,) * n)
     if all(row.holds_at_zero() for row in c.rows):
         return (Fraction(0),) * n
-    if not c.has_strict_rows():
-        signs, rows = _lp_rows(c, False)
-        outcome = solve(LpProblem(None, False, tuple(rows), signs))
-        return outcome.point if outcome.is_feasible else None
-
     outcome, signs, rows, feasible = _slack_lp(c)
     if not feasible:
         return None
     if outcome.status is LpStatus.OPTIMAL:
         return outcome.point[:n]
     # Unbounded slack: pin it to 1 and take any feasible point.
-    pinned = rows + [((Fraction(0),) * n + (Fraction(1),), EQ, Fraction(1))]
-    feas = solve(LpProblem(None, False, tuple(pinned), signs))
+    pinned = rows + (((Fraction(0),) * n + (Fraction(1),), EQ, Fraction(1)),)
+    feas = solve(LpProblem(None, False, pinned, signs))
     assert feas.is_feasible, "slack unbounded implies slack=1 is attainable"
     return feas.point[:n]
 

@@ -20,6 +20,7 @@ from linrank.ms import MS_FULL, RankingFunction, RankingSpace
 from linrank.projection import _canonical, project
 from linrank.rationals import Rational
 from linrank.simplex import (
+    FREE,
     LpOutcome,
     LpProblem,
     LpStatus,
@@ -27,6 +28,7 @@ from linrank.simplex import (
     _integer_standard_form,
     _lp_rows,
     _recover,
+    _triples,
     find_point,
     solve,
 )
@@ -97,8 +99,8 @@ def optimize(
     c: ConstraintSystem, objective: Sequence[Rational], maximize: bool
 ) -> LpOutcome:
     """Optimize over the topological closure of c (strict rows relaxed)."""
-    signs, rows = _lp_rows(closure(c), False)
-    problem = LpProblem(tuple(Fraction(v) for v in objective), maximize, tuple(rows), signs)
+    signs, rows = _lp_rows(_triples(closure(c)), (FREE,) * c.n_vars, False)
+    problem = LpProblem(tuple(Fraction(v) for v in objective), maximize, rows, signs)
     return solve(problem)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,11 +207,26 @@ def test_bench_empty_directory(tmp_path):
 def test_bench_survives_malformed_file(tmp_path):
     (tmp_path / "ok.loop").write_text((LOOPS / "countdown.loop").read_text())
     (tmp_path / "bad.loop").write_text("vars x\nooops")
+    (tmp_path / "latin1.loop").write_bytes("vars: x\nsingle: x >= 0 # \xe9\n".encode("latin-1"))
+    malformed = ["bad.loop", "latin1.loop"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        (tmp_path / "long.loop").write_text(f"vars: x\nsingle: x >= {'7' * (limit + 1)}\n")
+        malformed.append("long.loop")
     code, text = run("bench", str(tmp_path))
     assert code == 0
     lines = text.strip().splitlines()
-    assert any("bad.loop,,,parse-error,parse-error" in line for line in lines)
+    for name in malformed:
+        assert f"{name},,,parse-error,parse-error,,," in lines
     assert any(line.startswith("ok.loop,") for line in lines)
+
+
+def test_check_names_an_undecodable_file(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.loop"
+    latin1.write_bytes("vars: x\nsingle: x >= 0 # \xe9\n".encode("latin-1"))
+    code, _ = run("check", str(latin1))
+    assert code == 2
+    assert f"error: cannot read {latin1}: " in capsys.readouterr().err
 
 
 def test_selftest_runs_clean():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,16 @@ def test_error_positions_reported():
         parse_loop("vars: x\nsingle: x >= 0\n  x' <= @ 1\n")
     assert err.value.line == 3
     assert err.value.col >= 9
+
+
+def test_over_long_number_reports_its_position():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    with pytest.raises(LoopParseError) as err:
+        parse_loop(f"vars: x\nsingle: x >= {'7' * (limit + 1)}, x' = x - 1\n")
+    assert (err.value.line, err.value.col) == (2, 14)
+    assert "too many digits" in str(err.value)
 
 
 def test_vars_errors_point_at_the_name():

@@ -1,14 +1,15 @@
-"""Each engine's multiplier rows, packaged three ways, agree.
+"""Each engine's multiplier rows reach the simplex through one bridge.
 
-`ms_analyze`, `pr_analyze` and `pr_alt_analyze` solve an `LpProblem` built
-straight off the loop's matrices; the space routes project the same row
-triples, after deciding emptiness by `_multiplier_lp` (`ms._has_point`); the
-`ConstraintSystem` builders package them for the API and the reference
-checks.  On the witness-golden loops and on the loops of acceptance
-criteria 4 and 5, each decision LP must equal `_lp_rows` applied to the
-builder's system (strict row normalized to <= -1): the same signs, then the
-same rows in the same order, by value.  And each space route's emptiness
-decision must equal `satisfiable` of the builder's system it projects.
+`ms_analyze`, `pr_analyze`, `pr_alt_analyze` and `svg_analyze` hand
+`simplex._point` their row triples with a sign per column, and the space
+routes decide emptiness with `_point` on the triples they project; the
+`ConstraintSystem` builders package the same triples for the API and the
+reference checks.  On the witness-golden loops and on the loops of
+acceptance criteria 4 and 5, the LP each analysis hands `solve` must equal
+`_lp_rows` applied to the builder's system (strict row normalized to
+<= -1): the same signs, then the same rows in the same order, by value.
+And each space route's emptiness decision must equal `satisfiable` of the
+builder's system it projects.
 """
 
 from __future__ import annotations
@@ -17,29 +18,31 @@ import random
 
 import pytest
 
-from linrank import ms
+from linrank import ms, simplex
 from linrank.constraints import EQ, ConstraintSystem, LinConstraint, loop_system, to_leq_matrix
 from linrank.equivalence import random_loop
 from linrank.ms import (
+    TerminationStatus,
     UnsatisfiableLoopError,
-    _ms_lp,
     build_ms_systems,
     build_svg_system,
     conjoined_ms_system,
+    ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
+    svg_analyze,
     svg_space,
 )
 from linrank.pr import (
-    _pr_alt_lp,
-    _pr_lp,
     build_pr_alt_system,
     build_pr_system,
     extraction_rows,
+    pr_alt_analyze,
+    pr_analyze,
     pr_space,
     with_affine_slot,
 )
-from linrank.simplex import LpProblem, _lp_rows, satisfiable
+from linrank.simplex import FREE, LpProblem, _lp_rows, _triples, satisfiable
 from tests.oracles import normalize_strict
 from tests.test_witness_golden import golden_loops
 
@@ -61,33 +64,55 @@ def _criterion_loops():
         )
 
 
-def _as_find_point_lays_out(system) -> LpProblem:
-    signs, rows = _lp_rows(normalize_strict(system), False)
-    return LpProblem(None, False, tuple(rows), signs)
+def _as_lp_rows_lays_out(system: ConstraintSystem) -> LpProblem:
+    triples = _triples(normalize_strict(system))
+    signs, rows = _lp_rows(triples, (FREE,) * system.n_vars, False)
+    return LpProblem(None, False, rows, signs)
 
 
-def _mismatches(loops) -> list[str]:
+@pytest.fixture
+def solved(monkeypatch):
+    """The LPs handed to `simplex.solve`, in order."""
+    problems = []
+
+    def recording(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    solve = simplex.solve
+    monkeypatch.setattr(simplex, "solve", recording)
+    return problems
+
+
+def _mismatches(solved, loops) -> list[str]:
+    """The loops where an analysis's last LP differs from its builder's
+    system's; loops an analysis finds trivially terminating are skipped."""
     bad = []
     for i, loop in enumerate(loops):
         c = loop_system(loop)
-        if _ms_lp(c)[1] != _as_find_point_lays_out(conjoined_ms_system(c)):
-            bad.append(f"loop {i}: ms")
         m = to_leq_matrix(c, loop.space)
-        if _pr_lp(m) != _as_find_point_lays_out(build_pr_system(m)):
-            bad.append(f"loop {i}: pr")
-        if loop.is_guarded and _pr_alt_lp(loop)[1] != _as_find_point_lays_out(
-            build_pr_alt_system(loop)
-        ):
-            bad.append(f"loop {i}: pr-alt")
+        checks = [
+            ("ms", ms_analyze, loop, conjoined_ms_system(c)),
+            ("pr", pr_analyze, loop, build_pr_system(m)),
+            ("svg", svg_analyze, c, build_svg_system(c)),
+        ]
+        if loop.is_guarded:
+            checks.append(("pr-alt", pr_alt_analyze, loop, build_pr_alt_system(loop)))
+        for name, analyze, arg, system in checks:
+            solved.clear()
+            if analyze(arg).status is TerminationStatus.TRIVIALLY_TERMINATING:
+                continue
+            if not solved or solved[-1] != _as_lp_rows_lays_out(system):
+                bad.append(f"loop {i}: {name}")
     return bad
 
 
-def test_decision_lps_match_the_builders_on_golden_loops():
-    assert not _mismatches(golden_loops())
+def test_decision_lps_match_the_builders_on_golden_loops(solved):
+    assert not _mismatches(solved, golden_loops())
 
 
-def test_decision_lps_match_the_builders_on_criterion_loops():
-    assert not _mismatches(_criterion_loops())
+def test_decision_lps_match_the_builders_on_criterion_loops(solved):
+    assert not _mismatches(solved, _criterion_loops())
 
 
 def _with_mu0(decrease: ConstraintSystem) -> ConstraintSystem:
@@ -115,16 +140,17 @@ def _with_definitions(base: ConstraintSystem, defining) -> ConstraintSystem:
 
 @pytest.fixture
 def emptiness(monkeypatch):
-    """Call a space route and return its `_has_point` decision; the
-    projection itself is skipped."""
+    """Call a space route and return whether `_point` found a point of its
+    rows; the projection itself is skipped."""
     decisions = []
 
     def recording(rows, signs):
-        decisions.append(has_point(rows, signs))
-        return decisions[-1]
+        found = point(rows, signs)
+        decisions.append(found is not None)
+        return found
 
-    has_point = ms._has_point
-    monkeypatch.setattr(ms, "_has_point", recording)
+    point = ms._point
+    monkeypatch.setattr(ms, "_point", recording)
     monkeypatch.setattr(ms, "_project", lambda rows, width, keep: [])
 
     def decide(route, arg) -> bool:

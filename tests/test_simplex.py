@@ -9,6 +9,7 @@ from linrank.simplex import (
     LpProblem,
     LpShapeError,
     LpStatus,
+    _lp_rows,
     dual,
     find_point,
     lp,
@@ -211,6 +212,18 @@ def test_strict_feasible_point_examples():
 
     c2 = system(("x",), [constraint((1,), "<", 0), constraint((1,), ">", 0)])
     assert find_point(c2) is None
+
+
+def test_lp_rows_tightens_strict_rows_of_homogeneous_systems_only():
+    strict = ((Fraction(1), Fraction(-1)), "<", Fraction(0))
+    signs, rows = _lp_rows([strict, ((Fraction(1), Fraction(1)), "=", 0)], (FREE, FREE), False)
+    assert signs == (FREE, FREE)
+    assert rows == (((1, -1), "<=", -1), ((1, 1), "=", 0))
+    with pytest.raises(LpShapeError):
+        _lp_rows([strict, ((Fraction(1), Fraction(1)), "=", 1)], (FREE, FREE), False)
+    # with the slack column the same system is fine
+    signs, rows = _lp_rows([strict, ((Fraction(1), Fraction(1)), "=", 1)], (FREE, FREE), True)
+    assert rows == (((1, -1, 1), "<=", 0), ((1, 1, 0), "=", 1))
 
 
 def test_strict_feasible_point_on_multiplier_system(log2_loop):
