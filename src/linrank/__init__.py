@@ -29,8 +29,6 @@ from .equivalence import (
     cone_extend,
     cross_check,
     random_loop,
-    witness_in_ms_denormalized,
-    witness_in_pr_set,
 )
 from .loopfile import LoopParseError, parse_loop, serialize_loop
 from .ms import (

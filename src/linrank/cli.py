@@ -326,9 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("dir", help="directory of .loop files")
     p_bench.set_defaults(func=cmd_bench)
 
+    def count(text: str) -> int:  # argparse names this type in its errors
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+        return int(text)
+
     p_self = sub.add_parser("selftest", help="cross-check both engines on random loops")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--count", type=int, default=50)
+    p_self.add_argument("--count", type=count, default=50)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -220,37 +220,42 @@ class LeqMatrixForm:
         return len(self.b)
 
 
-def to_leq_rows(c: ConstraintSystem) -> tuple[Rows, tuple[Rational, ...]]:
-    """Rewrite any system as  M v <= d  (equalities split, <= row first)."""
+def to_leq_rows(c: ConstraintSystem, *, _ints=False) -> tuple[Rows, tuple[Rational, ...]]:
+    """Rewrite any system as  M v <= d  (equalities split, <= row first).
+    `_ints` asks for the engines' private integer view of the rows: every
+    integral value an int, and a Fraction only where c's is not."""
     rows: list[tuple[Rational, ...]] = []
     consts: list[Rational] = []
     for row in c.rows:
         if row.is_strict:
             raise ConstraintError("strict relation has no matrix form here")
+        coeffs, const = row.coeffs, row.const
+        if _ints:
+            coeffs = tuple(v.numerator if v.denominator == 1 else v for v in coeffs)
+            const = const.numerator if const.denominator == 1 else const
         if row.rel != GE:
-            rows.append(row.coeffs)
-            consts.append(row.const)
+            rows.append(coeffs)
+            consts.append(const)
         if row.rel != LE:
-            rows.append(tuple(-v for v in row.coeffs))
-            consts.append(-row.const)
+            rows.append(tuple(-v for v in coeffs))
+            consts.append(-const)
     return tuple(rows), tuple(consts)
 
 
-def to_leq_matrix(c: ConstraintSystem, space: VarSpace) -> LeqMatrixForm:
-    """Split a loop system into (A A') <x,x'> <= b, columns in space order."""
+def to_leq_matrix(c: ConstraintSystem, space: VarSpace, *, _ints=False) -> LeqMatrixForm:
+    """Split a loop system into (A A') <x,x'> <= b, columns in space order;
+    `_ints` as for `to_leq_rows`."""
     if c.variables != space.combined_names:
         raise ConstraintError("system does not range over the loop's (x, x') tuple")
     n = space.n
-    rows, consts = to_leq_rows(c)
-    return LeqMatrixForm(
-        tuple(r[:n] for r in rows), tuple(r[n:] for r in rows), consts, n
-    )
+    rows, consts = to_leq_rows(c, _ints=_ints)
+    return LeqMatrixForm(tuple(r[:n] for r in rows), tuple(r[n:] for r in rows), consts, n)
 
 
-def to_geq_matrix(c: ConstraintSystem) -> tuple[Rows, tuple[Rational, ...]]:
+def to_geq_matrix(c: ConstraintSystem, *, _ints=False) -> tuple[Rows, tuple[Rational, ...]]:
     """Rewrite as  A_c v >= b_c: the rows of to_leq_rows, negated (so an
-    equality expands to its >= row last)."""
-    rows, consts = to_leq_rows(c)
+    equality expands to its >= row last); `_ints` as for `to_leq_rows`."""
+    rows, consts = to_leq_rows(c, _ints=_ints)
     return tuple(tuple(-v for v in r) for r in rows), tuple(-k for k in consts)
 
 

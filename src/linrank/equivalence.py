@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import certificate_holds
+from .certify import _dot, certificate_holds
 from .constraints import (
     EQ,
     GE,
@@ -49,7 +49,10 @@ from .ms import (
     RankingSpace,
     TerminationStatus,
     Verdict,
-    conjoined_ms_system,
+    _conjoined_rows,
+    _ms_signs,
+    _multiplier_system,
+    _names,
     ms_analyze,
     ms_space,
 )
@@ -94,26 +97,12 @@ def witness_in_ms_denormalized(loop: LoopModel, f: RankingFunction) -> bool:
 
     Substitutes mu = t * f.mu into the conjoined decrease+boundedness
     system, keeps mu0 free, and asks for a solution with t > 0."""
-    c = loop_system(loop)
-    conjoined = conjoined_ms_system(c)
-    names = conjoined.variables
-    mu_positions = {
-        names.index(f"mu{i + 1}"): f.mu[i] for i in range(len(f.mu))
-    }
-    kept = [i for i, name in enumerate(names) if name == "mu0" or not name.startswith("mu")]
-    variables = tuple(names[i] for i in kept) + ("t",)
-    rows = []
-    for row in conjoined.rows:
-        coeffs = [row.coeffs[i] for i in kept]
-        t_coeff = sum(
-            (row.coeffs[pos] * value for pos, value in mu_positions.items()),
-            Fraction(0),
-        )
-        rows.append(LinConstraint(tuple(coeffs) + (t_coeff,), row.rel, row.const))
-    rows.append(
-        LinConstraint((Fraction(0),) * (len(variables) - 1) + (Fraction(1),), GT, Fraction(0))
-    )
-    return satisfiable(ConstraintSystem(variables, tuple(rows)))
+    _, m, rows = _conjoined_rows(loop_system(loop))
+    width = 2 * m + 3  # the y and z blocks, then mu0
+    rows = [(coeffs[:width] + (_dot(coeffs[width:], f.mu),), rel, k) for coeffs, rel, k in rows]
+    rows.append(((0,) * width + (1,), GT, 0))
+    variables = _names("y", m) + _names("z", m + 2) + ("mu0", "t")
+    return satisfiable(_multiplier_system(variables, rows, _ms_signs(2 * m + 2, 1)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +136,7 @@ def cross_check(loop: LoopModel, compare_spaces: bool = True) -> CrossCheckRepor
 
     ms_in_pr = pr_in_ms = None
     if vm.status is TerminationStatus.TERMINATING and vp.status is TerminationStatus.TERMINATING:
-        m = to_leq_matrix(loop_system(loop), loop.space)
+        m = to_leq_matrix(loop_system(loop), loop.space, _ints=True)
         ms_in_pr = certificate_holds(m, vm.witness)
         pr_in_ms = certificate_holds(m, vp.witness)
 

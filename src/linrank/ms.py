@@ -157,11 +157,14 @@ def _mu_names(n: int, with_mu0: bool) -> tuple[str, ...]:
 
 # A multiplier system is stated once per engine, as (coeffs, rel, const)
 # triples without the multipliers' sign rows, and a sign per column.  The
-# analyses and the spaces' emptiness checks hand the triples and signs to
-# `simplex._point`, which lays them out as `find_point` lays out a system's
-# rows; the spaces project the triples themselves (`_multiplier_space`);
-# the public builders package them as a `ConstraintSystem` for the API and
-# the reference checks.
+# rows are ints inside: read off the loop's matrix with `_ints` (a Fraction
+# only where the loop's entry is not integral), with int 0/+-1 constants.
+# The analyses and the spaces' emptiness checks hand the triples and signs
+# to `simplex._point`, which lays them out as `find_point` lays out a
+# system's rows; the spaces project the triples (`_multiplier_space`).
+# Public values are Fractions: the builders' `ConstraintSystem`s, and the
+# witnesses, certificates and space rows that the simplex and projection
+# return.
 
 
 def _sign_rows(signs: tuple[str, ...], zero=0, one=1) -> list:
@@ -172,7 +175,7 @@ def _sign_rows(signs: tuple[str, ...], zero=0, one=1) -> list:
 
 
 def _multiplier_system(variables, rows: list, signs: tuple[str, ...]) -> ConstraintSystem:
-    """The rows, then their sign rows."""
+    """The rows, then their sign rows, as `LinConstraint`s of Fractions."""
     rows = list(rows) + _sign_rows(signs, Fraction(0), Fraction(1))
     return ConstraintSystem(variables, tuple(LinConstraint(*row) for row in rows))
 
@@ -202,18 +205,18 @@ def _mu_rows(a_c: Rows, n: int, rel: str) -> list:
     m = len(a_c)
     rows = []
     for j in range(2 * n):
-        coeffs = [row[j] for row in a_c] + [Fraction(0)] * n
-        coeffs[m + j % n] = Fraction(-1) if j < n else Fraction(1)
-        rows.append((tuple(coeffs), rel, Fraction(0)))
+        coeffs = [row[j] for row in a_c] + [0] * n
+        coeffs[m + j % n] = -1 if j < n else 1
+        rows.append((tuple(coeffs), rel, 0))
     return rows
 
 
 def _svg_rows(c: ConstraintSystem) -> tuple[int, list]:
     """(n, the rows of `build_svg_system(c)` without its sign rows)."""
     n = combined_varspace(c).n
-    a_c, b_c = to_geq_matrix(c)
+    a_c, b_c = to_geq_matrix(c, _ints=True)
     rows = _mu_rows(a_c, n, LE)
-    rows.append((b_c + (Fraction(0),) * n, GE, Fraction(1)))
+    rows.append((b_c + (0,) * n, GE, 1))
     return n, rows
 
 
@@ -281,18 +284,17 @@ def _ms_rows(c: ConstraintSystem) -> tuple[int, int, list, list]:
     """(n, m, decrease rows over (y, mu), boundedness rows over (z, mu0, mu))
     for the m rows of  A_c <x, x'> >= b_c  (see `build_ms_systems`)."""
     n = combined_varspace(c).n
-    a_c, b_c = to_geq_matrix(c)
+    a_c, b_c = to_geq_matrix(c, _ints=True)
     m = len(a_c)
-    zero, one = Fraction(0), Fraction(1)
-    decrease = [(b_c + (zero,) * n, GE, one)] + _mu_rows(a_c, n, EQ)
+    decrease = [(b_c + (0,) * n, GE, 1)] + _mu_rows(a_c, n, EQ)
     # The x0 = 1 rows lead the extended matrix: z1 - z2 takes mu0's column.
-    bounded = [((one, -one) + b_c + (zero,) * (n + 1), GE, zero)]
-    bounded.append(((one, -one) + (zero,) * m + (-one,) + (zero,) * n, EQ, zero))
+    bounded = [((1, -1) + b_c + (0,) * (n + 1), GE, 0)]
+    bounded.append(((1, -1) + (0,) * m + (-1,) + (0,) * n, EQ, 0))
     for j in range(2 * n):
-        coeffs = [zero, zero] + [row[j] for row in a_c] + [zero] * (n + 1)
+        coeffs = [0, 0] + [row[j] for row in a_c] + [0] * (n + 1)
         if j < n:
-            coeffs[m + 3 + j] = -one
-        bounded.append((tuple(coeffs), EQ, zero))
+            coeffs[m + 3 + j] = -1
+        bounded.append((tuple(coeffs), EQ, 0))
     return n, m, decrease, bounded
 
 
@@ -320,21 +322,13 @@ def build_ms_systems(c: ConstraintSystem) -> tuple[ConstraintSystem, ConstraintS
 
 
 def _conjoined_rows(c: ConstraintSystem) -> tuple[int, int, list]:
-    """(n, m, the rows of `conjoined_ms_system(c)` without its sign rows),
-    over y (one per row of to_geq_matrix(c), the rows of to_leq_rows(c)
-    negated), z (two x0 rows, then one per row) and mu0..mun."""
+    """(n, m, both MS systems' rows without sign rows) over y (one per row
+    of to_geq_matrix(c)), z (two x0 rows, then one per row) and mu0..mun."""
     n, m, decrease, bounded = _ms_rows(c)
-    pad, lead = (Fraction(0),) * (m + 3), (Fraction(0),) * m
+    pad, lead = (0,) * (m + 3), (0,) * m
     rows = [(coeffs[:m] + pad + coeffs[m:], rel, k) for coeffs, rel, k in decrease]
     rows += [(lead + coeffs, rel, k) for coeffs, rel, k in bounded]
     return n, m, rows
-
-
-def conjoined_ms_system(c: ConstraintSystem) -> ConstraintSystem:
-    """Both systems over shared (mu0, mu) with disjoint y and z blocks."""
-    n, m, rows = _conjoined_rows(c)
-    variables = _names("y", m) + _names("z", m + 2) + _mu_names(n, with_mu0=True)
-    return _multiplier_system(variables, rows, _ms_signs(2 * m + 2, n))
 
 
 def ms_analyze(loop: LoopModel) -> Verdict:

@@ -108,24 +108,23 @@ def with_affine_slot(m: LeqMatrixForm) -> LeqMatrixForm:
     slack), so space computations and membership queries run on the
     extended matrix.  Feasibility is unaffected either way.
     """
-    zero = ((Fraction(0),) * m.n_vars,)
-    return LeqMatrixForm(m.a + zero, m.a_prime + zero, m.b + (Fraction(1),), m.n_vars)
+    zero = ((0,) * m.n_vars,)
+    return LeqMatrixForm(m.a + zero, m.a_prime + zero, m.b + (1,), m.n_vars)
 
 
 def _pr_rows(m: LeqMatrixForm) -> list:
     """The witness equations over (lam1, lam2), the strict row last."""
     rows_n, n = m.n_rows, m.n_vars
-    zero = Fraction(0)
-    zeros = (zero,) * rows_n
+    zeros = (0,) * rows_n
     out = []
     for j in range(n):  # lam1^T A' = 0
-        out.append((tuple(row[j] for row in m.a_prime) + zeros, EQ, zero))
+        out.append((tuple(row[j] for row in m.a_prime) + zeros, EQ, 0))
     for j in range(n):  # (lam1 - lam2)^T A = 0
         col = tuple(row[j] for row in m.a)
-        out.append((col + tuple(-v for v in col), EQ, zero))
+        out.append((col + tuple(-v for v in col), EQ, 0))
     for j in range(n):  # lam2^T (A + A') = 0
-        out.append((zeros + tuple(r[j] + rp[j] for r, rp in zip(m.a, m.a_prime)), EQ, zero))
-    out.append((zeros + m.b, LT, zero))  # lam2^T b < 0
+        out.append((zeros + tuple(r[j] + rp[j] for r, rp in zip(m.a, m.a_prime)), EQ, 0))
+    out.append((zeros + m.b, LT, 0))  # lam2^T b < 0
     return out
 
 
@@ -138,7 +137,7 @@ def build_pr_system(m: LeqMatrixForm) -> ConstraintSystem:
 def extraction_rows(m: LeqMatrixForm) -> list[tuple[Rational, ...]]:
     """Coefficients over (lam1, lam2) of the extracted offset lam1^T b,
     then of each coordinate of mu = lam2^T A'."""
-    zeros = (Fraction(0),) * m.n_rows
+    zeros = (0,) * m.n_rows
     rows = [m.b + zeros]
     rows += [zeros + tuple(row[j] for row in m.a_prime) for j in range(m.n_vars)]
     return rows
@@ -163,7 +162,7 @@ def pr_analyze(loop: LoopModel) -> Verdict:
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()
-    m = to_leq_matrix(c, loop.space)
+    m = to_leq_matrix(c, loop.space, _ints=True)
     point = _point(_pr_rows(m), (NONNEG,) * (2 * m.n_rows))
     if point is None:
         return Verdict.unknown()
@@ -176,7 +175,7 @@ def pr_space(loop: LoopModel) -> RankingSpace:
     """All ranking-function coefficient pairs <mu0, mu> reachable from
     witness multipliers; the strict witness row makes this a cone-like set
     with strict faces."""
-    return pr_space_of_matrix(to_leq_matrix(_require_satisfiable(loop), loop.space))
+    return pr_space_of_matrix(to_leq_matrix(_require_satisfiable(loop), loop.space, _ints=True))
 
 
 def _pr_alt_rows(loop: LoopModel) -> tuple[int, int, list]:
@@ -184,18 +183,18 @@ def _pr_alt_rows(loop: LoopModel) -> tuple[int, int, list]:
     with the strict row last)."""
     if not loop.is_guarded:
         raise ConstraintError("alternative formulation needs a guarded loop")
-    a_b, b_b = to_leq_rows(loop.guard)
-    update = to_leq_matrix(loop.update, loop.space)
-    r, zero = len(a_b), Fraction(0)
-    zeros = (zero,) * r
+    a_b, b_b = to_leq_rows(loop.guard, _ints=True)
+    update = to_leq_matrix(loop.update, loop.space, _ints=True)
+    r = len(a_b)
+    zeros = (0,) * r
     first, second = [], []
     for j in range(loop.space.n):
         guard_col = tuple(row[j] for row in a_b)
         upd_col = tuple(row[j] for row in update.a)
-        first.append((guard_col + tuple(-v for v in guard_col + upd_col), EQ, zero))
+        first.append((guard_col + tuple(-v for v in guard_col + upd_col), EQ, 0))
         upd_sum = tuple(u[j] + up[j] for u, up in zip(update.a, update.a_prime))
-        second.append((zeros + guard_col + upd_sum, EQ, zero))
-    return r, update.n_rows, first + second + [(zeros + b_b + update.b, LT, zero)]
+        second.append((zeros + guard_col + upd_sum, EQ, 0))
+    return r, update.n_rows, first + second + [(zeros + b_b + update.b, LT, 0)]
 
 
 def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
@@ -228,7 +227,7 @@ def pr_alt_analyze(loop: LoopModel) -> Verdict:
     if point is None:
         return Verdict.unknown()
     witness = PrAltWitness(point[:r], point[r : 2 * r], point[2 * r :])
-    merged = to_leq_matrix(merge_guarded(loop), loop.space)
+    merged = to_leq_matrix(merge_guarded(loop), loop.space, _ints=True)
     return Verdict.terminating(extract_rf(witness.reconstruct(), merged))
 
 

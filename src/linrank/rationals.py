@@ -3,14 +3,13 @@
 Every number this package takes or returns is a `fractions.Fraction`:
 arbitrary precision, always in canonical form (reduced, positive
 denominator), so equality is structural and no operation ever rounds.
-Vectors and matrices are plain tuples of Fractions.  Two places work
-internally on rows scaled to Python ints by `integer_scaling`: the simplex
-tableau, and `projection`, whose rows keep the coprime int directions that
-`projection._prune` gives them through every elimination step, and a
-constant that is an int when it is integral and a Fraction otherwise.  So
-the LPs that projection asks are mostly all-int, which `integer_scaling`
-passes through as they are.  Floats and decimal strings are rejected,
-never rounded.
+Vectors and matrices are plain tuples of Fractions.  Inside, rows are
+ints where integral: the engines read a loop's matrix that way
+(`to_leq_rows` with `_ints`), and `projection`'s rows keep the coprime
+int directions `projection._prune` gives them and an int constant when
+it is integral.  So most LPs arrive all-int and the simplex lays them out
+as they are; any other row is scaled to ints once by `integer_scaling`.
+Floats and decimal strings are rejected, never rounded.
 """
 
 from __future__ import annotations

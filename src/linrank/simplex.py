@@ -1,17 +1,20 @@
 """Exact rational linear programming.
 
 A dense two-phase simplex with Bland's pivoting rule, so every run
-terminates.  The tableau works on fraction-free integer rows: `solve`
-integer-scales each LP row once, as it lays out the standard form, and no
-rational row is built on the way.  Every reported point, value and
-certificate is an exact `Fraction`.  Problems here are small (tens of
-rows), which makes the dense tableau the right trade-off.
+terminates, on fraction-free integer rows.  Rows are ints inside: most
+LP rows arrive all-int (the engines' rows come from an integer view of
+the loop's matrix) and are laid out as they are; any other row is
+integer-scaled once.  Every reported point, value and certificate is an
+exact `Fraction`.  Problems here are small (tens of rows), which makes
+the dense tableau the right trade-off.
 
 Phase 1 keeps no artificial columns: each row has one artificial cell,
 the basic entry of its artificial variable while that is basic, and only
 real columns are priced.  No pivot changes, as an artificial would enter
 only where the simplex multipliers are a Farkas certificate that the LP
-is infeasible (see `_bland_min`).
+is infeasible (see `_bland_min`).  A feasibility LP returns its point
+right after phase 1: driving out an artificial still basic, which is
+zero, is a degenerate pivot.
 
 `solve` takes an `LpProblem`.  Projection's entailment test builds its
 dual LPs itself; every other row reaches `solve` through one bridge,
@@ -116,8 +119,9 @@ def _integer_standard_form(p: LpProblem):
     columns, the column count n, the rows (n + 1 ints each, rhs last), the
     positive scale of each row (row i stands for rows[i] / scales[i]: one
     `integer_scaling` of its coeffs and rhs, slack +-scale), and the
-    objective to minimize as ints, or None.  All-int values, as projection
-    gives them, are taken as they are, with scale 1.  A value that is
+    objective to minimize as ints, or None.  An all-int row, as the engines
+    and projection give them, is laid out as it is, with scale 1 and no
+    `integer_scaling`, whatever its columns' signs.  A value that is
     neither int nor Fraction raises LpShapeError."""
     columns: list[tuple[int, int | None]] = []
     slack = 0
@@ -129,22 +133,25 @@ def _integer_standard_form(p: LpProblem):
     # widened by appending its zero slack cells.
     pad = [0] * (n - slack) if slack == len(p.signs) else None
 
-    def widen(ints):
+    def widen(coeffs, rhs):
         if pad is not None:
-            return ints[: len(columns)] + pad + ints[len(columns) :]
+            return [*coeffs, *pad, rhs]
         row = [0] * (n + 1)
-        for (plus, minus), v in zip(columns, ints):
+        for (plus, minus), v in zip(columns, coeffs):
             row[plus] = v
             if minus is not None:
                 row[minus] = -v
-        row[-1] = ints[-1]
+        row[-1] = rhs
         return row
 
     rows, scales = [], []
     try:
         for coeffs, rel, rhs in p.rows:
-            scale, ints = integer_scaling((*coeffs, rhs))
-            row = widen(ints)
+            if type(rhs) is int and all(type(v) is int for v in coeffs):
+                scale, row = 1, widen(coeffs, rhs)
+            else:
+                scale, ints = integer_scaling((*coeffs, rhs))
+                row = widen(ints[:-1], ints[-1])
             if rel != EQ:
                 row[slack] = scale if rel == LE else -scale
                 slack += 1
@@ -156,7 +163,7 @@ def _integer_standard_form(p: LpProblem):
     if objective is not None:
         if p.maximize:
             objective = [-v for v in objective]
-        objective = widen(objective + [0])[:-1]
+        objective = widen(objective, 0)[:-1]
     return tuple(columns), n, rows, scales, objective
 
 
@@ -241,8 +248,8 @@ def _solve_standard(rows, scales, objective, n):
     times lcm / scales[i].
 
     Returns (status, point, ray) in standard-form coordinates, the point
-    built from the basic rows with a nonzero rhs; objective None solves
-    feasibility only.
+    built from the basic rows with a nonzero rhs.  Objective None asks for
+    feasibility only, answered right after phase 1 (see the module doc).
     """
     m = len(rows)
     tableau = [[-e for e in row] if row[-1] < 0 else row for row in rows]
@@ -257,6 +264,13 @@ def _solve_standard(rows, scales, objective, n):
             if basis[i] < 0 and top == scales[i]:
                 basis[i] = j
     uncovered = [i for i in range(m) if basis[i] < 0]
+
+    def current_point():
+        point = [_ZERO] * n
+        for r, row in enumerate(tableau):
+            if row[-1]:
+                point[basis[r]] = Fraction(row[-1], row[basis[r]])
+        return point
 
     if uncovered:
         for row in tableau:
@@ -276,7 +290,11 @@ def _solve_standard(rows, scales, objective, n):
         assert outcome[0] == "optimal", "phase 1 is bounded below by zero"
         if cost[-1] < 0:
             return LpStatus.INFEASIBLE, None, None
+    if objective is None:
+        # An artificial still basic is zero: driving it out cannot move the point.
+        return LpStatus.FEASIBLE, current_point(), None
 
+    if uncovered:
         # Drive artificial variables out of the basis; rows where that is
         # impossible are redundant and dropped.
         keep = []
@@ -289,16 +307,6 @@ def _solve_standard(rows, scales, objective, n):
             keep.append(r)
         tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
         basis = [basis[r] for r in keep]
-
-    def current_point():
-        point = [_ZERO] * n
-        for r, row in enumerate(tableau):
-            if row[-1]:
-                point[basis[r]] = Fraction(row[-1], row[basis[r]])
-        return point
-
-    if objective is None:
-        return LpStatus.FEASIBLE, current_point(), None
 
     cost = list(objective) + [0]  # priced out: zero on every basic column
     for r, row in enumerate(tableau):
@@ -334,9 +342,11 @@ def solve(p: LpProblem) -> LpOutcome:
     status, point, ray = _solve_standard(rows, scales, objective, n)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
-    orig_point = _recover(columns, point)
+    free = FREE in p.signs  # else variable j is column j
+    orig_point = _recover(columns, point) if free else tuple(point[: p.n_vars])
     if status is LpStatus.UNBOUNDED:
-        return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=_recover(columns, ray))
+        ray = _recover(columns, ray) if free else tuple(ray[: p.n_vars])
+        return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=ray)
     if status is LpStatus.FEASIBLE:
         return LpOutcome(LpStatus.FEASIBLE, point=orig_point)
     value = sum((c * x for c, x in zip(p.objective, orig_point) if x), _ZERO)
@@ -386,7 +396,7 @@ def _lp_rows(rows, signs: tuple[str, ...], slack: bool):
     signs = list(signs)
     out = []
     strict = inhomogeneous = False
-    zero_slack = (Fraction(0),) if slack else ()
+    zero_slack = (0,) if slack else ()
     for coeffs, rel, const in rows:
         if const:
             inhomogeneous = True
@@ -400,10 +410,10 @@ def _lp_rows(rows, signs: tuple[str, ...], slack: bool):
         if rel != LT:
             out.append((coeffs + zero_slack, rel, const))
         elif slack:
-            out.append((coeffs + (Fraction(1),), LE, const))
+            out.append((coeffs + (1,), LE, const))
         else:
             strict = True
-            out.append((coeffs, LE, Fraction(-1)))
+            out.append((coeffs, LE, -1))
     if strict and inhomogeneous:
         raise LpShapeError("a strict row of an inhomogeneous system needs the slack encoding")
     return tuple(signs), tuple(out)
@@ -431,7 +441,7 @@ def _slack_lp(c: ConstraintSystem):
     c has a point honoring its strict rows strictly iff the optimum is
     positive or unbounded."""
     signs, rows = _lp_rows(_triples(c), (FREE,) * c.n_vars, True)
-    objective = (Fraction(0),) * c.n_vars + (Fraction(1),)
+    objective = (0,) * c.n_vars + (1,)
     outcome = solve(LpProblem(objective, True, rows, signs + (NONNEG,)))
     feasible = outcome.status is LpStatus.UNBOUNDED or (
         outcome.status is LpStatus.OPTIMAL and outcome.value > 0
@@ -462,7 +472,7 @@ def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
     if outcome.status is LpStatus.OPTIMAL:
         return outcome.point[:n]
     # Unbounded slack: pin it to 1 and take any feasible point.
-    pinned = rows + (((Fraction(0),) * n + (Fraction(1),), EQ, Fraction(1)),)
+    pinned = rows + (((0,) * n + (1,), EQ, 1),)
     feas = solve(LpProblem(None, False, pinned, signs))
     assert feas.is_feasible, "slack unbounded implies slack=1 is attainable"
     return feas.point[:n]

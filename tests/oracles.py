@@ -16,7 +16,16 @@ from linrank.constraints import (
     LeqMatrixForm,
     LinConstraint,
 )
-from linrank.ms import MS_FULL, RankingFunction, RankingSpace
+from linrank.ms import (
+    MS_FULL,
+    RankingFunction,
+    RankingSpace,
+    _conjoined_rows,
+    _ms_signs,
+    _mu_names,
+    _multiplier_system,
+    _names,
+)
 from linrank.projection import _canonical, project
 from linrank.rationals import Rational
 from linrank.simplex import (
@@ -44,6 +53,14 @@ def system(variables: Sequence[str], rows: Iterable[LinConstraint]) -> Constrain
 
 def _dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def conjoined_ms_system(c: ConstraintSystem) -> ConstraintSystem:
+    """Both MS systems over shared (mu0, mu) with disjoint y and z blocks:
+    the system `ms_analyze` decides, as a `ConstraintSystem`."""
+    n, m, rows = _conjoined_rows(c)
+    variables = _names("y", m) + _names("z", m + 2) + _mu_names(n, with_mu0=True)
+    return _multiplier_system(variables, rows, _ms_signs(2 * m + 2, n))
 
 
 def leq_satisfied_by(

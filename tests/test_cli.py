@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from linrank.cli import build_parser, main
 from linrank.constraints import ConstraintSystem, LinConstraint
 from linrank.projection import equivalent
@@ -233,6 +235,17 @@ def test_selftest_runs_clean():
     code, text = run("selftest", "--seed=5", "--count=6")
     assert code == 0
     assert "0 failures" in text
+
+
+def test_selftest_rejects_a_negative_count(capsys):
+    for argv in (["--count=-1"], ["--count", "-1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run("selftest", *argv)
+        assert exit_info.value.code == 2
+        assert "--count: must not be negative: -1" in capsys.readouterr().err
+    code, text = run("selftest", "--count=0")
+    assert code == 0
+    assert text.startswith("selftest: 0 loops, 0 failures")
 
 
 def test_help_lists_every_subcommand():

@@ -26,7 +26,6 @@ from linrank.ms import (
     UnsatisfiableLoopError,
     build_ms_systems,
     build_svg_system,
-    conjoined_ms_system,
     ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
@@ -43,7 +42,7 @@ from linrank.pr import (
     with_affine_slot,
 )
 from linrank.simplex import FREE, LpProblem, _lp_rows, _triples, satisfiable
-from tests.oracles import normalize_strict
+from tests.oracles import conjoined_ms_system, normalize_strict
 from tests.test_witness_golden import golden_loops
 
 

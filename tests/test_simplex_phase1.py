@@ -121,3 +121,35 @@ def test_phase1_rows_are_n_plus_2_wide(monkeypatch):
     assert out.status is LpStatus.FEASIBLE
     n = 4  # four nonnegative variables and no slack
     assert widths and max(widths) <= n + 2, widths
+
+
+def test_feasibility_lp_returns_its_phase1_point(monkeypatch):
+    """A duplicated equality row leaves artificials basic at zero after
+    phase 1, one of them in a row with a nonzero real entry, where a
+    drive-out pivot could take place.  A feasibility LP returns right
+    there, with no further pivot, and its point is the artificial block's."""
+    after_phase1 = []
+    pivots = []
+    bland_min, pivot = simplex._bland_min, simplex._pivot
+
+    def recording_min(tableau, basis, cost, n, phase1=False):
+        outcome = bland_min(tableau, basis, cost, n, phase1)
+        if phase1:
+            after_phase1.extend((row[-1], any(row[:n])) for row, b in zip(tableau, basis) if b >= n)
+            pivots.clear()
+        return outcome
+
+    def recording_pivot(*args):
+        pivots.append(args[2:4])
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_bland_min", recording_min)
+    monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+    rows = [([1, 1, 1], EQ, 3), ([1, 1, 1], EQ, 3), ([0, 1, -1], EQ, 0)]
+    problem = lp(None, False, rows, [FREE, NONNEG, NONNEG])
+    out = solve(problem)
+    assert sorted(after_phase1) == [(0, False), (0, True)]
+    assert pivots == []
+    assert out.status is LpStatus.FEASIBLE
+    assert out == solve_with_artificial_block(problem)
+    assert out.point == (3, 0, 0)
