@@ -142,9 +142,6 @@ class ConstraintSystem:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def has_strict_rows(self) -> bool:
-        return any(row.is_strict for row in self.rows)
-
     def satisfied_by(self, point: Sequence[Rational]) -> bool:
         return all(row.satisfied_by(point) for row in self.rows)
 

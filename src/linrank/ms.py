@@ -47,7 +47,7 @@ from .constraints import (
 )
 from .projection import _false_row, _project, _prune, _system, remove_redundant
 from .rationals import Rational, rat
-from .simplex import FREE, NONNEG, _point, satisfiable
+from .simplex import FREE, NONNEG, _point, _triples, satisfiable
 
 SVG, MS_FULL, MS_DECREASING, MS_BOUNDED, PR = (
     "svg",
@@ -167,16 +167,15 @@ def _mu_names(n: int, with_mu0: bool) -> tuple[str, ...]:
 # return.
 
 
-def _sign_rows(signs: tuple[str, ...], zero=0, one=1) -> list:
-    """A row v >= 0 for each NONNEG column v: int triples by default, and
-    for the builders Fraction ones, which `LinConstraint` takes as they are."""
+def _sign_rows(signs: tuple[str, ...]) -> list:
+    """A row v >= 0 for each NONNEG column v, as int triples."""
     columns = [j for j, sign in enumerate(signs) if sign == NONNEG]
-    return [(tuple(one if i == j else zero for i in range(len(signs))), GE, zero) for j in columns]
+    return [(tuple(int(i == j) for i in range(len(signs))), GE, 0) for j in columns]
 
 
 def _multiplier_system(variables, rows: list, signs: tuple[str, ...]) -> ConstraintSystem:
     """The rows, then their sign rows, as `LinConstraint`s of Fractions."""
-    rows = list(rows) + _sign_rows(signs, Fraction(0), Fraction(1))
+    rows = list(rows) + _sign_rows(signs)
     return ConstraintSystem(variables, tuple(LinConstraint(*row) for row in rows))
 
 
@@ -234,8 +233,7 @@ def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
 
 def _satisfiable_nonneg(c: ConstraintSystem) -> bool:
     """Satisfiability of c with every variable restricted to Q+."""
-    signs = _sign_rows((NONNEG,) * c.n_vars, Fraction(0), Fraction(1))
-    return satisfiable(c.with_rows(c.rows + tuple(LinConstraint(*row) for row in signs)))
+    return _point(_triples(c), (NONNEG,) * c.n_vars) is not None
 
 
 def svg_analyze(c: ConstraintSystem) -> Verdict:

@@ -24,13 +24,16 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def rat(numerator: int | str | Rational, denominator: int = 1) -> Rational:
-    """Build a Rational; accepts ints, "p/q" strings and Fractions.  Floats
-    and other inexact values are rejected with ValueError, not rounded."""
+def rat(numerator: int | str | Rational, denominator: int | Rational = 1) -> Rational:
+    """Build a Rational; accepts ints, "p/q" strings and Fractions over a
+    nonzero int or Fraction denominator.  Floats and other inexact values,
+    and a zero denominator, are rejected with ValueError, not rounded."""
     if isinstance(numerator, str):
         numerator = parse_rational(numerator)
     elif not isinstance(numerator, (int, Fraction)):
         raise ValueError(f"not an exact rational: {numerator!r}")
+    if not isinstance(denominator, (int, Fraction)) or not denominator:
+        raise ValueError(f"not a nonzero exact denominator: {denominator!r}")
     return Fraction(numerator, denominator)
 
 

@@ -17,19 +17,16 @@ right after phase 1: driving out an artificial still basic, which is
 zero, is a degenerate pivot.
 
 `solve` takes an `LpProblem`.  Projection's entailment test builds its
-dual LPs itself; every other row reaches `solve` through one bridge,
-`_lp_rows`: one pass over (coeffs, rel, const) rows and a starting sign
-per column orients each row as <= or =, turns plain sign rows into
-variable bounds and tightens strict rows, by a shared slack or, in a
-homogeneous system, to <= -1.  `_point` asks it for a point; the four
-termination analyses and the space routes' emptiness checks hand it the
-engines' multiplier rows, and `find_point` a `ConstraintSystem`'s rows.
-Feasibility of systems that mix strict and non-strict rows is decided by
-maximizing one shared slack added to every strict row -- the system has a
-point satisfying all strict rows strictly iff the optimal slack is
-positive or unbounded.  `satisfiable` answers from that one LP; only
-`find_point`, whose callers read the point, pins an unbounded slack to 1
-in a second LP.
+dual LPs itself; every other question is one of feasibility, and `_point`
+is its only routine: the four termination analyses and the space routes'
+emptiness checks hand it the engines' multiplier rows, and `find_point`
+(so `satisfiable`) a `ConstraintSystem`'s rows.  One rule decides strict
+rows, the one the paper's PR uses on its multiplier cone: in a
+homogeneous system the solutions scale, so e.x < 0 has a solution iff
+e.x <= -1 does.  `_point` makes a system with a strict row homogeneous
+first (a new column t > 0 takes the constants), and its bridge `_lp_rows`
+orients each row as <= or =, turns plain sign rows into variable bounds
+and tightens each strict row to <= -1; one feasibility LP answers.
 """
 
 from __future__ import annotations
@@ -383,109 +380,79 @@ def dual(p: LpProblem) -> LpProblem:
 
 # --- the row bridge -----------------------------------------------------------
 
-def _lp_rows(rows, signs: tuple[str, ...], slack: bool):
+def _lp_rows(rows, signs: tuple[str, ...]):
     """Turn (coeffs, rel, const) rows with a starting sign per column into
     LP data; returns (signs, rows).  A plain sign row (c*x >= 0, one nonzero
     positive coefficient) becomes a variable bound, so a nonnegative
     variable takes one standard-form column, not two, and its sign row no
     LP row.  Every other row becomes an LP row, oriented as <= or =.  A
-    strict row e.x < f gets the shared slack column s, e.x + s <= f, when
-    `slack` is set; without it, it becomes e.x <= -1, which is exact only
-    for a homogeneous system, whose solutions scale, so a strict row with
-    any nonzero constant raises LpShapeError."""
+    strict row e.x < 0 becomes e.x <= -1: `_point` hands over a system with
+    a strict row only once it is homogeneous, and a homogeneous system's
+    solutions scale."""
     signs = list(signs)
     out = []
-    strict = inhomogeneous = False
-    zero_slack = (0,) if slack else ()
     for coeffs, rel, const in rows:
-        if const:
-            inhomogeneous = True
-        elif rel == GE or rel == LE:
+        if not const and (rel == GE or rel == LE):
             nonzero = [(j, v) for j, v in enumerate(coeffs) if v]
             if len(nonzero) == 1 and (nonzero[0][1] > 0) == (rel == GE):
                 signs[nonzero[0][0]] = NONNEG
                 continue
         if rel == GE or rel == GT:
             coeffs, rel, const = tuple(-v for v in coeffs), LE if rel == GE else LT, -const
-        if rel != LT:
-            out.append((coeffs + zero_slack, rel, const))
-        elif slack:
-            out.append((coeffs + (1,), LE, const))
-        else:
-            strict = True
+        if rel == LT:
+            assert not const, "a strict row reaches the LP only in a homogeneous system"
             out.append((coeffs, LE, -1))
-    if strict and inhomogeneous:
-        raise LpShapeError("a strict row of an inhomogeneous system needs the slack encoding")
+        else:
+            out.append((coeffs, rel, const))
     return tuple(signs), tuple(out)
 
 
 def _point(rows, signs: tuple[str, ...]) -> tuple[Rational, ...] | None:
     """A point of the rows with the columns signed as given, or None: the
-    origin when it satisfies every row, else the feasibility LP's point,
-    each strict row of a homogeneous system tightened to <= -1."""
+    origin when it satisfies every row, else the point of one feasibility
+    LP.  A system with a strict row and a nonzero constant is made
+    homogeneous first: each row e.x rel f becomes e.x - f*t rel 0 over a
+    new nonnegative last column t, with t > 0, and a point (x, t) gives
+    x / t."""
     if all(HOLDS[rel](0, const) for _, rel, const in rows):
         return (_ZERO,) * len(signs)
-    signs, lp_rows = _lp_rows(rows, signs, False)
+    n = len(signs)
+    lift = any(rel == LT or rel == GT for _, rel, _ in rows) and any(c for _, _, c in rows)
+    if lift:
+        rows = [(coeffs + (-const,), rel, 0) for coeffs, rel, const in rows]
+        rows.append(((0,) * n + (1,), GT, 0))
+        signs += (NONNEG,)
+    signs, lp_rows = _lp_rows(rows, signs)
     outcome = solve(LpProblem(None, False, lp_rows, signs))
-    return outcome.point if outcome.is_feasible else None
+    if not outcome.is_feasible:
+        return None
+    if lift:
+        t = outcome.point[n]
+        return tuple(x / t for x in outcome.point[:n])
+    return outcome.point
 
 
 def _triples(c: ConstraintSystem):
-    """c's rows as (coeffs, rel, const) triples, for `_lp_rows`."""
+    """c's rows as (coeffs, rel, const) triples, for `_point`."""
     return [(row.coeffs, row.rel, row.const) for row in c.rows]
-
-
-def _slack_lp(c: ConstraintSystem):
-    """Maximize a shared slack s with every strict row  e.z < f  of c
-    tightened to  e.z + s <= f.  Returns (outcome, signs, rows, feasible):
-    c has a point honoring its strict rows strictly iff the optimum is
-    positive or unbounded."""
-    signs, rows = _lp_rows(_triples(c), (FREE,) * c.n_vars, True)
-    objective = (0,) * c.n_vars + (1,)
-    outcome = solve(LpProblem(objective, True, rows, signs + (NONNEG,)))
-    feasible = outcome.status is LpStatus.UNBOUNDED or (
-        outcome.status is LpStatus.OPTIMAL and outcome.value > 0
-    )
-    return outcome, signs + (NONNEG,), rows, feasible
 
 
 @lru_cache(maxsize=8192)
 def find_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
-    """A rational point of c honoring strict rows strictly, or None.
-
-    Without strict rows, `_point` of c's rows answers.  With them, the
-    shared-slack LP decides; an optimal slack gives the point, and an
-    unbounded one is pinned to 1 by a second LP for a point.  Results are
-    memoized because every analysis and space of a loop first asks
-    `satisfiable` of the same loop body: those repeats are nearly all of
-    the measured hits (on the 144-op `decide` cycle, 144 of the 288
+    """A rational point of c honoring strict rows strictly, or None: the
+    point of `_point` over c's rows, every column free, so one LP at most.
+    Results are memoized because every analysis and space of a loop first
+    asks `satisfiable` of the same loop body: those repeats are nearly all
+    of the measured hits (on the 144-op `decide` cycle, 144 of the 288
     lookups, all of them loop bodies).
     """
-    n = c.n_vars
-    if not c.has_strict_rows():
-        return _point(_triples(c), (FREE,) * n)
-    if all(row.holds_at_zero() for row in c.rows):
-        return (Fraction(0),) * n
-    outcome, signs, rows, feasible = _slack_lp(c)
-    if not feasible:
-        return None
-    if outcome.status is LpStatus.OPTIMAL:
-        return outcome.point[:n]
-    # Unbounded slack: pin it to 1 and take any feasible point.
-    pinned = rows + (((0,) * n + (1,), EQ, 1),)
-    feas = solve(LpProblem(None, False, pinned, signs))
-    assert feas.is_feasible, "slack unbounded implies slack=1 is attainable"
-    return feas.point[:n]
+    return _point(_triples(c), (FREE,) * c.n_vars)
 
 
 def satisfiable(c: ConstraintSystem) -> bool:
     """Whether `find_point(c)` finds a point.  A system the origin satisfies
     (any homogeneous one without strict rows) is answered before the memo
-    hashes it.  One with strict rows is decided by the shared-slack LP
-    alone, with no pinned LP and no memo; every other system asks
-    `find_point`."""
+    hashes it."""
     if all(row.holds_at_zero() for row in c.rows):
         return True
-    if c.has_strict_rows():
-        return _slack_lp(c)[3]
     return find_point(c) is not None

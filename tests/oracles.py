@@ -30,6 +30,7 @@ from linrank.projection import _canonical, project
 from linrank.rationals import Rational
 from linrank.simplex import (
     FREE,
+    NONNEG,
     LpOutcome,
     LpProblem,
     LpStatus,
@@ -116,7 +117,7 @@ def optimize(
     c: ConstraintSystem, objective: Sequence[Rational], maximize: bool
 ) -> LpOutcome:
     """Optimize over the topological closure of c (strict rows relaxed)."""
-    signs, rows = _lp_rows(_triples(closure(c)), (FREE,) * c.n_vars, False)
+    signs, rows = _lp_rows(_triples(closure(c)), (FREE,) * c.n_vars)
     problem = LpProblem(tuple(Fraction(v) for v in objective), maximize, rows, signs)
     return solve(problem)
 
@@ -342,3 +343,35 @@ def solve_with_artificial_block(p: LpProblem) -> LpOutcome:
         return LpOutcome(LpStatus.FEASIBLE, point=orig_point)
     value = sum((c * x for c, x in zip(p.objective, orig_point)), Fraction(0))
     return LpOutcome(LpStatus.OPTIMAL, point=orig_point, value=value)
+
+
+# --- strict rows by a shared slack -------------------------------------------
+#
+# The encoding that decided strict rows before `simplex._point` homogenized
+# and tightened them: one slack s >= 0 is added to every strict row and
+# maximized.  The system has a point honoring its strict rows strictly iff
+# the optimal slack is positive or unbounded; an unbounded slack is pinned
+# to 1 in a second LP for a point.
+
+_TO_LEQ = {GE: LE, GT: LT}
+
+
+def shared_slack_point(c: ConstraintSystem) -> tuple[Rational, ...] | None:
+    """A point of c honoring its strict rows strictly, or None, decided by
+    the shared-slack LP."""
+    n = c.n_vars
+    rows = []
+    for row in c.rows:
+        coeffs, rel, const = row.coeffs, row.rel, row.const
+        if rel in _TO_LEQ:
+            coeffs, rel, const = tuple(-v for v in coeffs), _TO_LEQ[rel], -const
+        rows.append((coeffs + (int(rel == LT),), LE if rel == LT else rel, const))
+    signs = (FREE,) * n + (NONNEG,)
+    outcome = solve(LpProblem((0,) * n + (1,), True, tuple(rows), signs))
+    if outcome.status is LpStatus.OPTIMAL:
+        return outcome.point[:n] if outcome.value > 0 else None
+    if outcome.status is LpStatus.INFEASIBLE:
+        return None
+    pinned = solve(LpProblem(None, False, (*rows, ((0,) * n + (1,), EQ, 1)), signs))
+    assert pinned.is_feasible, "slack unbounded implies slack=1 is attainable"
+    return pinned.point[:n]

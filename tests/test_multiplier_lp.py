@@ -65,7 +65,7 @@ def _criterion_loops():
 
 def _as_lp_rows_lays_out(system: ConstraintSystem) -> LpProblem:
     triples = _triples(normalize_strict(system))
-    signs, rows = _lp_rows(triples, (FREE,) * system.n_vars, False)
+    signs, rows = _lp_rows(triples, (FREE,) * system.n_vars)
     return LpProblem(None, False, rows, signs)
 
 

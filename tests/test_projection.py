@@ -353,7 +353,7 @@ def test_redundancy_and_entailment_match_the_negation_rule():
         names, rows = _noncanonical_system(rng)
         c = cs(names, rows)
         assert remove_redundant(c).rows == remove_redundant_by_negation(c).rows
-        strict += c.has_strict_rows()
+        strict += any(row.is_strict for row in c.rows)
         if not satisfiable(c):
             infeasible += 1
             continue
@@ -447,7 +447,8 @@ def test_equivalent_matches_the_boundary_rule():
         for other in others:
             answer = equivalent(c, other)
             assert answer == equivalent(other, c) == equivalent_by_boundaries(c, other)
-            if satisfiable(c) and satisfiable(other) and c.conjoin(other).has_strict_rows():
+            strict = any(row.is_strict for row in c.conjoin(other).rows)
+            if satisfiable(c) and satisfiable(other) and strict:
                 answers[answer] += 1
     assert answers[True] >= 100 and answers[False] >= 50
 
@@ -498,7 +499,7 @@ def test_project_matches_stepwise_elimination(seed207_loop):
         keep = tuple(v for v in names if rng.random() < 0.5) or names[:1]
         cases.append((cs(names, rows), keep))
     assert sum(not satisfiable(c) for c, _ in cases) >= 20
-    assert sum(c.has_strict_rows() for c, _ in cases) >= 100
+    assert sum(any(row.is_strict for row in c.rows) for c, _ in cases) >= 100
     assert sum(any(r.rel == "=" for r in c.rows) for c, _ in cases) >= 100
 
     # The decrease system over (y, mu1, mu2), with an all-zero mu0 column

@@ -22,6 +22,12 @@ def test_rat_divides_every_numerator_form_by_the_denominator():
         rat(0.5, 3)
 
 
+@pytest.mark.parametrize("denominator", (0, Fraction(0), 0.5, "2"))
+def test_rat_rejects_a_zero_or_inexact_denominator(denominator):
+    with pytest.raises(ValueError):
+        rat(1, denominator)
+
+
 def test_division_identity():
     assert rat(3, 7) / rat(3, 7) == rat(1)
 

@@ -10,13 +10,14 @@ from linrank.simplex import (
     LpShapeError,
     LpStatus,
     _lp_rows,
+    _point,
     dual,
     find_point,
     lp,
     satisfiable,
     solve,
 )
-from tests.oracles import constraint, optimize, system
+from tests.oracles import constraint, optimize, shared_slack_point, system
 
 
 def check_rows(p: LpProblem, point) -> bool:
@@ -214,16 +215,41 @@ def test_strict_feasible_point_examples():
     assert find_point(c2) is None
 
 
-def test_lp_rows_tightens_strict_rows_of_homogeneous_systems_only():
+def test_lp_rows_tightens_strict_rows_of_homogeneous_systems_only(monkeypatch):
+    """A homogeneous strict row is tightened to <= -1 as it is; a system
+    with a strict row and a nonzero constant is first made homogeneous by
+    `_point`, over a last column t > 0, and its point is x / t."""
+    from linrank import simplex
+
+    asked = []
+    original = simplex.solve
+    monkeypatch.setattr(simplex, "solve", lambda p: asked.append(p) or original(p))
+
     strict = ((Fraction(1), Fraction(-1)), "<", Fraction(0))
-    signs, rows = _lp_rows([strict, ((Fraction(1), Fraction(1)), "=", 0)], (FREE, FREE), False)
+    signs, rows = _lp_rows([strict, ((Fraction(1), Fraction(1)), "=", 0)], (FREE, FREE))
     assert signs == (FREE, FREE)
     assert rows == (((1, -1), "<=", -1), ((1, 1), "=", 0))
-    with pytest.raises(LpShapeError):
-        _lp_rows([strict, ((Fraction(1), Fraction(1)), "=", 1)], (FREE, FREE), False)
-    # with the slack column the same system is fine
-    signs, rows = _lp_rows([strict, ((Fraction(1), Fraction(1)), "=", 1)], (FREE, FREE), True)
-    assert rows == (((1, -1, 1), "<=", 0), ((1, 1, 0), "=", 1))
+
+    # 0 < x < 1/2: rows -x <= -1 and x - t/2 <= -1, and t >= 1 for t > 0
+    point = _point([((1,), ">", 0), ((1,), "<", Fraction(1, 2))], (FREE,))
+    assert [(p.rows, p.signs) for p in asked] == [
+        (
+            (((-1, 0), "<=", -1), ((1, Fraction(-1, 2)), "<=", -1), ((0, -1), "<=", -1)),
+            (FREE, NONNEG),
+        )
+    ]
+    assert len(point) == 1 and 0 < point[0] < Fraction(1, 2)
+    assert all(type(v) is Fraction for v in point)
+
+    # x > 0 and x < 0 with a constant elsewhere: homogenized, then infeasible
+    asked.clear()
+    rows = [((1,), ">", 0), ((1,), "<", 0), ((1,), "<=", 3)]
+    assert _point(rows, (FREE,)) is None
+    assert len(asked) == 1 and asked[0].signs == (FREE, NONNEG)
+    # without a constant the same strict rows are tightened as they are
+    asked.clear()
+    assert _point(rows[:2], (FREE,)) is None
+    assert [p.rows for p in asked] == [(((-1,), "<=", -1), ((1,), "<=", -1))]
 
 
 def test_strict_feasible_point_on_multiplier_system(log2_loop):
@@ -252,10 +278,8 @@ def test_optimize_and_satisfiable_bridge():
 
 
 def test_satisfiable_answers_strict_systems_from_one_lp(monkeypatch):
-    """`satisfiable` decides a strict system from the shared-slack LP alone,
-    with one `solve` call even when the slack is unbounded; only
-    `find_point` pins the slack in a second LP, for its point.  Both always
-    agree."""
+    """`satisfiable` and `find_point` decide a strict system by one
+    feasibility LP, whatever its constants; they always agree."""
     from linrank import simplex
     from tests.test_simplex_golden import N_SYSTEMS, _system_case
 
@@ -270,28 +294,41 @@ def test_satisfiable_answers_strict_systems_from_one_lp(monkeypatch):
         asked = list(outcomes)
         find_point.cache_clear()
         assert answer == (find_point(c) is not None), c.render()
+        assert outcomes[len(asked):] == asked
         return asked
 
+    # strict rows whose solutions run off along a ray: still one LP
     unbounded = system(("x", "y"), [constraint((1, -1), "<", 0), constraint((1, 0), ">=", 1)])
-    asked = answers(unbounded)
-    assert [out.status for out in asked] == [LpStatus.UNBOUNDED]
-    # find_point: the same slack LP, then the pinned LP for its point
-    assert [out.status for out in outcomes[1:]] == [LpStatus.UNBOUNDED, LpStatus.FEASIBLE]
+    assert [out.status for out in answers(unbounded)] == [LpStatus.FEASIBLE]
 
     # the golden's strict systems, and as many again from further seeds
-    cases = set()
+    statuses = set()
     for seed in range(2 * N_SYSTEMS):
         asked = answers(_system_case(seed))
         assert len(asked) <= 1
-        if asked:
-            out = asked[0]
-            if out.status is LpStatus.UNBOUNDED:
-                cases.add("unbounded")
-            elif out.status is LpStatus.OPTIMAL and out.value > 0:
-                cases.add("positive")
-            else:
-                cases.add("none")
-    assert cases == {"unbounded", "positive", "none"}
+        statuses.update(out.status for out in asked)
+    assert statuses == {LpStatus.FEASIBLE, LpStatus.INFEASIBLE}
+
+
+def test_find_point_agrees_with_the_shared_slack_reference():
+    """On the simplex golden's systems and 500 further seeds, `find_point`
+    finds a point exactly when the shared-slack reference does; each point
+    satisfies its system, strict rows strictly, in Fraction coordinates;
+    and `satisfiable` agrees with `find_point`."""
+    from tests.test_simplex_golden import N_SYSTEMS, _system_case
+
+    found = 0
+    for seed in range(N_SYSTEMS + 500):
+        c = _system_case(seed)
+        point = find_point(c)
+        assert (point is None) == (shared_slack_point(c) is None), seed
+        assert satisfiable(c) == (point is not None), seed
+        if point is not None:
+            found += 1
+            assert c.satisfied_by(point), seed
+            assert all(type(v) is Fraction for v in point), seed
+    assert 0 < found < N_SYSTEMS + 500
+    find_point.cache_clear()
 
 
 @pytest.mark.parametrize("value", (0.1, 0.5, "0.5", "1e3"))

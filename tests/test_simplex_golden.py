@@ -9,7 +9,7 @@ the classic degenerate cycling instance; together they reach all four
 statuses.  After a deliberate change of outcome, regenerate the snapshot
 with
 
-    PYTHONPATH=src python tests/test_simplex_golden.py
+    PYTHONPATH=src:. python tests/test_simplex_golden.py
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _system_case(seed: int):
         rel = LT if k == 0 else rng.choice((LT, GT, LE, GE, EQ))
         const = _number(rng, style)
         if seed % 6 == 0 and rel in (LT, GT):
-            const = Fraction(0)  # homogeneous strict rows: unbounded slack
+            const = Fraction(0)  # homogeneous strict rows, tightened with no lift
         rows.append(constraint(coeffs, rel, const))
     if seed % 5 == 0:
         rows.append(rng.choice(rows))
