@@ -1,20 +1,22 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex with Bland's pivoting rule, so every run
-terminates, on fraction-free integer rows.  Rows are ints inside: most
-LP rows arrive all-int (the engines' rows come from an integer view of
-the loop's matrix) and are laid out as they are; any other row is
-integer-scaled once.  Every reported point, value and certificate is an
-exact `Fraction`.  Problems here are small (tens of rows), which makes
-the dense tableau the right trade-off.
+A two-phase simplex with Bland's pivoting rule, so every run terminates,
+on a condensed (dictionary) tableau of fraction-free integer rows: a row
+holds only the nonbasic columns and the rhs, and one positive scale, its
+basic variable's entry, so a pivot updates the nonbasic columns only.
+Rows are ints inside: most LP rows arrive all-int (the engines' rows come
+from an integer view of the loop's matrix) and are laid out as they are;
+any other row is integer-scaled once.  Every reported point, value and
+certificate is an exact `Fraction`.  Problems here are small (tens of
+rows), which makes a dense tableau the right trade-off.
 
-Phase 1 keeps no artificial columns: each row has one artificial cell,
-the basic entry of its artificial variable while that is basic, and only
-real columns are priced.  No pivot changes, as an artificial would enter
-only where the simplex multipliers are a Farkas certificate that the LP
-is infeasible (see `_bland_min`).  A feasibility LP returns its point
-right after phase 1: driving out an artificial still basic, which is
-zero, is a degenerate pivot.
+Phase 1 keeps no artificial columns: an artificial variable is basic in
+its row with the row's scale as its entry, has no cell, and is never
+priced; when it leaves, its position goes from every row.  No pivot
+changes, as an artificial would enter only where the simplex multipliers
+are a Farkas certificate that the LP is infeasible (see `_bland_min`).
+A feasibility LP returns its point right after phase 1: driving out an
+artificial still basic, which is zero, is a degenerate pivot.
 
 `solve` takes an `LpProblem`.  Projection's entailment test builds its
 dual LPs itself; every other question is one of feasibility, and `_point`
@@ -31,6 +33,7 @@ and tightens each strict row to <= -1; one feasibility LP answers.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,6 +46,7 @@ from .rationals import Rational, integer_scaling, rat
 NONNEG = "nonneg"
 FREE = "free"
 _ZERO = Fraction(0)
+_INT = frozenset((int,))
 
 
 class LpShapeError(ValueError):
@@ -125,7 +129,8 @@ def _integer_standard_form(p: LpProblem):
     for sign in p.signs:
         columns.append((slack, None if sign == NONNEG else slack + 1))
         slack += 1 if sign == NONNEG else 2
-    n = slack + sum(1 for _, rel, _ in p.rows if rel != EQ)
+    rels = [rel for _, rel, _ in p.rows]
+    n = slack + len(rels) - rels.count(EQ)
     # With every variable nonnegative, variable j is column j, so a row is
     # widened by appending its zero slack cells.
     pad = [0] * (n - slack) if slack == len(p.signs) else None
@@ -144,7 +149,7 @@ def _integer_standard_form(p: LpProblem):
     rows, scales = [], []
     try:
         for coeffs, rel, rhs in p.rows:
-            if type(rhs) is int and all(type(v) is int for v in coeffs):
+            if type(rhs) is int and _INT.issuperset(map(type, coeffs)):
                 scale, row = 1, widen(coeffs, rhs)
             else:
                 scale, ints = integer_scaling((*coeffs, rhs))
@@ -166,63 +171,121 @@ def _integer_standard_form(p: LpProblem):
 
 # --- tableau core -----------------------------------------------------------
 #
-# Fraction-free rows (Edmonds/Bareiss): each row is a list of Python ints,
-# scaled once from its LP row by `_integer_standard_form`, and row r stands
-# for the rational row T[r] / T[r][basis[r]], whose basic entry is kept
-# positive.  Every sign test and ratio comparison of the rational tableau
-# therefore reads off the integers directly, so the pivots are exactly those
-# of the rational simplex; rationals are rebuilt only for the reported point
-# and ray, from the basic rows' nonzero entries only.  The layout is one
-# pass: the crash basis is one sweep over the columns, and the phase-1 cost
-# row the column sums of the rows it leaves uncovered.  Only then does each
-# row get its artificial cell, so a phase-1 row is the n real columns, the
-# artificial cell and the rhs; artificial k keeps the virtual column n + k
-# in `basis`.  An LP the crash basis covers skips phase 1 with n + 1 wide rows.
+# A condensed (dictionary) tableau of fraction-free rows (Edmonds/Bareiss;
+# Chvatal, *Linear Programming*, 1983).  Only the nonbasic real columns are
+# stored: cell k of every row is variable nonbasic[k], and the last cell is
+# the rhs.  Row r stands for the rational row  row / scale[r],  in which its
+# basic variable basis[r] has the unit entry: scale[r] > 0 is the basic
+# entry a full row would hold, and the cells are exactly that full row's
+# ints with the basic columns' zeros left out.  Every sign test and ratio
+# comparison of the rational tableau therefore reads off the ints directly,
+# so the pivots are exactly those of the rational simplex; rationals are
+# rebuilt only for the reported point and ray.  A pivot is an exchange step
+# (`_exchange`): the leaving variable takes the entering column's position,
+# or deletes it if it is an artificial, which never re-enters.  Positions
+# are thus not in variable order once a real variable has left, and Bland's
+# rule, which enters the least variable index, scans them through `order`.
+# The layout is one pass: the crash basis is one sweep over the columns,
+# the rows lose the columns it makes basic, and the phase-1 cost row is the
+# column sums of the rows it leaves uncovered.  Artificial k is variable
+# n + k, basic in its row with the row's scale as its entry, so phase 1
+# adds no cell to a row.
 
 
-def _combine(row, prow, p, f):
-    """row * p - prow * f, divided by the gcd of its entries."""
-    out = [a * p - b * f if b else a * p for a, b in zip(row, prow)]
-    g = gcd(*out)
-    return [e // g for e in out] if g > 1 else out
+def _basic_point(rows, scale, basis, n):
+    """The basic solution over the n real columns; an artificial still
+    basic is zero."""
+    point = [_ZERO] * n
+    for row, s, b in zip(rows, scale, basis):
+        if row[-1]:
+            point[b] = Fraction(row[-1], s)
+    return point
 
 
-def _pivot(tableau, basis, r, col, n):
-    prow = tableau[r]
-    if basis[r] >= n:  # a leaving artificial: its column goes, so clear its cell
-        prow[n] = 0
-    p = prow[col]
+class _Tableau:
+    """The condensed tableau's rows, their scales and basic variables, the
+    variable at each position and, once a real variable has left the basis,
+    the positions in variable order (until then they are in it)."""
+
+    __slots__ = ("rows", "scale", "basis", "nonbasic", "order", "n")
+
+    def __init__(self, rows, scale, basis, nonbasic, n):
+        self.rows, self.scale, self.basis, self.nonbasic = rows, scale, basis, nonbasic
+        self.order = None
+        self.n = n
+
+
+def _exchange(t, r, q, cost):
+    """Pivot on row r at position q: the variable at q enters the basis in
+    row r, and the leaving one takes position q, or deletes it if it is an
+    artificial.  With p > 0 the pivot row's entry at q and s its scale, each
+    other row with a cell f != 0 at q becomes  row * p - prow * f  with -s * f
+    at q and scale  scale * p,  over the gcd of its cells and scale; cost, if
+    given, is updated in place alike.  The pivot row keeps its ints, s at q,
+    and gets scale p."""
+    rows, scale, basis, nonbasic = t.rows, t.scale, t.basis, t.nonbasic
+    prow = rows[r]
+    p, s = prow[q], scale[r]
     if p < 0:  # only the phase-1 drive-out pivots on a negative entry
-        prow = tableau[r] = [-e for e in prow]
-        p = -p
-    for i, other in enumerate(tableau):
-        f = other[col]
-        if f and i != r:
-            tableau[i] = _combine(other, prow, p, f)
-    basis[r] = col
+        prow = rows[r] = [-e for e in prow]
+        p, s = -p, -s
+    leaving, basis[r], scale[r] = basis[r], nonbasic[q], p
+    artificial = leaving >= t.n
+    if artificial:
+        del prow[q], nonbasic[q]
+        f = cost.pop(q) if cost is not None else 0
+        if t.order:
+            t.order = [k - (k > q) for k in t.order if k != q]
+    else:
+        f = cost[q] if cost is not None else 0
+        prow[q] = p + s  # so that every combination leaves -s * f at q
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        g = row.pop(q) if artificial else row[q]
+        if g:
+            out = [a * p - b * g if b else a * p for a, b in zip(row, prow)]
+            c = scale[i] * p
+            d = gcd(c, *out)
+            if d > 1:
+                out = [e // d for e in out]
+                c //= d
+            rows[i], scale[i] = out, c
+    if f:
+        out = [a * p - b * f if b else a * p for a, b in zip(cost, prow)]
+        d = gcd(*out)
+        cost[:] = [e // d for e in out] if d > 1 else out
+    if not artificial:
+        prow[q] = s
+        nonbasic[q] = leaving
+        order = t.order or list(range(len(nonbasic)))
+        order.remove(q)
+        insort(order, q, key=nonbasic.__getitem__)
+        t.order = order
 
 
-def _bland_min(tableau, basis, cost, n, phase1=False):
-    """Minimize over the current tableau by Bland's rule, pricing the n real
-    columns only; cost is the reduced-cost row with the negated objective
-    value in its last cell, as ints scaled by a positive factor.  Updates
-    cost in place and returns ('optimal',) or ('unbounded', entering_col).
-    With phase1, cost prices w >= 0, the sum of the artificials, and the
-    run returns once w is zero.  An artificial would enter only if every
+def _bland_min(t, cost, phase1=False):
+    """Minimize over the tableau by Bland's rule; cost is the reduced-cost
+    row over t's positions with the negated objective value in its last
+    cell, as ints scaled by a positive factor.  Updates cost in place and
+    returns None at the optimum, or the entering position of an unbounded
+    ray.  With phase1, cost prices w >= 0, the sum of the artificials, and
+    the run returns once w is zero.  An artificial would enter only if every
     real column priced non-negative: pi.A <= 0 for the simplex multipliers
     pi.  A feasible x >= 0 would give w = pi.b = pi.A x <= 0, so with w > 0
     pi is a Farkas certificate of infeasibility, and the run returns there
     instead, with -w < 0 in the last cost cell."""
+    rows, basis = t.rows, t.basis
     while True:
         if phase1 and cost[-1] >= 0:
-            return ("optimal",)
-        entering = next((j for j in range(n) if cost[j] < 0), None)
+            return None
+        entering = next((k for k in t.order or range(len(cost) - 1) if cost[k] < 0), None)
         if entering is None:
-            return ("optimal",)
+            return None
         # Bland's ratio test: least rhs / entry over positive entries,
-        # compared by cross-multiplication, ties to the least basic column.
+        # compared by cross-multiplication, ties to the least basic variable.
         leaving = None
-        for r, row in enumerate(tableau):
+        for r, row in enumerate(rows):
             a = row[entering]
             if a > 0:
                 if leaving is not None:
@@ -231,93 +294,105 @@ def _bland_min(tableau, basis, cost, n, phase1=False):
                         continue
                 leaving, best_a, best_b = r, a, row[-1]
         if leaving is None:
-            return ("unbounded", entering)
-        _pivot(tableau, basis, leaving, entering, n)
-        cost[:] = _combine(cost, tableau[leaving], best_a, cost[entering])
+            return entering
+        _exchange(t, leaving, entering, cost)
 
 
 def _solve_standard(rows, scales, objective, n):
     """Simplex on  min objective . x  s.t.  rows x = rhs, x >= 0  over n
     variables.  Row i is n + 1 ints, the last one its rhs, and stands for
     the rational row divided by scales[i] > 0; objective is ints or None.
-    Rows the crash basis leaves uncovered get an artificial in their cell;
-    the phase-1 cost row is minus the column sums of those rows, each
-    times lcm / scales[i].
+    The lists are taken over: rows become the condensed tableau's rows, the
+    crash basis's columns cut out in place (a row with a negative rhs is
+    negated into a copy first), and scales its scale list.  Rows the crash
+    basis leaves uncovered get an artificial basic variable; the phase-1
+    cost row is minus the column sums of those rows, each times
+    lcm / scales[i].  The phase-2 cost row is the objective priced out on
+    the condensed rows.
 
     Returns (status, point, ray) in standard-form coordinates, the point
     built from the basic rows with a nonzero rhs.  Objective None asks for
     feasibility only, answered right after phase 1 (see the module doc).
     """
     m = len(rows)
-    tableau = [[-e for e in row] if row[-1] < 0 else row for row in rows]
+    rows = [[-e for e in row] if row[-1] < 0 else row for row in rows]
     # Crash basis, in one sweep over the columns: a row's basic variable is
     # the first column whose only nonzero is that row's scale (a unit
     # column of the rational row); only uncovered rows get an artificial.
     basis = [-1] * m
-    for j, column in zip(range(n), zip(*tableau)):
-        top = max(column)
-        if top > 0 and column.count(0) == m - 1:
+    runs = []  # the basic columns, as [start, stop) runs
+    for j, column in zip(range(n), zip(*rows)):
+        if column.count(0) == m - 1 and (top := max(column)) > 0:
             i = column.index(top)
             if basis[i] < 0 and top == scales[i]:
                 basis[i] = j
+                if runs and runs[-1][1] == j:
+                    runs[-1][1] = j + 1
+                else:
+                    runs.append([j, j + 1])
     uncovered = [i for i in range(m) if basis[i] < 0]
-
-    def current_point():
-        point = [_ZERO] * n
-        for r, row in enumerate(tableau):
-            if row[-1]:
-                point[basis[r]] = Fraction(row[-1], row[basis[r]])
-        return point
+    if not uncovered and objective is None:
+        # The crash basis is feasible: its point is the answer.
+        return LpStatus.FEASIBLE, _basic_point(rows, scales, basis, n), None
+    nonbasic = list(range(n))
+    for start, stop in reversed(runs):
+        del nonbasic[start:stop]
+        for row in rows:
+            del row[start:stop]
+    for k, i in enumerate(uncovered):
+        basis[i] = n + k
+    t = _Tableau(rows, scales, basis, nonbasic, n)
 
     if uncovered:
-        for row in tableau:
-            row.insert(n, 0)
-        for k, i in enumerate(uncovered):
-            # An artificial basic entry is 1 in the rational row, so its row's scale.
-            basis[i] = n + k
-            tableau[i][n] = scales[i]
         common = lcm(*(scales[i] for i in uncovered))
         weighted = (
-            tableau[i] if scales[i] == common else [common // scales[i] * e for e in tableau[i]]
+            rows[i] if scales[i] == common else [common // scales[i] * e for e in rows[i]]
             for i in uncovered
         )
         cost = [-sum(column) for column in zip(*weighted)]
-        cost[n] = 0
-        outcome = _bland_min(tableau, basis, cost, n, phase1=True)
-        assert outcome[0] == "optimal", "phase 1 is bounded below by zero"
+        unbounded = _bland_min(t, cost, phase1=True)
+        assert unbounded is None, "phase 1 is bounded below by zero"
         if cost[-1] < 0:
             return LpStatus.INFEASIBLE, None, None
     if objective is None:
         # An artificial still basic is zero: driving it out cannot move the point.
-        return LpStatus.FEASIBLE, current_point(), None
+        return LpStatus.FEASIBLE, _basic_point(t.rows, t.scale, t.basis, n), None
 
     if uncovered:
-        # Drive artificial variables out of the basis; rows where that is
+        # Drive artificial variables out of the basis, each on the
+        # least-index real column nonzero in its row; rows where that is
         # impossible are redundant and dropped.
         keep = []
         for r in range(m):
             if basis[r] >= n:
-                pivot_col = next((j for j in range(n) if tableau[r][j] != 0), None)
-                if pivot_col is None:
+                q = next((k for k in t.order or range(len(t.nonbasic)) if rows[r][k]), None)
+                if q is None:
                     continue
-                _pivot(tableau, basis, r, pivot_col, n)
+                _exchange(t, r, q, None)
             keep.append(r)
-        tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
-        basis = [basis[r] for r in keep]
+        if len(keep) < m:
+            t.rows, t.scale, t.basis = ([x[r] for r in keep] for x in (rows, scales, basis))
 
-    cost = list(objective) + [0]  # priced out: zero on every basic column
-    for r, row in enumerate(tableau):
-        if cost[basis[r]]:
-            cost = _combine(cost, row, row[basis[r]], cost[basis[r]])
-    outcome = _bland_min(tableau, basis, cost, n)
-    point = current_point()
-    if outcome[0] == "unbounded":
-        entering = outcome[1]
+    # Price the objective out of the basic columns, one row at a time, with
+    # k the factor the cost row is scaled by so far; over its gcd, this is
+    # the primitive int row that pricing out a full tableau ends with.
+    cost = [objective[j] for j in t.nonbasic] + [0]
+    k = 1
+    for row, s, b in zip(t.rows, t.scale, t.basis):
+        if c := objective[b] * k:
+            cost = [a * s - e * c if e else a * s for a, e in zip(cost, row)]
+            k *= s
+    g = gcd(*cost)
+    if g > 1:
+        cost = [e // g for e in cost]
+    entering = _bland_min(t, cost)
+    point = _basic_point(t.rows, t.scale, t.basis, n)
+    if entering is not None:
         ray = [_ZERO] * n
-        ray[entering] = Fraction(1)
-        for r, row in enumerate(tableau):
+        ray[t.nonbasic[entering]] = Fraction(1)
+        for row, s, b in zip(t.rows, t.scale, t.basis):
             if row[entering]:
-                ray[basis[r]] = Fraction(-row[entering], row[basis[r]])
+                ray[b] = Fraction(-row[entering], s)
         return LpStatus.UNBOUNDED, point, ray
     return LpStatus.OPTIMAL, point, None
 

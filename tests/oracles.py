@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from linrank.constraints import (
@@ -34,7 +35,6 @@ from linrank.simplex import (
     LpOutcome,
     LpProblem,
     LpStatus,
-    _combine,
     _integer_standard_form,
     _lp_rows,
     _recover,
@@ -216,11 +216,19 @@ def equivalent_by_boundaries(c1: ConstraintSystem, c2: ConstraintSystem) -> bool
 
 # --- phase 1 with an explicit artificial block -------------------------------
 #
-# The textbook tableau layout: every artificial variable has a column of its
-# own, priced and updated at every pivot like a real column, so phase 1 runs
-# until no column at all prices negative.  `solve` keeps one artificial cell
-# per row and prices real columns only; it must return exactly what this
-# returns.
+# The textbook tableau layout: every row holds every column, basic ones
+# included, and every artificial variable has a column of its own, priced
+# and updated at every pivot like a real column, so phase 1 runs until no
+# column at all prices negative.  `solve` keeps a condensed tableau of the
+# nonbasic real columns and prices real columns only; it must return
+# exactly what this returns.
+
+
+def _combine(row, prow, p, f):
+    """row * p - prow * f, divided by the gcd of its entries."""
+    out = [a * p - b * f if b else a * p for a, b in zip(row, prow)]
+    g = gcd(*out)
+    return [e // g for e in out] if g > 1 else out
 
 
 def _block_pivot(tableau, basis, r, col):

@@ -1,9 +1,11 @@
 """Phase 1 without an artificial block.
 
-`solve` keeps one artificial cell per tableau row and prices real columns
-only.  These tests hold it to the textbook layout kept in
-`tests.oracles.solve_with_artificial_block`, outcome for outcome, and check
-that phase-1 rows stay n + 2 ints wide.
+`solve` keeps a condensed tableau: a row holds the nonbasic real columns
+and the rhs, an artificial has no cell, and only real columns are priced.
+These tests hold it to the textbook layout kept in
+`tests.oracles.solve_with_artificial_block`, outcome for outcome, on seeded
+LPs and on degenerate shapes, and check that phase-1 rows hold no more
+than the real nonbasic columns.
 """
 
 from __future__ import annotations
@@ -105,52 +107,166 @@ def test_solve_matches_artificial_block_oracle(monkeypatch):
     assert set(counts["cross_check"]) == {"infeasible", "feasible", "optimal"}, counts
 
 
-def test_phase1_rows_are_n_plus_2_wide(monkeypatch):
+def _recording_exchange(monkeypatch, record):
+    """Patch `simplex._exchange` to call record(tableau, row, position)
+    before each exchange step, then take it."""
+    exchange = simplex._exchange
+
+    def recording(t, r, q, cost):
+        record(t, r, q)
+        return exchange(t, r, q, cost)
+
+    monkeypatch.setattr(simplex, "_exchange", recording)
+
+
+def test_phase1_rows_are_no_wider_than_the_nonbasic_columns(monkeypatch):
     """Three equality rows without a unit column need three artificials;
-    every row that phase 1 combines is still the n real columns, one
-    artificial cell and the rhs."""
+    every row phase 1 exchanges on is no wider than the real nonbasic
+    columns plus the rhs: no artificial has a cell, and the crash basis's
+    columns are left out."""
     widths = []
-    combine = simplex._combine
 
-    def recording(row, prow, p, f):
-        widths.extend((len(row), len(prow)))
-        return combine(row, prow, p, f)
+    def record(t, r, q):
+        real_nonbasic = t.n - sum(b < t.n for b in t.basis)
+        widths.extend((len(row), real_nonbasic + 1) for row in t.rows)
 
-    monkeypatch.setattr(simplex, "_combine", recording)
+    _recording_exchange(monkeypatch, record)
     rows = [([1, 1, 1, 2], EQ, 5), ([1, -1, 2, 1], EQ, 3), ([2, 1, -1, 1], EQ, 3)]
     out = solve(lp(None, False, rows, [NONNEG] * 4))
     assert out.status is LpStatus.FEASIBLE
-    n = 4  # four nonnegative variables and no slack
-    assert widths and max(widths) <= n + 2, widths
+    assert widths and all(width <= bound for width, bound in widths), widths
+    # One slack is a crash column, so the first exchange already sees 3 + 1 cells.
+    rows = [([1, 1, 1], LE, 4), ([1, -1, 2], EQ, 3), ([2, 1, -1], EQ, 3)]
+    widths.clear()
+    out = solve(lp(None, False, rows, [NONNEG] * 3))
+    assert out.status is LpStatus.FEASIBLE
+    assert widths[0] == (4, 4) and all(width <= bound for width, bound in widths), widths
 
 
 def test_feasibility_lp_returns_its_phase1_point(monkeypatch):
     """A duplicated equality row leaves artificials basic at zero after
-    phase 1, one of them in a row with a nonzero real entry, where a
-    drive-out pivot could take place.  A feasibility LP returns right
-    there, with no further pivot, and its point is the artificial block's."""
+    phase 1, one of them in a row with a nonzero real cell, where a
+    drive-out exchange could take place.  A feasibility LP returns right
+    there, with no further exchange, and its point is the artificial
+    block's."""
     after_phase1 = []
-    pivots = []
-    bland_min, pivot = simplex._bland_min, simplex._pivot
+    exchanges = []
+    bland_min = simplex._bland_min
 
-    def recording_min(tableau, basis, cost, n, phase1=False):
-        outcome = bland_min(tableau, basis, cost, n, phase1)
+    def recording_min(t, cost, phase1=False):
+        outcome = bland_min(t, cost, phase1)
         if phase1:
-            after_phase1.extend((row[-1], any(row[:n])) for row, b in zip(tableau, basis) if b >= n)
-            pivots.clear()
+            after_phase1.extend((row[-1], any(row[:-1])) for row, b in zip(t.rows, t.basis) if b >= t.n)
+            exchanges.clear()
         return outcome
 
-    def recording_pivot(*args):
-        pivots.append(args[2:4])
-        return pivot(*args)
-
     monkeypatch.setattr(simplex, "_bland_min", recording_min)
-    monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+    _recording_exchange(monkeypatch, lambda t, r, q: exchanges.append((r, q)))
     rows = [([1, 1, 1], EQ, 3), ([1, 1, 1], EQ, 3), ([0, 1, -1], EQ, 0)]
     problem = lp(None, False, rows, [FREE, NONNEG, NONNEG])
     out = solve(problem)
     assert sorted(after_phase1) == [(0, False), (0, True)]
-    assert pivots == []
+    assert exchanges == []
     assert out.status is LpStatus.FEASIBLE
     assert out == solve_with_artificial_block(problem)
     assert out.point == (3, 0, 0)
+
+
+def _recording_phases(monkeypatch):
+    """Patch `simplex._bland_min` to note, as each phase starts, whether it
+    is phase 1 and which rows hold an artificial basic variable."""
+    phases = []
+    bland_min = simplex._bland_min
+
+    def recording(t, cost, phase1=False):
+        phases.append((phase1, [b >= t.n for b in t.basis]))
+        return bland_min(t, cost, phase1)
+
+    monkeypatch.setattr(simplex, "_bland_min", recording)
+    return phases
+
+
+def _matches_oracle(problem, status):
+    out = solve(problem)
+    assert out == solve_with_artificial_block(problem)
+    assert out.status is status, out
+    return out
+
+
+def test_lp_without_rows_matches_oracle():
+    for maximize, signs, status in (
+        (False, [NONNEG, NONNEG], LpStatus.OPTIMAL),
+        (False, [NONNEG, FREE], LpStatus.UNBOUNDED),
+        (True, [NONNEG, NONNEG], LpStatus.UNBOUNDED),
+    ):
+        out = _matches_oracle(lp([1, 2], maximize, [], signs), status)
+        assert out.point == (0, 0)
+    assert _matches_oracle(lp(None, False, [], [FREE]), LpStatus.FEASIBLE).point == (0,)
+
+
+def test_lp_without_variables_matches_oracle():
+    """Rows over no variables hold or fail on their rhs alone."""
+    feasible = [([], EQ, 0), ([], LE, 1), ([], GE, -2)]
+    _matches_oracle(lp(None, False, feasible, []), LpStatus.FEASIBLE)
+    out = _matches_oracle(lp([], True, feasible, []), LpStatus.OPTIMAL)
+    assert out.point == () and out.value == 0
+    for row in (([], EQ, 1), ([], LE, -1), ([], GE, 3)):
+        _matches_oracle(lp(None, False, [*feasible, row], []), LpStatus.INFEASIBLE)
+
+
+def test_all_zero_row_matches_oracle():
+    rows = [([0, 0, 0], EQ, 0), ([1, 2, -1], EQ, 2), ([0, 0, 0], LE, 0)]
+    out = _matches_oracle(lp([1, 1, 1], False, rows, [NONNEG] * 3), LpStatus.OPTIMAL)
+    assert out.value == 1
+    _matches_oracle(lp(None, False, rows, [NONNEG] * 3), LpStatus.FEASIBLE)
+    _matches_oracle(lp(None, False, [*rows, ([0, 0, 0], EQ, 1)], [NONNEG] * 3), LpStatus.INFEASIBLE)
+
+
+def test_crash_basis_covering_every_row_skips_phase1(monkeypatch):
+    """Each <= row with a nonnegative rhs is covered by its slack, so no row
+    gets an artificial and only phase 2 runs."""
+    phases = _recording_phases(monkeypatch)
+    rows = [([1, 2], LE, 4), ([3, -1], LE, 2), ([-1, 1], LE, 1)]
+    out = _matches_oracle(lp([1, 1], True, rows, [NONNEG, NONNEG]), LpStatus.OPTIMAL)
+    assert out.point == (Fraction(8, 7), Fraction(10, 7)) and out.value == Fraction(18, 7)
+    assert [phase1 for phase1, _ in phases] == [False]
+    # A feasibility LP the crash basis covers is answered by that basis.
+    phases.clear()
+    _matches_oracle(lp(None, False, rows, [NONNEG, NONNEG]), LpStatus.FEASIBLE)
+    assert phases == []
+
+
+def test_every_row_artificial_matches_oracle(monkeypatch):
+    """Equality rows with no unit column all start on an artificial."""
+    phases = _recording_phases(monkeypatch)
+    rows = [([1, 1, 2], EQ, 4), ([2, -1, 1], EQ, 1), ([1, 3, -1], EQ, 2)]
+    _matches_oracle(lp([1, -1, 1], False, rows, [NONNEG] * 3), LpStatus.OPTIMAL)
+    assert phases[0] == (True, [True, True, True])
+    _matches_oracle(lp(None, False, rows, [FREE] * 3), LpStatus.FEASIBLE)
+    _matches_oracle(lp(None, False, [*rows, ([1, 1, 1], EQ, -1)], [NONNEG] * 3), LpStatus.INFEASIBLE)
+
+
+def test_artificial_left_in_a_zero_row_is_dropped(monkeypatch):
+    """A duplicated equality row keeps an artificial basic at zero in a row
+    that phase 1 has made all zero; the drive-out finds no real column to
+    pivot on there and drops the row, so phase 2 runs on one row less."""
+    phases = _recording_phases(monkeypatch)
+    rows = [([1, 2, 1], EQ, 3), ([1, 2, 1], EQ, 3), ([0, 1, 1], LE, 2)]
+    out = _matches_oracle(lp([-1, -1, -2], False, rows, [NONNEG] * 3), LpStatus.OPTIMAL)
+    assert out.value == -5
+    (phase1, artificial), (phase2, rows_in_phase2) = phases
+    assert phase1 and not phase2
+    assert artificial == [True, True, False]
+    assert len(rows_in_phase2) == 2 and not any(rows_in_phase2)
+
+
+def test_unbounded_ray_through_both_halves_of_a_free_variable():
+    """min x s.t. x + y = 1 over free x, y: x's plus column is the crash
+    basis, y's plus column replaces it, and then x's minus column enters
+    with no bound, so the ray lowers x and raises y."""
+    out = _matches_oracle(lp([1, 0], False, [([1, 1], EQ, 1)], [FREE, FREE]), LpStatus.UNBOUNDED)
+    assert out.point == (0, 1)
+    assert out.ray == (-1, 1)
+    # The same LP maximized runs its ray the other way, through x's plus column.
+    out = _matches_oracle(lp([1, 0], True, [([1, 1], EQ, 1)], [FREE, FREE]), LpStatus.UNBOUNDED)
+    assert out.ray == (1, -1)
