@@ -6,8 +6,10 @@ functions; `--conditional` adds the decreasing/bounded candidate spaces),
 and `compare` (cross-validation report of the two engines).  `bench` runs
 both engines over a directory of loop files and emits CSV.
 
-Exit codes: 0 terminating or trivially terminating, 10 unknown, 2 input
-errors, 3 method disagreement (with --method=both).
+Exit codes: 0 terminating or trivially terminating, 10 unknown (`check`
+and `rank` only: `space` and `compare` exit 0 on an unknown loop), 2 input
+errors, 3 method disagreement (with --method=both) or an inconsistent
+`compare` report; the hidden `selftest` exits 1 on any failure.
 """
 
 from __future__ import annotations

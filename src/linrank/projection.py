@@ -31,6 +31,8 @@ feasible input, and the projection of a feasible system is feasible, as
 on its `ConstraintSystem`; the engines' space routes
 (`ms._multiplier_space`) check it with their own decision LP, then hand
 `_project` their row triples, canonicalized, with no system built.
+`remove_redundant` makes the same one check, so both, and every engine
+space built on them, give an empty set as `0 < 0`, the one empty result.
 
 Entailment is one test, `_entailed`, in the space's own dimension.  By
 Farkas' lemma, min y.b over the multipliers y >= 0 (free on an equality)
@@ -216,15 +218,14 @@ def entails(c: ConstraintSystem, k: LinConstraint) -> bool:
     return all(_entailed(premise, row) for row in _canonical((k,)))
 
 
-def _irredundant(rows: Sequence[Row], redundant=_entailed) -> list[Row]:
-    """Greedy pruning of canonical rows: drop, in order, each row that
-    `redundant(rest, row)` finds redundant given the rows still kept.  The
-    default, `_entailed`, needs feasible rows."""
+def _irredundant(rows: Sequence[Row]) -> list[Row]:
+    """Greedy pruning of feasible canonical rows: drop, in order, each row
+    that the rows still kept entail (`_entailed`)."""
     keep = list(rows)
     i = 0
     while i < len(keep):
         rest = keep[:i] + keep[i + 1 :]
-        if redundant(rest, keep[i]):
+        if _entailed(rest, keep[i]):
             keep = rest
         else:
             i += 1
@@ -235,17 +236,12 @@ def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
     """Drop, in order, each canonical row that the rows still kept entail;
     the result has c's solution set and no entailed row.  Dropping a row
     keeps the solution set, so one `satisfiable` on c tells feasibility for
-    the whole scan: on a feasible c each row is one `_entailed` test (no
-    witness points are kept), and on an infeasible c a row goes iff the
-    rest stay infeasible."""
-    rows = _canonical(c.rows)
-    if satisfiable(c):
-        return _system(c.variables, _irredundant(rows))
-
-    def still_infeasible(rest: Sequence[Row], _row: Row) -> bool:
-        return not satisfiable(_system(c.variables, rest))
-
-    return _system(c.variables, _irredundant(rows, still_infeasible))
+    the whole scan: a feasible c costs one `_entailed` test per row (no
+    witness points are kept), and an infeasible c gives the single row
+    0 < 0, the one empty result, as `project` does."""
+    if not satisfiable(c):
+        return _system(c.variables, [_false_row(c.n_vars)])
+    return _system(c.variables, _irredundant(_canonical(c.rows)))
 
 
 def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:

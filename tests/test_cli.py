@@ -151,6 +151,17 @@ def test_space_empty_for_diverge():
     assert "empty space" in text
 
 
+def test_empty_space_json_is_the_same_under_every_method():
+    """An empty space is the single row 0 < 0 whichever engine built it."""
+    spaces = []
+    for method in ("ms", "pr", "both"):
+        code, text = run("space", str(LOOPS / "diverge.loop"), f"--method={method}", "--format=json")
+        assert code == 0
+        spaces.append(json.loads(text)["space"])
+    assert spaces[0]["constraints"] == [{"coeffs": ["0", "0"], "rel": "<", "const": "0"}]
+    assert spaces[1] == spaces[0] and spaces[2] == spaces[0]
+
+
 def test_space_method_both_checks_agreement():
     code, text = run("space", str(LOOPS / "log2.loop"), "--format=json")
     assert code == 0

@@ -23,7 +23,7 @@ N_LOOPS = 48
 EXPECTED = {
     "ms_analyze": (92, 2138),
     "pr_analyze": (48, 940),
-    "ms_space": (696, 4833),
+    "ms_space": (685, 4806),
 }
 
 

@@ -342,21 +342,24 @@ def _candidates(rng, c):
 
 
 def test_redundancy_and_entailment_match_the_negation_rule():
-    """remove_redundant keeps exactly the rows, in the same order, that the
-    primal greedy rule keeps, and entails gives the negation-based answer,
-    on systems with strict rows, equalities, ground rows, 2^64-sized
-    coefficients and infeasible inputs."""
+    """On a feasible input remove_redundant keeps exactly the rows, in the
+    same order, that the primal greedy rule keeps, and entails gives the
+    negation-based answer, on systems with strict rows, equalities, ground
+    rows and 2^64-sized coefficients.  An infeasible input gives the one
+    empty row 0 < 0, and the greedy rule keeps an infeasible system too."""
     rng = random.Random(71)
     infeasible = strict = 0
     answers = set()
     for _ in range(320):
         names, rows = _noncanonical_system(rng)
         c = cs(names, rows)
-        assert remove_redundant(c).rows == remove_redundant_by_negation(c).rows
         strict += any(row.is_strict for row in c.rows)
         if not satisfiable(c):
             infeasible += 1
+            assert remove_redundant(c).rows == (LinConstraint((0,) * len(names), "<", 0),)
+            assert not satisfiable(remove_redundant_by_negation(c))
             continue
+        assert remove_redundant(c).rows == remove_redundant_by_negation(c).rows
         for row in _candidates(rng, c):
             answer = entails(c, row)
             assert answer == entails_by_negation(c, row)
