@@ -38,7 +38,6 @@ from .ms import (
     UnsatisfiableLoopError,
     Verdict,
     build_ms_systems,
-    build_svg_system,
     ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
@@ -51,7 +50,6 @@ from .pr import (
     InvalidWitnessError,
     PrAltWitness,
     PrWitness,
-    build_pr_alt_system,
     build_pr_system,
     extract_rf,
     pr_alt_analyze,
@@ -65,7 +63,6 @@ from .simplex import (
     LpOutcome,
     LpProblem,
     LpStatus,
-    dual,
     find_point,
     lp,
     satisfiable,

@@ -4,12 +4,13 @@ Subcommands mirror the four library functionalities: `check` (Boolean
 termination test), `rank` (test plus one witness), `space` (all ranking
 functions; `--conditional` adds the decreasing/bounded candidate spaces),
 and `compare` (cross-validation report of the two engines).  `bench` runs
-both engines over a directory of loop files and emits CSV.
+both engines over a directory of loop files and emits CSV, and `selftest`
+cross-checks them on seeded random loops.
 
 Exit codes: 0 terminating or trivially terminating, 10 unknown (`check`
 and `rank` only: `space` and `compare` exit 0 on an unknown loop), 2 input
 errors, 3 method disagreement (with --method=both) or an inconsistent
-`compare` report; the hidden `selftest` exits 1 on any failure.
+`compare` report; `selftest` exits 1 on any failure.
 """
 
 from __future__ import annotations
@@ -182,15 +183,16 @@ def cmd_space(args, out) -> int:
     loop = _load_loop(args.file)
     if args.conditional and args.method not in ("ms", "both"):
         raise CliError("--conditional requires the ms method")
+    method = "ms" if args.conditional else args.method  # --conditional runs only MS
     try:
         if args.conditional:
             decreasing, bounded = ms_decreasing_space(loop), ms_bounded_space(loop)
         else:
-            space = METHODS[args.method][1](loop)
+            space = METHODS[method][1](loop)
     except UnsatisfiableLoopError:  # for svg: no point over Q+
         if args.format == "json":
-            _emit({"status": "trivially-terminating", "method": args.method}, "json", out)
-        elif args.method == "svg" and satisfiable(loop_system(loop)):
+            _emit({"status": "trivially-terminating", "method": method}, "json", out)
+        elif method == "svg" and satisfiable(loop_system(loop)):
             print("trivially-terminating: no nonnegative point satisfies the loop body", file=out)
         else:
             print("trivially-terminating: loop body is unsatisfiable", file=out)
@@ -200,7 +202,7 @@ def cmd_space(args, out) -> int:
         if args.format == "json":
             payload = {
                 "status": "ok",
-                "method": "ms",
+                "method": method,
                 "decreasing_space": _space_json(decreasing),
                 "bounded_space": _space_json(bounded),
             }
@@ -211,8 +213,8 @@ def cmd_space(args, out) -> int:
         return EXIT_OK
 
     if args.format == "json":
-        payload = {"status": "ok", "method": args.method, "space": _space_json(space)}
-        if args.method == "both":
+        payload = {"status": "ok", "method": method, "space": _space_json(space)}
+        if method == "both":
             payload["engines_agree"] = True
         _emit(payload, "json", out)
     else:

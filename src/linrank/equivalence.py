@@ -57,7 +57,7 @@ from .ms import (
     ms_space,
 )
 from .pr import build_pr_system, extraction_rows, pr_analyze, pr_space, with_affine_slot
-from .projection import eliminate, equivalent, remove_redundant
+from .projection import equivalent, project
 from .simplex import satisfiable
 
 
@@ -77,8 +77,8 @@ def cone_extend(space: RankingSpace) -> RankingSpace:
     rows.append(
         LinConstraint((Fraction(0),) * len(space.params) + (Fraction(1),), GT, Fraction(0))
     )
-    projected = eliminate(ConstraintSystem(variables, tuple(rows)), "k")
-    return RankingSpace(space.params, remove_redundant(projected), space.kind)
+    projected = project(ConstraintSystem(variables, tuple(rows)), space.params)
+    return RankingSpace(space.params, projected, space.kind)
 
 
 def witness_in_pr_set(m: LeqMatrixForm, f: RankingFunction) -> bool:

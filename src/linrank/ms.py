@@ -211,24 +211,15 @@ def _mu_rows(a_c: Rows, n: int, rel: str) -> list:
 
 
 def _svg_rows(c: ConstraintSystem) -> tuple[int, list]:
-    """(n, the rows of `build_svg_system(c)` without its sign rows)."""
+    """(n, the multiplier rows over (y, mu1..mun) that decide a positive
+    linear ranking function for the clause c): the 2n homogeneous rows
+    A_c^T y <= <mu, -mu>, then the decrease row b_c^T y >= 1.  Every
+    column is nonnegative; the sign rows are left to the caller."""
     n = combined_varspace(c).n
     a_c, b_c = to_geq_matrix(c, _ints=True)
     rows = _mu_rows(a_c, n, LE)
     rows.append((b_c + (0,) * n, GE, 1))
     return n, rows
-
-
-def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
-    """Feasibility system deciding existence of a positive linear ranking
-    function for a clause over nonnegative variables.
-
-    Rows, in order: the 2n homogeneous rows A_c^T y <= <mu, -mu>, the
-    decrease row b_c^T y >= 1, then y >= 0 and mu >= 0.
-    """
-    n, rows = _svg_rows(c)
-    variables = _names("y", len(rows[0][0]) - n) + _mu_names(n, with_mu0=False)
-    return _multiplier_system(variables, rows, (NONNEG,) * len(variables))
 
 
 def _satisfiable_nonneg(c: ConstraintSystem) -> bool:

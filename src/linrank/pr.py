@@ -180,7 +180,13 @@ def pr_space(loop: LoopModel) -> RankingSpace:
 
 def _pr_alt_rows(loop: LoopModel) -> tuple[int, int, list]:
     """(r guard rows, s update rows, the witness equations over (v1, v2, v3)
-    with the strict row last)."""
+    with the strict row last):
+
+        (v1 - v2)^T A_B - v3^T A_C = 0
+        v2^T A_B + v3^T (A_C + A'_C) = 0
+        v2^T b_B + v3^T b_C < 0
+
+    Every column is nonnegative; the sign rows are left to the caller."""
     if not loop.is_guarded:
         raise ConstraintError("alternative formulation needs a guarded loop")
     a_b, b_b = to_leq_rows(loop.guard, _ints=True)
@@ -197,28 +203,16 @@ def _pr_alt_rows(loop: LoopModel) -> tuple[int, int, list]:
     return r, update.n_rows, first + second + [(zeros + b_b + update.b, LT, 0)]
 
 
-def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
-    """Witness equations over (v1, v2, v3) for a guarded loop:
-
-        (v1 - v2)^T A_B - v3^T A_C = 0
-        v2^T A_B + v3^T (A_C + A'_C) = 0
-        v2^T b_B + v3^T b_C < 0,   v1, v2, v3 >= 0
-
-    Feasibility is always sound (a solution reconstructs to a witness on
-    the merged system).  It matches the merged search exactly when the
-    guard block is the loop-head invariant; a guard weaker than the
-    reachable-state projection can make the search miss witnesses whose
-    nonnegativity relies on update rows.
-    """
-    r, s, rows = _pr_alt_rows(loop)
-    variables = _names("v1_", r) + _names("v2_", r) + _names("v3_", s)
-    return _multiplier_system(variables, rows, (NONNEG,) * len(variables))
-
-
 def pr_alt_analyze(loop: LoopModel) -> Verdict:
-    """Same verdict as pr_analyze, computed on the guard/update split as one
+    """pr_analyze's question, asked on the guard/update split as one
     LP straight off the guard and update matrices; the witness is
-    reconstructed onto the merged system for extraction."""
+    reconstructed onto the merged system for extraction.
+
+    The split search is always sound: a solution reconstructs to a witness
+    on the merged system.  It is complete, so it agrees with pr_analyze,
+    when the guard block is the loop-head invariant; a guard weaker than
+    the reachable-state projection can make it miss witnesses whose
+    nonnegativity relies on update rows."""
     c = loop_system(loop)
     if not satisfiable(c):
         return Verdict.trivially_terminating()

@@ -31,8 +31,9 @@ feasible input, and the projection of a feasible system is feasible, as
 on its `ConstraintSystem`; the engines' space routes
 (`ms._multiplier_space`) check it with their own decision LP, then hand
 `_project` their row triples, canonicalized, with no system built.
-`remove_redundant` makes the same one check, so both, and every engine
-space built on them, give an empty set as `0 < 0`, the one empty result.
+`remove_redundant` and `eliminate` make the same one check, so all three,
+and every engine space built on them, give an empty set as `0 < 0`, the
+one empty result.
 
 Entailment is one test, `_entailed`, in the space's own dimension.  By
 Farkas' lemma, min y.b over the multipliers y >= 0 (free on an equality)
@@ -168,10 +169,13 @@ def _eliminate(rows: Sequence[Row], idx: int) -> tuple[list[tuple], list[bool]]:
 
 def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
     """Project c's solution set along one variable; the result ranges over
-    the remaining variables.  A combined row is strict iff either parent is."""
+    the remaining variables.  A combined row is strict iff either parent is.
+    An infeasible c gives the single row 0 < 0, as `project` does."""
     idx = c.index_of(var)
-    rows = _prune(*_eliminate(_canonical(c.rows), idx))
-    return _system(c.variables[:idx] + c.variables[idx + 1 :], rows)
+    variables = c.variables[:idx] + c.variables[idx + 1 :]
+    if not satisfiable(c):
+        return _system(variables, [_false_row(len(variables))])
+    return _system(variables, _prune(*_eliminate(_canonical(c.rows), idx)))
 
 
 def _entailed(rest: Sequence[Row], row: Row) -> bool:

@@ -425,34 +425,6 @@ def solve(p: LpProblem) -> LpOutcome:
     return LpOutcome(LpStatus.OPTIMAL, point=orig_point, value=value)
 
 
-def dual(p: LpProblem) -> LpProblem:
-    """Dual of the two inequality shapes this package derives:
-
-        min c.x  s.t. A x >= b            max b.y  s.t. A^T y <= c, y >= 0
-        max c.x  s.t. A x <= b            min b.y  s.t. A^T y >= c, y >= 0
-
-    A free primal variable turns its dual row into an equality.
-    """
-    if p.objective is None:
-        raise LpShapeError("cannot dualize a problem without an objective")
-    want_rel = LE if p.maximize else GE
-    for _, rel, _ in p.rows:
-        if rel != want_rel:
-            raise LpShapeError(
-                f"dual expects all rows {want_rel!r} for a "
-                f"{'maximization' if p.maximize else 'minimization'} problem"
-            )
-    m = len(p.rows)
-    dual_rows = []
-    dual_rel = GE if p.maximize else LE
-    for j in range(p.n_vars):
-        col = tuple(p.rows[i][0][j] for i in range(m))
-        rel = EQ if p.signs[j] == FREE else dual_rel
-        dual_rows.append((col, rel, p.objective[j]))
-    objective = tuple(rhs for _, _, rhs in p.rows)
-    return LpProblem(objective, not p.maximize, tuple(dual_rows), (NONNEG,) * m)
-
-
 # --- the row bridge -----------------------------------------------------------
 
 def _lp_rows(rows, signs: tuple[str, ...]):

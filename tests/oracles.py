@@ -16,6 +16,7 @@ from linrank.constraints import (
     ConstraintSystem,
     LeqMatrixForm,
     LinConstraint,
+    LoopModel,
 )
 from linrank.ms import (
     MS_FULL,
@@ -26,7 +27,9 @@ from linrank.ms import (
     _mu_names,
     _multiplier_system,
     _names,
+    _svg_rows,
 )
+from linrank.pr import _pr_alt_rows
 from linrank.projection import _canonical, project
 from linrank.rationals import Rational
 from linrank.simplex import (
@@ -34,6 +37,7 @@ from linrank.simplex import (
     NONNEG,
     LpOutcome,
     LpProblem,
+    LpShapeError,
     LpStatus,
     _integer_standard_form,
     _lp_rows,
@@ -62,6 +66,60 @@ def conjoined_ms_system(c: ConstraintSystem) -> ConstraintSystem:
     n, m, rows = _conjoined_rows(c)
     variables = _names("y", m) + _names("z", m + 2) + _mu_names(n, with_mu0=True)
     return _multiplier_system(variables, rows, _ms_signs(2 * m + 2, n))
+
+
+def build_svg_system(c: ConstraintSystem) -> ConstraintSystem:
+    """Feasibility system deciding existence of a positive linear ranking
+    function for a clause over nonnegative variables: the system
+    `svg_analyze` decides, as a `ConstraintSystem`.
+
+    Rows, in order: the 2n homogeneous rows A_c^T y <= <mu, -mu>, the
+    decrease row b_c^T y >= 1, then y >= 0 and mu >= 0.
+    """
+    n, rows = _svg_rows(c)
+    variables = _names("y", len(rows[0][0]) - n) + _mu_names(n, with_mu0=False)
+    return _multiplier_system(variables, rows, (NONNEG,) * len(variables))
+
+
+def build_pr_alt_system(loop: LoopModel) -> ConstraintSystem:
+    """Witness equations over (v1, v2, v3) for a guarded loop: the system
+    `pr_alt_analyze` decides, as a `ConstraintSystem`.
+
+        (v1 - v2)^T A_B - v3^T A_C = 0
+        v2^T A_B + v3^T (A_C + A'_C) = 0
+        v2^T b_B + v3^T b_C < 0,   v1, v2, v3 >= 0
+    """
+    r, s, rows = _pr_alt_rows(loop)
+    variables = _names("v1_", r) + _names("v2_", r) + _names("v3_", s)
+    return _multiplier_system(variables, rows, (NONNEG,) * len(variables))
+
+
+def dual(p: LpProblem) -> LpProblem:
+    """Dual of the two inequality shapes:
+
+        min c.x  s.t. A x >= b            max b.y  s.t. A^T y <= c, y >= 0
+        max c.x  s.t. A x <= b            min b.y  s.t. A^T y >= c, y >= 0
+
+    A free primal variable turns its dual row into an equality.
+    """
+    if p.objective is None:
+        raise LpShapeError("cannot dualize a problem without an objective")
+    want_rel = LE if p.maximize else GE
+    for _, rel, _ in p.rows:
+        if rel != want_rel:
+            raise LpShapeError(
+                f"dual expects all rows {want_rel!r} for a "
+                f"{'maximization' if p.maximize else 'minimization'} problem"
+            )
+    m = len(p.rows)
+    dual_rows = []
+    dual_rel = GE if p.maximize else LE
+    for j in range(p.n_vars):
+        col = tuple(p.rows[i][0][j] for i in range(m))
+        rel = EQ if p.signs[j] == FREE else dual_rel
+        dual_rows.append((col, rel, p.objective[j]))
+    objective = tuple(rhs for _, _, rhs in p.rows)
+    return LpProblem(objective, not p.maximize, tuple(dual_rows), (NONNEG,) * m)
 
 
 def leq_satisfied_by(

@@ -37,9 +37,9 @@ from linrank.pr import (
 )
 from linrank.projection import equivalent
 from linrank.rationals import parse_rational
-from linrank.simplex import NONNEG, LpStatus, dual, lp, satisfiable, solve
+from linrank.simplex import NONNEG, LpStatus, lp, satisfiable, solve
 from tests.conftest import load_loop
-from tests.oracles import constraint, permute_rows, system
+from tests.oracles import constraint, dual, permute_rows, system
 from tests.test_projection import _random_system, fm_sampling_check
 
 LOOPS = Path(__file__).resolve().parents[1] / "loops"

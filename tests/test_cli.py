@@ -162,6 +162,16 @@ def test_empty_space_json_is_the_same_under_every_method():
     assert spaces[1] == spaces[0] and spaces[2] == spaces[0]
 
 
+def test_conditional_space_json_reports_ms_on_every_loop():
+    """`--conditional` runs only MS, so its JSON says so, also on a loop
+    whose body is unsatisfiable and under the default method."""
+    for path in sorted(LOOPS.glob("*.loop")):
+        for method in ("ms", "both"):
+            code, text = run("space", str(path), f"--method={method}", "--conditional", "--format=json")
+            assert code == 0
+            assert json.loads(text)["method"] == "ms", (path.name, method)
+
+
 def test_space_method_both_checks_agreement():
     code, text = run("space", str(LOOPS / "log2.loop"), "--format=json")
     assert code == 0

@@ -21,7 +21,6 @@ from linrank.constraints import loop_system, to_geq_matrix, to_leq_matrix, to_le
 from linrank.ms import (
     UnsatisfiableLoopError,
     build_ms_systems,
-    build_svg_system,
     ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
@@ -30,7 +29,6 @@ from linrank.ms import (
     svg_space,
 )
 from linrank.pr import (
-    build_pr_alt_system,
     build_pr_system,
     pr_alt_analyze,
     pr_alt_space,
@@ -81,10 +79,7 @@ def _answer_values(loop) -> list:
         values.extend(row)
     point = find_point(c)
     values.extend(point or ())
-    systems = [*build_ms_systems(c), build_svg_system(c), build_pr_system(m)]
-    if loop.is_guarded:
-        systems.append(build_pr_alt_system(loop))
-    for system in systems:
+    for system in [*build_ms_systems(c), build_pr_system(m)]:
         values.extend(v for row in system.rows for v in row.coeffs + (row.const,))
     return _not_fractions(values)
 

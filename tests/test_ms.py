@@ -16,7 +16,6 @@ from linrank.ms import (
     TerminationStatus,
     UnsatisfiableLoopError,
     build_ms_systems,
-    build_svg_system,
     ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
@@ -29,7 +28,13 @@ from linrank.pr import pr_alt_space, pr_space
 from linrank.projection import entails, equivalent, project
 from linrank.simplex import find_point, satisfiable
 from tests.conftest import sample_points
-from tests.oracles import conjoined_ms_system, constraint, in_denormalized_space, system
+from tests.oracles import (
+    build_svg_system,
+    conjoined_ms_system,
+    constraint,
+    in_denormalized_space,
+    system,
+)
 
 
 def cs(variables, rows):

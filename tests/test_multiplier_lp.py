@@ -3,11 +3,13 @@
 `ms_analyze`, `pr_analyze`, `pr_alt_analyze` and `svg_analyze` hand
 `simplex._point` their row triples with a sign per column, and the space
 routes decide emptiness with `_point` on the triples they project; the
-`ConstraintSystem` builders package the same triples for the API and the
-reference checks.  On the witness-golden loops and on the loops of
-acceptance criteria 4 and 5, the LP each analysis hands `solve` must equal
-`_lp_rows` applied to the builder's system (strict row normalized to
-<= -1): the same signs, then the same rows in the same order, by value.
+`ConstraintSystem` builders package the same triples, for the API
+(`build_ms_systems`, `build_pr_system`) and for the reference checks
+(`tests.oracles`: `build_svg_system`, `build_pr_alt_system`).  On the
+witness-golden loops and on the loops of acceptance criteria 4 and 5,
+the LP each analysis hands `solve` must equal `_lp_rows` applied to the
+builder's system (strict row normalized to <= -1): the same signs, then
+the same rows in the same order, by value.
 And each space route's emptiness decision must equal `satisfiable` of the
 builder's system it projects.
 """
@@ -25,7 +27,6 @@ from linrank.ms import (
     TerminationStatus,
     UnsatisfiableLoopError,
     build_ms_systems,
-    build_svg_system,
     ms_analyze,
     ms_bounded_space,
     ms_decreasing_space,
@@ -33,7 +34,6 @@ from linrank.ms import (
     svg_space,
 )
 from linrank.pr import (
-    build_pr_alt_system,
     build_pr_system,
     extraction_rows,
     pr_alt_analyze,
@@ -42,7 +42,12 @@ from linrank.pr import (
     with_affine_slot,
 )
 from linrank.simplex import FREE, LpProblem, _lp_rows, _triples, satisfiable
-from tests.oracles import conjoined_ms_system, normalize_strict
+from tests.oracles import (
+    build_pr_alt_system,
+    build_svg_system,
+    conjoined_ms_system,
+    normalize_strict,
+)
 from tests.test_witness_golden import golden_loops
 
 

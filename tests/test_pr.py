@@ -18,7 +18,6 @@ from linrank.pr import (
     InvalidWitnessError,
     PrAltWitness,
     PrWitness,
-    build_pr_alt_system,
     build_pr_system,
     extract_rf,
     pr_alt_analyze,
@@ -30,7 +29,7 @@ from linrank.pr import (
 from linrank.projection import equivalent
 from linrank.simplex import find_point
 from tests.conftest import sample_points
-from tests.oracles import constraint, normalize_strict, permute_rows, system
+from tests.oracles import build_pr_alt_system, constraint, normalize_strict, permute_rows, system
 
 GOLDEN_A = ((-1, 0), (-1, 0), (1, 0), (0, 1), (0, -1), (0, 0))
 GOLDEN_A_PRIME = ((0, 0), (2, 0), (-2, 0), (0, -1), (0, 1), (0, -1))

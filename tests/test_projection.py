@@ -111,6 +111,7 @@ def test_infeasible_system_reduces_to_zero_less_than_zero():
         [((1, -1), ">=", 1), ((-1, 1), ">=", 0)],  # y eliminates to 0 >= 1
         [((1, 2), "<=", 0), ((-1, -2), "<=", -1), ((1, 0), ">=", 0)],
         [((1, 1), "=", 1), ((2, 2), "=", 3)],
+        [((1, 0), "<=", 0), ((1, 0), ">=", 1)],  # no y to eliminate: x <= 0, x >= 1
     ):
         assert eliminate(cs(("x", "y"), rows), "y").rows == (false_row,)
     for rows in ([((1,), ">=", 0), ((0,), ">=", 1)], [((0,), "<=", -1)]):

@@ -11,13 +11,12 @@ from linrank.simplex import (
     LpStatus,
     _lp_rows,
     _point,
-    dual,
     find_point,
     lp,
     satisfiable,
     solve,
 )
-from tests.oracles import constraint, optimize, shared_slack_point, system
+from tests.oracles import constraint, dual, optimize, shared_slack_point, system
 
 
 def check_rows(p: LpProblem, point) -> bool:
