@@ -165,7 +165,7 @@ def parse_loop(text: str) -> LoopModel:
     """Parse a loop file; raises LoopParseError with line/column on errors."""
     space: VarSpace | None = None
     sections: dict[str, list[tuple[int, int, str]]] = {}
-    order: list[str] = []
+    at: dict[str, tuple[int, int]] = {}  # each header's line and column
     current: str | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -191,12 +191,13 @@ def parse_loop(text: str) -> LoopModel:
             if not names:
                 raise LoopParseError("'vars:' declares no variables", line_no, indent + 1)
             space = VarSpace(tuple(names))
+            at["vars"] = (line_no, indent + 1)
             continue
         if header in _SECTIONS:
             if header in sections:
                 raise LoopParseError(f"duplicate section '{header}:'", line_no, indent + 1)
             sections[header] = []
-            order.append(header)
+            at[header] = (line_no, indent + 1)
             current = header
             rest = stripped.split(":", 1)[1]
             col_base = indent + stripped.index(":") + 1
@@ -212,10 +213,15 @@ def parse_loop(text: str) -> LoopModel:
 
     if space is None:
         raise LoopParseError("empty loop file: missing 'vars:' declaration", 1, 1)
-    if "single" in sections and ("guard" in sections or "update" in sections):
-        raise LoopParseError("'single:' cannot be combined with 'guard:'/'update:'", 1, 1)
-    if "single" not in sections and order != ["guard", "update"]:
-        raise LoopParseError("expected a 'single:' section, or 'guard:' then 'update:'", 1, 1)
+    order = list(sections)
+    if order not in (["single"], ["guard", "update"]):
+        # At the first header that breaks the grammar, else where the file stops short.
+        bad = next((h for i, h in enumerate(order)
+                    if order[: i + 1] not in (["single"], ["guard"], ["guard", "update"])), None)
+        combined = "single" in order and len(order) > 1
+        message = ("'single:' cannot be combined with 'guard:'/'update:'" if combined
+                   else "expected a 'single:' section, or 'guard:' then 'update:'")
+        raise LoopParseError(message, *at[bad or list(at)[-1]])
 
     def parse_section(name: str, variables: tuple[str, ...], allow_primed: bool):
         rows: list[LinConstraint] = []

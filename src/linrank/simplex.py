@@ -10,6 +10,14 @@ any other row is integer-scaled once.  Every reported point, value and
 certificate is an exact `Fraction`.  Problems here are small (tens of
 rows), which makes a dense tableau the right trade-off.
 
+Each variable is one column, a free one too: of the textbook split
+x = x+ - x- the column holds one half, its orientation sign +1 or -1.  No
+pivot changes.  The other half's column and reduced cost are the
+negations, so while one half is basic the other prices 0, and with x-
+indexed right after x+ Bland's rule enters whichever half prices
+negative; the crash basis, `_bland_min` and the phase-1 drive-out each
+choose the half the split layout would, flipping the column to it.
+
 Phase 1 keeps no artificial columns: an artificial variable is basic in
 its row with the row's scale as its entry, has no cell, and is never
 priced; when it leaves, its position goes from every row.  No pivot
@@ -114,46 +122,25 @@ def lp(objective, maximize, rows, signs) -> LpProblem:
 
 
 def _integer_standard_form(p: LpProblem):
-    """The layout of p's standard form, as int rows.  Each variable gets a
-    column pair (col+, col-), col- None for a nonnegative one, and the
-    slack of each inequality follows them in row order.  Returns the
-    columns, the column count n, the rows (n + 1 ints each, rhs last), the
+    """The layout of p's standard form, as int rows.  Variable j is column
+    j, nonnegative or free, and the slacks of the inequalities follow in
+    row order.  Returns each column's sign (see `_Tableau`: 1 for a free
+    variable, taken as +x), the rows (an int per column, then the rhs), the
     positive scale of each row (row i stands for rows[i] / scales[i]: one
     `integer_scaling` of its coeffs and rhs, slack +-scale), and the
     objective to minimize as ints, or None.  An all-int row, as the engines
-    and projection give them, is laid out as it is, with scale 1 and no
-    `integer_scaling`, whatever its columns' signs.  A value that is
-    neither int nor Fraction raises LpShapeError."""
-    columns: list[tuple[int, int | None]] = []
-    slack = 0
-    for sign in p.signs:
-        columns.append((slack, None if sign == NONNEG else slack + 1))
-        slack += 1 if sign == NONNEG else 2
-    rels = [rel for _, rel, _ in p.rows]
-    n = slack + len(rels) - rels.count(EQ)
-    # With every variable nonnegative, variable j is column j, so a row is
-    # widened by appending its zero slack cells.
-    pad = [0] * (n - slack) if slack == len(p.signs) else None
-
-    def widen(coeffs, rhs):
-        if pad is not None:
-            return [*coeffs, *pad, rhs]
-        row = [0] * (n + 1)
-        for (plus, minus), v in zip(columns, coeffs):
-            row[plus] = v
-            if minus is not None:
-                row[minus] = -v
-        row[-1] = rhs
-        return row
-
+    and projection give them, is laid out as it is, with scale 1.  A value
+    that is neither int nor Fraction raises LpShapeError."""
+    slack = p.n_vars
+    pad = [0] * sum(rel != EQ for _, rel, _ in p.rows)
     rows, scales = [], []
     try:
         for coeffs, rel, rhs in p.rows:
             if type(rhs) is int and _INT.issuperset(map(type, coeffs)):
-                scale, row = 1, widen(coeffs, rhs)
+                scale, row = 1, [*coeffs, *pad, rhs]
             else:
                 scale, ints = integer_scaling((*coeffs, rhs))
-                row = widen(ints[:-1], ints[-1])
+                row = [*ints[:-1], *pad, ints[-1]]
             if rel != EQ:
                 row[slack] = scale if rel == LE else -scale
                 slack += 1
@@ -163,10 +150,9 @@ def _integer_standard_form(p: LpProblem):
     except AttributeError:  # a float or a str has no denominator
         raise LpShapeError("LP values must be ints or Fractions") from None
     if objective is not None:
-        if p.maximize:
-            objective = [-v for v in objective]
-        objective = widen(objective, 0)[:-1]
-    return tuple(columns), n, rows, scales, objective
+        objective = [-v if p.maximize else v for v in objective] + pad
+    sign = [0 if s == NONNEG else 1 for s in p.signs] + pad
+    return sign, rows, scales, objective
 
 
 # --- tableau core -----------------------------------------------------------
@@ -192,27 +178,37 @@ def _integer_standard_form(p: LpProblem):
 # adds no cell to a row.
 
 
-def _basic_point(rows, scale, basis, n):
-    """The basic solution over the n real columns; an artificial still
-    basic is zero."""
-    point = [_ZERO] * n
+def _basic_point(rows, scale, basis, sign):
+    """The basic solution over the len(sign) real columns; an artificial
+    still basic is zero."""
+    point = [_ZERO] * len(sign)
     for row, s, b in zip(rows, scale, basis):
         if row[-1]:
-            point[b] = Fraction(row[-1], s)
+            point[b] = Fraction(-row[-1] if sign[b] < 0 else row[-1], s)
     return point
 
 
 class _Tableau:
     """The condensed tableau's rows, their scales and basic variables, the
     variable at each position and, once a real variable has left the basis,
-    the positions in variable order (until then they are in it)."""
+    the positions in variable order (until then they are in it), and each
+    column's orientation: sign[j] is +-1 for a free one, 0 for any other."""
 
-    __slots__ = ("rows", "scale", "basis", "nonbasic", "order", "n")
+    __slots__ = ("rows", "scale", "basis", "nonbasic", "order", "n", "sign")
 
-    def __init__(self, rows, scale, basis, nonbasic, n):
+    def __init__(self, rows, scale, basis, nonbasic, sign):
         self.rows, self.scale, self.basis, self.nonbasic = rows, scale, basis, nonbasic
-        self.order = None
-        self.n = n
+        self.order, self.n, self.sign = None, len(sign), sign
+
+
+def _flip(t, q, cost):
+    """Turn the free column at position q to the other half of its split
+    variable, whose cells and reduced cost are the negations."""
+    for row in t.rows:
+        row[q] = -row[q]
+    if cost is not None:
+        cost[q] = -cost[q]
+    t.sign[t.nonbasic[q]] *= -1
 
 
 def _exchange(t, r, q, cost):
@@ -269,19 +265,24 @@ def _bland_min(t, cost, phase1=False):
     row over t's positions with the negated objective value in its last
     cell, as ints scaled by a positive factor.  Updates cost in place and
     returns None at the optimum, or the entering position of an unbounded
-    ray.  With phase1, cost prices w >= 0, the sum of the artificials, and
-    the run returns once w is zero.  An artificial would enter only if every
-    real column priced non-negative: pi.A <= 0 for the simplex multipliers
-    pi.  A feasible x >= 0 would give w = pi.b = pi.A x <= 0, so with w > 0
-    pi is a Farkas certificate of infeasibility, and the run returns there
-    instead, with -w < 0 in the last cost cell."""
-    rows, basis = t.rows, t.basis
+    ray.  A free column with a positive reduced cost enters too, flipped:
+    its other half prices negative.  With phase1, cost prices w >= 0, the
+    sum of the artificials, and the run returns once w is zero.  An
+    artificial would enter only if every real column priced non-negative:
+    pi.A <= 0 for the simplex multipliers pi.  A feasible x >= 0 would give
+    w = pi.b = pi.A x <= 0, so with w > 0 pi is a Farkas certificate of
+    infeasibility, and the run returns there instead, with -w < 0 in the
+    last cost cell."""
+    rows, basis, nonbasic, sign = t.rows, t.basis, t.nonbasic, t.sign
     while True:
         if phase1 and cost[-1] >= 0:
             return None
-        entering = next((k for k in t.order or range(len(cost) - 1) if cost[k] < 0), None)
+        order = t.order or range(len(cost) - 1)
+        entering = next((k for k in order if cost[k] < 0 or cost[k] and sign[nonbasic[k]]), None)
         if entering is None:
             return None
+        if cost[entering] > 0:
+            _flip(t, entering, cost)
         # Bland's ratio test: least rhs / entry over positive entries,
         # compared by cross-multiplication, ties to the least basic variable.
         leaving = None
@@ -298,33 +299,36 @@ def _bland_min(t, cost, phase1=False):
         _exchange(t, leaving, entering, cost)
 
 
-def _solve_standard(rows, scales, objective, n):
-    """Simplex on  min objective . x  s.t.  rows x = rhs, x >= 0  over n
-    variables.  Row i is n + 1 ints, the last one its rhs, and stands for
-    the rational row divided by scales[i] > 0; objective is ints or None.
-    The lists are taken over: rows become the condensed tableau's rows, the
-    crash basis's columns cut out in place (a row with a negative rhs is
-    negated into a copy first), and scales its scale list.  Rows the crash
-    basis leaves uncovered get an artificial basic variable; the phase-1
-    cost row is minus the column sums of those rows, each times
-    lcm / scales[i].  The phase-2 cost row is the objective priced out on
-    the condensed rows.
+def _solve_standard(rows, scales, objective, sign):
+    """Simplex on  min objective . x  s.t.  rows x = rhs  over n = len(sign)
+    columns, x free where sign is 1 and x >= 0 where it is 0.  Row i is
+    n + 1 ints, rhs last, and stands for the rational row divided by
+    scales[i] > 0; objective is ints or None.  The lists are taken over:
+    rows become the condensed tableau's rows, the crash basis's columns cut
+    out in place (a row with a negative rhs is negated into a copy first),
+    scales its scale list and sign its orientations.  Rows the crash basis
+    leaves uncovered get an artificial basic variable; the phase-1 cost row
+    is minus the column sums of those rows, each times lcm / scales[i], and
+    the phase-2 one the oriented objective priced out on the condensed rows.
 
-    Returns (status, point, ray) in standard-form coordinates, the point
-    built from the basic rows with a nonzero rhs.  Objective None asks for
-    feasibility only, answered right after phase 1 (see the module doc).
+    Returns (status, point, ray).  Objective None asks for feasibility only,
+    answered right after phase 1 (see the module doc).
     """
-    m = len(rows)
+    m, n = len(rows), len(sign)
     rows = [[-e for e in row] if row[-1] < 0 else row for row in rows]
     # Crash basis, in one sweep over the columns: a row's basic variable is
     # the first column whose only nonzero is that row's scale (a unit
-    # column of the rational row); only uncovered rows get an artificial.
+    # column of the rational row), or minus it in a free column, taken as
+    # -x; only uncovered rows get an artificial.
     basis = [-1] * m
     runs = []  # the basic columns, as [start, stop) runs
     for j, column in zip(range(n), zip(*rows)):
-        if column.count(0) == m - 1 and (top := max(column)) > 0:
+        if column.count(0) == m - 1:
+            top = max(column, key=abs)
             i = column.index(top)
-            if basis[i] < 0 and top == scales[i]:
+            if basis[i] < 0 and (top == scales[i] or sign[j] and top == -scales[i]):
+                if top < 0:
+                    sign[j] = -1
                 basis[i] = j
                 if runs and runs[-1][1] == j:
                     runs[-1][1] = j + 1
@@ -333,7 +337,7 @@ def _solve_standard(rows, scales, objective, n):
     uncovered = [i for i in range(m) if basis[i] < 0]
     if not uncovered and objective is None:
         # The crash basis is feasible: its point is the answer.
-        return LpStatus.FEASIBLE, _basic_point(rows, scales, basis, n), None
+        return LpStatus.FEASIBLE, _basic_point(rows, scales, basis, sign), None
     nonbasic = list(range(n))
     for start, stop in reversed(runs):
         del nonbasic[start:stop]
@@ -341,7 +345,7 @@ def _solve_standard(rows, scales, objective, n):
             del row[start:stop]
     for k, i in enumerate(uncovered):
         basis[i] = n + k
-    t = _Tableau(rows, scales, basis, nonbasic, n)
+    t = _Tableau(rows, scales, basis, nonbasic, sign)
 
     if uncovered:
         common = lcm(*(scales[i] for i in uncovered))
@@ -356,18 +360,20 @@ def _solve_standard(rows, scales, objective, n):
             return LpStatus.INFEASIBLE, None, None
     if objective is None:
         # An artificial still basic is zero: driving it out cannot move the point.
-        return LpStatus.FEASIBLE, _basic_point(t.rows, t.scale, t.basis, n), None
+        return LpStatus.FEASIBLE, _basic_point(t.rows, t.scale, t.basis, sign), None
 
     if uncovered:
         # Drive artificial variables out of the basis, each on the
-        # least-index real column nonzero in its row; rows where that is
-        # impossible are redundant and dropped.
+        # least-index real column nonzero in its row, a free one as +x;
+        # rows where that is impossible are redundant and dropped.
         keep = []
         for r in range(m):
             if basis[r] >= n:
                 q = next((k for k in t.order or range(len(t.nonbasic)) if rows[r][k]), None)
                 if q is None:
                     continue
+                if sign[t.nonbasic[q]] < 0:
+                    _flip(t, q, None)
                 _exchange(t, r, q, None)
             keep.append(r)
         if len(keep) < m:
@@ -376,6 +382,7 @@ def _solve_standard(rows, scales, objective, n):
     # Price the objective out of the basic columns, one row at a time, with
     # k the factor the cost row is scaled by so far; over its gcd, this is
     # the primitive int row that pricing out a full tableau ends with.
+    objective = [-c if o < 0 else c for c, o in zip(objective, sign)]
     cost = [objective[j] for j in t.nonbasic] + [0]
     k = 1
     for row, s, b in zip(t.rows, t.scale, t.basis):
@@ -386,43 +393,30 @@ def _solve_standard(rows, scales, objective, n):
     if g > 1:
         cost = [e // g for e in cost]
     entering = _bland_min(t, cost)
-    point = _basic_point(t.rows, t.scale, t.basis, n)
+    point = _basic_point(t.rows, t.scale, t.basis, sign)
     if entering is not None:
         ray = [_ZERO] * n
-        ray[t.nonbasic[entering]] = Fraction(1)
+        ray[t.nonbasic[entering]] = Fraction(-1 if sign[t.nonbasic[entering]] < 0 else 1)
         for row, s, b in zip(t.rows, t.scale, t.basis):
             if row[entering]:
-                ray[b] = Fraction(-row[entering], s)
+                ray[b] = Fraction(row[entering] if sign[b] < 0 else -row[entering], s)
         return LpStatus.UNBOUNDED, point, ray
     return LpStatus.OPTIMAL, point, None
-
-
-def _recover(columns, standard_point):
-    """Original-variable values of a standard-form point: col+ - col-."""
-    return tuple(
-        standard_point[plus] if minus is None or not standard_point[minus]
-        else standard_point[plus] - standard_point[minus]
-        for plus, minus in columns
-    )
 
 
 def solve(p: LpProblem) -> LpOutcome:
     """Exact resolution: infeasible, unbounded (with certificate ray),
     optimal (with point and value), or a bare feasible point when the
     problem has no objective."""
-    columns, n, rows, scales, objective = _integer_standard_form(p)
-    status, point, ray = _solve_standard(rows, scales, objective, n)
+    sign, rows, scales, objective = _integer_standard_form(p)
+    status, point, ray = _solve_standard(rows, scales, objective, sign)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
-    free = FREE in p.signs  # else variable j is column j
-    orig_point = _recover(columns, point) if free else tuple(point[: p.n_vars])
-    if status is LpStatus.UNBOUNDED:
-        ray = _recover(columns, ray) if free else tuple(ray[: p.n_vars])
-        return LpOutcome(LpStatus.UNBOUNDED, point=orig_point, ray=ray)
-    if status is LpStatus.FEASIBLE:
-        return LpOutcome(LpStatus.FEASIBLE, point=orig_point)
-    value = sum((c * x for c, x in zip(p.objective, orig_point) if x), _ZERO)
-    return LpOutcome(LpStatus.OPTIMAL, point=orig_point, value=value)
+    point = tuple(point[: p.n_vars])
+    if status is not LpStatus.OPTIMAL:
+        return LpOutcome(status, point=point, ray=None if ray is None else tuple(ray[: p.n_vars]))
+    value = sum((c * x for c, x in zip(p.objective, point) if x), _ZERO)
+    return LpOutcome(LpStatus.OPTIMAL, point=point, value=value)
 
 
 # --- the row bridge -----------------------------------------------------------

@@ -31,7 +31,7 @@ from linrank.ms import (
 )
 from linrank.pr import _pr_alt_rows
 from linrank.projection import _canonical, project
-from linrank.rationals import Rational
+from linrank.rationals import Rational, integer_scaling
 from linrank.simplex import (
     FREE,
     NONNEG,
@@ -39,9 +39,7 @@ from linrank.simplex import (
     LpProblem,
     LpShapeError,
     LpStatus,
-    _integer_standard_form,
     _lp_rows,
-    _recover,
     _triples,
     find_point,
     solve,
@@ -275,11 +273,62 @@ def equivalent_by_boundaries(c1: ConstraintSystem, c2: ConstraintSystem) -> bool
 # --- phase 1 with an explicit artificial block -------------------------------
 #
 # The textbook tableau layout: every row holds every column, basic ones
-# included, and every artificial variable has a column of its own, priced
-# and updated at every pivot like a real column, so phase 1 runs until no
-# column at all prices negative.  `solve` keeps a condensed tableau of the
-# nonbasic real columns and prices real columns only; it must return
-# exactly what this returns.
+# included, every artificial variable has a column of its own, priced and
+# updated at every pivot like a real column, so phase 1 runs until no
+# column at all prices negative, and a free variable x is split into two
+# nonnegative columns x+ and x-.  `solve` keeps a condensed tableau of the
+# nonbasic real columns, prices real columns only and keeps one signed
+# column per free variable; it must return exactly what this returns.
+
+
+def _split_standard_form(p: LpProblem):
+    """p's standard form as int rows, each variable a column pair (col+,
+    col-), col- None for a nonnegative one, and the slack of each
+    inequality after them in row order.  Returns the columns, the column
+    count n, the rows (n + 1 ints each, rhs last), the positive scale of
+    each row (one `integer_scaling` of its coeffs and rhs, slack +-scale)
+    and the objective to minimize as ints, or None."""
+    columns = []
+    slack = 0
+    for sign in p.signs:
+        columns.append((slack, None if sign == NONNEG else slack + 1))
+        slack += 1 if sign == NONNEG else 2
+    n = slack + sum(rel != EQ for _, rel, _ in p.rows)
+
+    def widen(coeffs, rhs):
+        row = [0] * (n + 1)
+        for (plus, minus), v in zip(columns, coeffs):
+            row[plus] = v
+            if minus is not None:
+                row[minus] = -v
+        row[-1] = rhs
+        return row
+
+    rows, scales = [], []
+    for coeffs, rel, rhs in p.rows:
+        scale, ints = integer_scaling((*coeffs, rhs))
+        row = widen(ints[:-1], ints[-1])
+        if rel != EQ:
+            row[slack] = scale if rel == LE else -scale
+            slack += 1
+        rows.append(row)
+        scales.append(scale)
+    objective = None
+    if p.objective is not None:
+        objective = integer_scaling(p.objective)[1]
+        if p.maximize:
+            objective = [-v for v in objective]
+        objective = widen(objective, 0)[:-1]
+    return tuple(columns), n, rows, scales, objective
+
+
+def _recover(columns, standard_point):
+    """Original-variable values of a split standard-form point: col+ - col-."""
+    return tuple(
+        standard_point[plus] if minus is None or not standard_point[minus]
+        else standard_point[plus] - standard_point[minus]
+        for plus, minus in columns
+    )
 
 
 def _combine(row, prow, p, f):
@@ -397,8 +446,8 @@ def _block_solve_standard(rows, scales, objective, n):
 
 
 def solve_with_artificial_block(p: LpProblem) -> LpOutcome:
-    """`solve` on the same standard form, with the artificial block."""
-    columns, n, rows, scales, objective = _integer_standard_form(p)
+    """`solve` on the split standard form, with the artificial block."""
+    columns, n, rows, scales, objective = _split_standard_form(p)
     status, point, ray = _block_solve_standard(rows, scales, objective, n)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)

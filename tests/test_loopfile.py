@@ -102,12 +102,22 @@ def test_missing_star_between_coefficient_and_variable():
 
 
 def test_sections_must_be_complete():
-    with pytest.raises(LoopParseError):
-        parse_loop("vars: x\nguard: x >= 0")
-    with pytest.raises(LoopParseError):
-        parse_loop("vars: x\nupdate: x' = x")
-    with pytest.raises(LoopParseError):
-        parse_loop("vars: x\nsingle: x >= 0\nguard: x >= 0\nupdate: x' = x")
+    """Each section-structure error points at the header that breaks the
+    grammar: a partner-less `guard:` or `update:`, an `update:` before its
+    `guard:`, or the first header that `single:` cannot be combined with."""
+    cases = [
+        ("vars: x\nguard: x >= 0", "expected", 2, 1),
+        ("vars: x\n# no guard\n  update: x' = x", "expected", 3, 3),
+        ("vars: x\nupdate: x' <= x - 1, x' >= x - 1\nguard: x >= 0", "expected", 2, 1),
+        ("vars: x\nsingle: x >= 0\nguard: x >= 0\nupdate: x' = x", "combined", 3, 1),
+        ("vars: x\nguard: x >= 0\nupdate: x' = x\n\n single: x >= 0", "combined", 5, 2),
+        ("vars: x\nsingle: x >= 0\nupdate: x' = x", "combined", 3, 1),
+        ("\n  vars: x\n", "expected", 2, 3),
+    ]
+    for text, match, line, col in cases:
+        with pytest.raises(LoopParseError, match=match) as err:
+            parse_loop(text)
+        assert (err.value.line, err.value.col) == (line, col), text
 
 
 def test_round_trip_handwritten(log2_loop, countdown_loop, unsat_loop):

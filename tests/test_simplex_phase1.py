@@ -2,10 +2,12 @@
 
 `solve` keeps a condensed tableau: a row holds the nonbasic real columns
 and the rhs, an artificial has no cell, and only real columns are priced.
-These tests hold it to the textbook layout kept in
-`tests.oracles.solve_with_artificial_block`, outcome for outcome, on seeded
-LPs and on degenerate shapes, and check that phase-1 rows hold no more
-than the real nonbasic columns.
+It also keeps one column per free variable, oriented as one half of the
+split x = x+ - x-.  These tests hold it to the textbook layout kept in
+`tests.oracles.solve_with_artificial_block`, with an artificial block and
+both halves of every free variable, outcome for outcome, on seeded LPs and
+on degenerate shapes; check that phase-1 rows hold no more than the real
+nonbasic columns; and run each place where the core picks a half.
 """
 
 from __future__ import annotations
@@ -270,3 +272,66 @@ def test_unbounded_ray_through_both_halves_of_a_free_variable():
     # The same LP maximized runs its ray the other way, through x's plus column.
     out = _matches_oracle(lp([1, 0], True, [([1, 1], EQ, 1)], [FREE, FREE]), LpStatus.UNBOUNDED)
     assert out.ray == (1, -1)
+
+
+def _recording_flips(monkeypatch):
+    """Patch `simplex._flip` to note each flip as (caller, variable, new
+    sign): "bland" when `_bland_min` flips a column to enter it, "drive-out"
+    when the phase-1 drive-out does."""
+    flips = []
+    flip = simplex._flip
+
+    def recording(t, q, cost):
+        flip(t, q, cost)
+        variable = t.nonbasic[q]
+        flips.append(("bland" if cost is not None else "drive-out", variable, t.sign[variable]))
+
+    monkeypatch.setattr(simplex, "_flip", recording)
+    return flips
+
+
+def test_crash_basis_takes_a_negated_free_column(monkeypatch):
+    """In  -x + y = 2,  y + z <= 3  over free x, x's column holds only -1, minus
+    the row's scale: the split layout's crash sweep takes x- there, so the
+    core takes x's column as -x, with no flip on the way."""
+    flips = _recording_flips(monkeypatch)
+    started = []
+    bland_min = simplex._bland_min
+
+    def recording(t, cost, phase1=False):
+        started.append((phase1, list(t.basis), list(t.sign)))
+        return bland_min(t, cost, phase1)
+
+    monkeypatch.setattr(simplex, "_bland_min", recording)
+    rows = [([-1, 1, 0], EQ, 2), ([0, 1, 1], LE, 3)]
+    out = _matches_oracle(lp([0, 1, -1], False, rows, [FREE, NONNEG, NONNEG]), LpStatus.OPTIMAL)
+    assert out.point == (-2, 0, 3) and out.value == -3
+    assert started[0] == (False, [0, 2], [-1, 0, 0, 0])
+    assert flips == []
+
+
+def test_free_variable_enters_on_a_positive_reduced_cost(monkeypatch):
+    """min x s.t. x + y = 1, y <= 3 over free x: y enters and takes x's
+    place, after which x prices +1; its other half prices -1, so x enters
+    as -x and lowers x to -2, where y's bound stops it."""
+    flips = _recording_flips(monkeypatch)
+    rows = [([1, 1], EQ, 1), ([0, 1], LE, 3)]
+    out = _matches_oracle(lp([1, 0], False, rows, [FREE, NONNEG]), LpStatus.OPTIMAL)
+    assert out.point == (-2, 3) and out.value == -2
+    assert flips == [("bland", 0, -1)]
+
+
+def test_drive_out_flips_a_free_column_back_to_plus_x(monkeypatch):
+    """In  -x + y = 2,  -y = -2  over free x, the crash basis takes x as -x
+    in the first row, and the second row starts on an artificial.  Phase 1
+    enters y with a tie in the ratio test, which x leaves, as -x, so the
+    artificial stays basic at zero with x's cell nonzero in its row.  The
+    split layout drives it out on x+, the lesser index of the two halves,
+    so the core flips x's column back to +x before it pivots."""
+    flips = _recording_flips(monkeypatch)
+    phases = _recording_phases(monkeypatch)
+    rows = [([-1, 1], EQ, 2), ([0, -1], EQ, -2)]
+    out = _matches_oracle(lp([2, 2], False, rows, [FREE, NONNEG]), LpStatus.OPTIMAL)
+    assert out.point == (0, 2) and out.value == 4
+    assert phases == [(True, [False, True]), (False, [False, False])]
+    assert flips == [("drive-out", 0, 1)]
