@@ -58,7 +58,7 @@ class CliError(Exception):
 
 def _load_loop(path: str) -> LoopModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
@@ -249,7 +249,7 @@ def cmd_bench(args, out) -> int:
     print("file,n,m,verdict_ms,verdict_pr,agree,us_ms,us_pr", file=out)
     for path in sorted(directory.glob("*.loop")):
         try:
-            loop = parse_loop(path.read_text(encoding="utf-8"))
+            loop = parse_loop(path.read_text(encoding="utf-8-sig"))
         except (LoopParseError, OSError, UnicodeDecodeError):
             print(f"{path.name},,,parse-error,parse-error,,,", file=out)
             continue

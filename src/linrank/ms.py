@@ -45,7 +45,7 @@ from .constraints import (
     loop_system,
     to_geq_matrix,
 )
-from .projection import _false_row, _project, _prune, _system, remove_redundant
+from .projection import _false_row, _project, _system, remove_redundant
 from .rationals import Rational, rat
 from .simplex import FREE, NONNEG, _point, _triples, satisfiable
 
@@ -186,7 +186,8 @@ def _multiplier_space(
     named `params`.  The system is the rows, then their sign rows, then for
     each of `defining`, a combination of the multipliers, the equality
     that gives it one more column.  It is empty iff `_point` finds no
-    point of the rows."""
+    point of the rows; otherwise its triples go to `_project` as they are,
+    which substitutes the columns its equalities hold before pairing."""
     if _point(rows, signs) is None:
         return RankingSpace(params, _system(params, [_false_row(len(params))]), kind)
     extra = len(defining)
@@ -195,7 +196,7 @@ def _multiplier_space(
     for k, coeffs in enumerate(defining):
         system.append((tuple(coeffs) + tuple(-int(i == k) for i in range(extra)), EQ, 0))
     width = len(signs) + extra
-    projected = _project(_prune(system), width, range(width - len(params), width))
+    projected = _project(system, width, range(width - len(params), width))
     return RankingSpace(params, _system(params, projected), kind)
 
 

@@ -12,25 +12,33 @@ parallel rows collapsed to the tightest representative, and `0 < 0` as the
 only empty row.  `LinConstraint`s are built only on the way out, so public
 rows keep Fraction constants.
 
-Elimination is Fourier-Motzkin with the standard accelerations, one column
-per `_eliminate` step.  A variable occurring in an equality row is
-eliminated by substitution through that row (row count never grows);
-otherwise each upper row is paired with each lower row.  Both combine
-integer directions into a positive multiple of the rational combination,
-so `_prune` restores the canonical form.  A row with a zero in the
-eliminated column is copied with that zero dropped, which keeps it
-canonical, so `_prune` passes it straight to the parallel-row collapse
-with no integer scaling or gcd.  `_project`, the one elimination loop,
-prunes exactly when a step grows the system: a step that leaves more rows
-than it started with is followed by the exact greedy scan `_irredundant`,
-so no step ends with more rows than the larger of its input count and an
-irredundant system's.  The result gets one final scan, unless the last
-step already had one.  That is sound because `_project` only takes a
-feasible input, and the projection of a feasible system is feasible, as
-`_entailed` requires.  `project` checks that with one `satisfiable` call
-on its `ConstraintSystem`; the engines' space routes
-(`ms._multiplier_space`) check it with their own decision LP, then hand
-`_project` their row triples, canonicalized, with no system built.
+Elimination first substitutes, then pairs.  `_sweep` visits the columns
+to eliminate in index order and substitutes each one that an equality row
+holds, through the first such row, recombining only the rows with a
+nonzero there, each to a coprime-integer direction; one `_prune` follows.
+Deferring the prune to the end of the sweep gives the rows that pruning
+after every substitution would: the combination is invariant to positive
+row scaling and to any scaling of the pivot, `_prune` keeps each set of
+parallel rows at the position of its first row, and a column the sweep
+has passed can never be held by an equality again, since equalities are
+combined only with equalities.  The columns left are removed by
+Fourier-Motzkin, one `_eliminate` step each, which pairs each upper row
+with each lower row.  It combines integer directions into a positive
+multiple of the rational combination, so `_prune` restores the canonical
+form.  A row with a zero in the eliminated column is copied with that
+zero dropped, which keeps it canonical, so `_prune` passes it straight to
+the parallel-row collapse with no integer scaling or gcd.
+`_project`, the one elimination loop, prunes exactly when a step grows the
+system: a step that leaves more rows than it started with is followed by
+the exact greedy scan `_irredundant`, so no step ends with more rows than
+the larger of its input count and an irredundant system's.  The result
+gets one final scan, unless the last step already had one.  That is sound
+because `_project` only takes a feasible input, and the projection of a
+feasible system is feasible, as `_entailed` requires.  `project` checks
+that with one `satisfiable` call on its `ConstraintSystem`; the engines'
+space routes (`ms._multiplier_space`) check it with their own decision
+LP.  Both hand `_project` their row triples as they are, with no system
+built and no prune first: the sweep's one prune canonicalizes them.
 `remove_redundant` and `eliminate` make the same one check, so all three,
 and every engine space built on them, give an empty set as `0 < 0`, the
 one empty result.
@@ -66,7 +74,7 @@ from .constraints import (
     LinConstraint,
 )
 from .rationals import integer_scaling
-from .simplex import FREE, NONNEG, LpProblem, LpStatus, satisfiable, solve
+from .simplex import FREE, NONNEG, LpProblem, LpStatus, _triples, satisfiable, solve
 
 Row = tuple[tuple[int, ...], str, int | Fraction]
 
@@ -132,50 +140,82 @@ def _canonical(rows: Iterable[LinConstraint]) -> list[Row]:
     return _prune((row.coeffs, row.rel, row.const) for row in rows)
 
 
+def _sweep(rows: Iterable[tuple], width: int, kept: set[int]) -> tuple[list[Row], list[int]]:
+    """Substitute, in index order, each column outside `kept` that an
+    equality row holds, through the first equality row holding it, then
+    prune once.  Takes triples in any form over `width` columns; returns
+    the canonical rows over the columns left, and those columns' indices."""
+    rows = list(rows)
+    swept = set()
+    for j in range(width):
+        if j in kept:
+            continue
+        k = next((k for k, (d, rel, _) in enumerate(rows) if rel == EQ and d[j]), None)
+        if k is None:
+            continue
+        pivot, _, b = rows.pop(k)
+        p = pivot[j]
+        a = abs(p)
+        for i, (d, rel, const) in enumerate(rows):
+            if d[j]:
+                # |p|*row - sign(p)*f*pivot: a positive multiple of row - (f/p)*pivot
+                f = -d[j] if p > 0 else d[j]
+                scale, nums = integer_scaling([x * a + y * f for x, y in zip(d, pivot)])
+                divisor = gcd(*nums) or 1
+                const = const * a + b * f
+                num, den = const.numerator * scale, const.denominator * divisor
+                quotient, remainder = divmod(num, den)
+                const = Fraction(num, den) if remainder else quotient
+                rows[i] = (tuple(v // divisor for v in nums), rel, const)
+        swept.add(j)
+    columns = [j for j in range(width) if j not in swept]
+    if swept:
+        rows = [(tuple(d[j] for j in columns), rel, const) for d, rel, const in rows]
+    return _prune(rows), columns
+
+
 def _eliminate(rows: Sequence[Row], idx: int) -> tuple[list[tuple], list[bool]]:
-    """Remove column idx from canonical rows, by substitution through the
-    first equality that holds it, or else by one Fourier-Motzkin step.
-    Returns the new rows, with int directions but not yet pruned, and for
-    each a flag: whether it is a row copied with a zero dropped, which is
-    still canonical.  A paired row is strict iff either parent is."""
+    """Remove column idx, which no equality row holds, from canonical rows
+    by one Fourier-Motzkin step.  Returns the new rows, with int directions
+    but not yet pruned, and for each a flag: whether it is a row copied
+    with a zero dropped, which is still canonical.  A paired row is strict
+    iff either parent is."""
     dropped = [d[:idx] + d[idx + 1 :] for d, _, _ in rows]
     out: list[tuple] = []
     copied: list[bool] = []
-
-    def combine(i: int, a: int, k: int, b: int, rel: str) -> None:
-        coeffs = tuple(x * a + y * b for x, y in zip(dropped[i], dropped[k]))
-        out.append((coeffs, rel, rows[i][2] * a + rows[k][2] * b))
-        copied.append(False)
-
-    pivot = next((k for k, (d, rel, _) in enumerate(rows) if rel == EQ and d[idx]), None)
+    upper: list[int] = []
+    lower: list[int] = []
     for i, (d, rel, const) in enumerate(rows):
         if d[idx] == 0:
             out.append((dropped[i], rel, const))
             copied.append(True)
-        elif pivot is not None and i != pivot:
-            # |p|*row - sign(p)*f*pivot: a positive multiple of row - (f/p)*pivot
-            p = rows[pivot][0][idx]
-            combine(i, abs(p), pivot, -d[idx] if p > 0 else d[idx], rel)
-    if pivot is None:
-        upper = [i for i, (d, _, _) in enumerate(rows) if d[idx] > 0]
-        lower = [k for k, (d, _, _) in enumerate(rows) if d[idx] < 0]
-        for i in upper:
-            for k in lower:
-                # up*pl + low*pu: a positive multiple of up/pu + low/pl
-                rel = LT if LT in (rows[i][1], rows[k][1]) else LE
-                combine(i, -rows[k][0][idx], k, rows[i][0][idx], rel)
+        else:
+            (upper if d[idx] > 0 else lower).append(i)
+    for i in upper:
+        for k in lower:
+            # up*pl + low*pu: a positive multiple of up/pu + low/pl
+            a, b = -rows[k][0][idx], rows[i][0][idx]
+            coeffs = tuple(x * a + y * b for x, y in zip(dropped[i], dropped[k]))
+            rel = LT if LT in (rows[i][1], rows[k][1]) else LE
+            out.append((coeffs, rel, rows[i][2] * a + rows[k][2] * b))
+            copied.append(False)
     return out, copied
 
 
 def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
     """Project c's solution set along one variable; the result ranges over
-    the remaining variables.  A combined row is strict iff either parent is.
-    An infeasible c gives the single row 0 < 0, as `project` does."""
+    the remaining variables.  A variable an equality holds is substituted
+    (`_sweep`); otherwise each upper row is paired with each lower row, and
+    a combined row is strict iff either parent is.  An infeasible c gives
+    the single row 0 < 0, as `project` does."""
     idx = c.index_of(var)
     variables = c.variables[:idx] + c.variables[idx + 1 :]
     if not satisfiable(c):
         return _system(variables, [_false_row(len(variables))])
-    return _system(variables, _prune(*_eliminate(_canonical(c.rows), idx)))
+    rows, columns = _sweep(_triples(c), c.n_vars, set(range(c.n_vars)) - {idx})
+    if idx in columns:
+        rows = _prune(*_eliminate(rows, idx))
+    return _system(variables, rows)
 
 
 def _entailed(rest: Sequence[Row], row: Row) -> bool:
@@ -258,26 +298,25 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     # an infeasible system head-on can blow up combinatorially instead.
     if not satisfiable(c):
         return _system(keep, [_false_row(len(keep))])
-    return _system(keep, _project(_canonical(c.rows), c.n_vars, columns))
+    return _system(keep, _project(_triples(c), c.n_vars, columns))
 
 
-def _project(rows: list[Row], width: int, keep: Sequence[int]) -> list[Row]:
-    """Eliminate every column outside `keep` from feasible canonical rows
-    over `width` columns, then remove redundancy; the result's columns
+def _project(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> list[Row]:
+    """Eliminate every column outside `keep` from a feasible system of
+    triples in any form over `width` columns: `_sweep`, then one pairing
+    step per column left.  Then remove redundancy; the result's columns
     follow the order of `keep`."""
-    columns = list(range(width))
     kept = set(keep)
+    rows, columns = _sweep(rows, width, kept)
 
-    def cost(i: int) -> tuple[int, int]:
-        # Substitution through an equality first, in index order (each such
-        # step removes one row and one column); then the column with the
-        # fewest (upper, lower) pairs.  Pairing never creates an equality.
-        if any(rel == EQ and d[i] for d, rel, _ in rows):
-            return 0, 0
-        return 1, sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows)
+    def cost(i: int) -> int:
+        # The column with the fewest (upper, lower) pairs.  No equality
+        # holds a column outside `keep` after the sweep, and pairing never
+        # creates an equality.
+        return sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows)
 
     grew = False
-    for _ in range(width - len(kept)):
+    for _ in range(len(columns) - len(kept)):
         idx = min((i for i, col in enumerate(columns) if col not in kept), key=cost)
         stepped = _prune(*_eliminate(rows, idx))
         grew = len(stepped) > len(rows)

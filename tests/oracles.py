@@ -30,7 +30,7 @@ from linrank.ms import (
     _svg_rows,
 )
 from linrank.pr import _pr_alt_rows
-from linrank.projection import _canonical, project
+from linrank.projection import _canonical, _irredundant, _prune, project
 from linrank.rationals import Rational, integer_scaling
 from linrank.simplex import (
     FREE,
@@ -268,6 +268,69 @@ def equivalent_by_boundaries(c1: ConstraintSystem, c2: ConstraintSystem) -> bool
                 if find_point(other.with_rows(other.rows + (boundary,))) is not None:
                     return False
     return True
+
+
+# --- Fourier-Motzkin one column per step ------------------------------------
+#
+# `projection._project` substitutes every column an equality holds in one
+# sweep and prunes once; this reference removes one column per step, by
+# substitution through the first equality holding it or else by pairing,
+# prunes after every step and scans after every step that grows the
+# system.  The two must give the same rows, in the same order.
+
+
+def eliminate_column(rows: Sequence[tuple], idx: int) -> list[tuple]:
+    """Remove column idx from canonical rows, by substitution through the
+    first equality that holds it, or else by one Fourier-Motzkin step, and
+    prune the result."""
+    dropped = [d[:idx] + d[idx + 1 :] for d, _, _ in rows]
+    out: list[tuple] = []
+
+    def combine(i: int, a, k: int, b, rel: str) -> None:
+        coeffs = tuple(x * a + y * b for x, y in zip(dropped[i], dropped[k]))
+        out.append((coeffs, rel, rows[i][2] * a + rows[k][2] * b))
+
+    pivot = next((k for k, (d, rel, _) in enumerate(rows) if rel == EQ and d[idx]), None)
+    for i, (d, rel, const) in enumerate(rows):
+        if d[idx] == 0:
+            out.append((dropped[i], rel, const))
+        elif pivot is not None and i != pivot:
+            p = rows[pivot][0][idx]
+            combine(i, abs(p), pivot, -d[idx] if p > 0 else d[idx], rel)
+    if pivot is None:
+        upper = [i for i, (d, _, _) in enumerate(rows) if d[idx] > 0]
+        lower = [k for k, (d, _, _) in enumerate(rows) if d[idx] < 0]
+        for i in upper:
+            for k in lower:
+                rel = LT if LT in (rows[i][1], rows[k][1]) else LE
+                combine(i, -rows[k][0][idx], k, rows[i][0][idx], rel)
+    return _prune(out)
+
+
+def project_stepwise(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> list[tuple]:
+    """`projection._project` one column per step: the leftmost column an
+    equality holds first, then the column with the fewest (upper, lower)
+    pairs; `_irredundant` after each step that grows the system, and at the
+    end unless the last step grew it."""
+    rows = _prune(rows)
+    columns = list(range(width))
+    kept = set(keep)
+
+    def cost(i: int) -> tuple[int, int]:
+        if any(rel == EQ and d[i] for d, rel, _ in rows):
+            return 0, 0
+        return 1, sum(d[i] > 0 for d, _, _ in rows) * sum(d[i] < 0 for d, _, _ in rows)
+
+    grew = False
+    for _ in range(width - len(kept)):
+        idx = min((i for i, col in enumerate(columns) if col not in kept), key=cost)
+        stepped = eliminate_column(rows, idx)
+        grew = len(stepped) > len(rows)
+        rows = _irredundant(stepped) if grew else stepped
+        del columns[idx]
+    perm = [columns.index(col) for col in keep]
+    rows = _prune((tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
+    return rows if grew else _irredundant(rows)
 
 
 # --- phase 1 with an explicit artificial block -------------------------------

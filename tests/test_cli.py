@@ -244,6 +244,19 @@ def test_bench_survives_malformed_file(tmp_path):
     assert any(line.startswith("ok.loop,") for line in lines)
 
 
+def test_loop_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    """A loop file saved with a UTF-8 byte-order mark parses as the file
+    without it, for `rank` and for `bench`."""
+    original = LOOPS / "countdown.loop"
+    marked = tmp_path / "countdown.loop"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert run("rank", str(marked)) == run("rank", str(original))
+    code, text = run("bench", str(tmp_path))
+    assert code == 0
+    row = text.strip().splitlines()[1].split(",")
+    assert row[:6] == ["countdown.loop", "1", "2", "terminating", "terminating", "true"]
+
+
 def test_check_names_an_undecodable_file(tmp_path, capsys):
     latin1 = tmp_path / "latin1.loop"
     latin1.write_bytes("vars: x\nsingle: x >= 0 # \xe9\n".encode("latin-1"))

@@ -7,7 +7,7 @@ import pytest
 
 from linrank import projection
 from linrank.constraints import ConstraintError, LinConstraint, loop_system
-from linrank.ms import build_ms_systems
+from linrank.ms import build_ms_systems, ms_decreasing_space
 from linrank.projection import (
     eliminate,
     entails,
@@ -19,8 +19,10 @@ from linrank.simplex import FREE, NONNEG, LpProblem, LpStatus, satisfiable, solv
 from tests.conftest import sample_points
 from tests.oracles import (
     constraint,
+    eliminate_column,
     entails_by_negation,
     equivalent_by_boundaries,
+    project_stepwise,
     remove_redundant_by_negation,
     system,
 )
@@ -515,6 +517,98 @@ def test_project_matches_stepwise_elimination(seed207_loop):
     cases.append((cs(decrease.variables[:m] + mu, rows), mu))
     for c, keep in cases:
         assert equivalent(project(c, keep), _stepwise(c, keep))
+
+
+def _equality_system(rng):
+    """A feasible system with equalities, its `keep` and the shapes it has:
+    Fraction coefficients and strict rows, an equality over kept columns
+    only, a duplicated equality (negated or scaled), and an equality that
+    sums two others, so it cancels to 0 = 0 once they are substituted."""
+    nv = rng.randint(2, 6)
+    names = tuple(f"v{i}" for i in range(nv))
+    p = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nv)]
+    keep = tuple(v for v in names if rng.random() < 0.4) or names[:1]
+    shapes = set()
+
+    def priced(coeffs, rel):
+        lhs = sum(a * b for a, b in zip(coeffs, p))
+        slack = rng.randint(0 if rel in ("<=", ">=", "=") else 1, 3)
+        return coeffs, rel, lhs if rel == "=" else lhs + slack if rel in ("<=", "<") else lhs - slack
+
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3))) for _ in range(nv)]
+        rows.append(priced(coeffs, rng.choice(("=", "=", "<=", "<", ">=", ">"))))
+    if rng.random() < 0.3:
+        shapes.add("kept-only")
+        rows.append(priced([Fraction(rng.randint(-3, 3) * (v in keep)) for v in names], "="))
+    equalities = [row for row in rows if row[1] == "="]
+    if equalities and rng.random() < 0.5:
+        shapes.add("duplicated")
+        coeffs, rel, const = rng.choice(equalities)
+        scale = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2)))
+        rows.insert(rng.randrange(len(rows) + 1), ([scale * a for a in coeffs], rel, scale * const))
+    if len(equalities) >= 2 and rng.random() < 0.5:
+        shapes.add("cancels")
+        (c1, _, k1), (c2, _, k2) = rng.sample(equalities, 2)
+        a, b = rng.choice((1, -1, 2)), rng.choice((1, -2, 3))
+        combined = ([a * x + b * y for x, y in zip(c1, c2)], "=", a * k1 + b * k2)
+        rows.insert(rng.randrange(len(rows) + 1), combined)
+    if any(v.denominator > 1 for coeffs, _, _ in rows for v in coeffs):
+        shapes.add("fraction")
+    if any(rel in ("<", ">") for _, rel, _ in rows):
+        shapes.add("strict")
+    return cs(names, rows), keep, shapes
+
+
+def test_project_and_eliminate_give_the_rows_of_one_column_per_step():
+    """`project` substitutes every column an equality holds in one sweep and
+    prunes once; its rows are exactly, as tuples in order, those of
+    substituting one column per step with a prune after each
+    (`project_stepwise`).  So are `eliminate`'s rows for a variable that an
+    equality holds (`eliminate_column`)."""
+    rng = random.Random(1201)
+    shapes = dict.fromkeys(("fraction", "strict", "kept-only", "duplicated", "cancels"), 0)
+    substituted = 0
+    for _ in range(1200):
+        c, keep, found = _equality_system(rng)
+        for shape in found:
+            shapes[shape] += 1
+        assert satisfiable(c)
+        rows = [(r.coeffs, r.rel, r.const) for r in c.rows]
+        columns = [c.index_of(v) for v in keep]
+        expected = [LinConstraint(*row) for row in project_stepwise(rows, c.n_vars, columns)]
+        assert project(c, keep).rows == tuple(expected)
+        canonical = projection._canonical(c.rows)
+        for idx, var in enumerate(c.variables):
+            if any(rel == "=" and d[idx] for d, rel, _ in canonical):
+                substituted += 1
+                expected = [LinConstraint(*row) for row in eliminate_column(canonical, idx)]
+                assert eliminate(c, var).rows == tuple(expected)
+    assert min(shapes.values()) >= 150 and substituted >= 1200
+
+
+def test_projection_prunes_once_per_pairing_step(monkeypatch, seed207_loop):
+    """The columns that equalities hold are substituted in one sweep with
+    one prune: projecting the decrease system of `seed207_loop` calls
+    `_prune` at most once per Fourier-Motzkin pairing step, plus once after
+    the sweep and once after the final column permutation."""
+    prunes, pairings = [], []
+    prune, eliminate_step = projection._prune, projection._eliminate
+
+    def counting_prune(*args):
+        prunes.append(1)
+        return prune(*args)
+
+    def counting_eliminate(rows, idx):
+        if not any(rel == "=" and d[idx] for d, rel, _ in rows):
+            pairings.append(idx)
+        return eliminate_step(rows, idx)
+
+    monkeypatch.setattr(projection, "_prune", counting_prune)
+    monkeypatch.setattr(projection, "_eliminate", counting_eliminate)
+    ms_decreasing_space(seed207_loop)
+    assert pairings and len(prunes) <= len(pairings) + 2
 
 
 def test_projection_growth_stays_within_budget():
