@@ -4,30 +4,30 @@ for constraint systems that may contain strict rows.
 Inside this module a row is a triple (direction, rel, const): direction a
 tuple of coprime ints, rel one of <=, < or =, and const an int when it is
 integral and a Fraction otherwise, so elimination, the tightest-row compare
-and the entailment LPs run in int arithmetic on integral rows.  `_prune`
-is the one canonicalizer.  It takes (coeffs, rel, const) triples in any
-form and gives each row its canonical form: oriented <=, < or =, a
-coprime-integer direction (an equality's leading coefficient positive),
-parallel rows collapsed to the tightest representative, and `0 < 0` as the
-only empty row.  `LinConstraint`s are built only on the way out, so public
-rows keep Fraction constants.
+and the entailment LPs run in int arithmetic on integral rows.  Three
+functions make the row algebra, each the one place that does its job:
+`_row` canonicalizes one triple in any form, `_cancel` combines two rows
+into the canonical row with a zero in one column, and `_prune` only
+collapses canonical rows (trivially-true rows go, parallel rows keep the
+tightest at the first one's position, `0 < 0` is the one empty row).
+`LinConstraint`s are built only on the way out, so public rows keep
+Fraction constants.
 
-Elimination first substitutes, then pairs.  `_sweep` visits the columns
-to eliminate in index order and substitutes each one that an equality row
-holds, through the first such row, recombining only the rows with a
-nonzero there, each to a coprime-integer direction; one `_prune` follows.
+Elimination first substitutes, then pairs, and both are `_cancel`.  Its
+row is unchanged by positive scaling of r and any scaling of s, and
+canonicalizing a row changes neither which entries are zero nor whether
+it is an equality, so canonical rows give the same pivots and pairs, in
+the same order, as any scaling of them.  `_sweep` canonicalizes its input
+once, visits the columns to eliminate in index order and substitutes each
+one that an equality row (s) holds, through the first such row,
+recombining only the rows (r) with a nonzero there; one `_prune` follows.
 Deferring the prune to the end of the sweep gives the rows that pruning
-after every substitution would: the combination is invariant to positive
-row scaling and to any scaling of the pivot, `_prune` keeps each set of
-parallel rows at the position of its first row, and a column the sweep
-has passed can never be held by an equality again, since equalities are
-combined only with equalities.  The columns left are removed by
-Fourier-Motzkin, one `_eliminate` step each, which pairs each upper row
-with each lower row.  It combines integer directions into a positive
-multiple of the rational combination, so `_prune` restores the canonical
-form.  A row with a zero in the eliminated column is copied with that
-zero dropped, which keeps it canonical, so `_prune` passes it straight to
-the parallel-row collapse with no integer scaling or gcd.
+after every substitution would: `_prune` keeps each set of parallel rows
+at the position of its first row, and a column the sweep has passed can
+never be held by an equality again, since equalities are combined only
+with equalities.  The columns left are removed by Fourier-Motzkin, one
+`_eliminate` step each, which copies the rows with a zero in the column
+and pairs each upper row (r) with each lower row (s).
 `_project`, the one elimination loop, prunes exactly when a step grows the
 system: a step that leaves more rows than it started with is followed by
 the exact greedy scan `_irredundant`, so no step ends with more rows than
@@ -38,7 +38,7 @@ feasible system is feasible, as `_entailed` requires.  `project` checks
 that with one `satisfiable` call on its `ConstraintSystem`; the engines'
 space routes (`ms._multiplier_space`) check it with their own decision
 LP.  Both hand `_project` their row triples as they are, with no system
-built and no prune first: the sweep's one prune canonicalizes them.
+built and no prune first: the sweep canonicalizes them.
 `remove_redundant` and `eliminate` make the same one check, so all three,
 and every engine space built on them, give an empty set as `0 < 0`, the
 one empty result.
@@ -58,7 +58,6 @@ has a sign that no row can supply to the dual's equality for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -88,43 +87,56 @@ def _false_row(width: int) -> Row:
     return (0,) * width, LT, 0
 
 
-def _prune(rows: Iterable[tuple], copied: Iterable[bool] = ()) -> list[Row]:
-    """Give each (coeffs, rel, const) row its canonical form, drop
-    trivially-true rows and duplicates, and among parallel rows of the same
-    direction keep only the tightest one.  A ground-false row, or two
-    parallel equalities that disagree, collapse the whole system to the
-    single row 0 < 0.  Coefficients may be ints or Fractions, and const an
-    int or a Fraction; the canonical const is an int exactly when it is
-    integral.  A row flagged in `copied` is canonical already (`_eliminate`
-    copied it with a zero dropped) and goes straight to the collapse."""
+def _row(coeffs: Sequence, rel: str, const) -> Row:
+    """The canonical form of one (coeffs, rel, const) row, whose
+    coefficients may be ints or Fractions and const an int or a Fraction:
+    oriented <=, < or =, a coprime-integer direction (an equality's leading
+    coefficient positive), and a const that is an int exactly when it is
+    integral.  A zero row is returned as it is."""
+    if not any(coeffs):
+        return coeffs, rel, const
+    # Equalities canonicalize up to sign, inequalities only up to positive
+    # scaling; directions are kept as coprime integers, so the divisor's
+    # sign orients the row as <=, < or = in one step.
+    denom, nums = integer_scaling(coeffs)
+    divisor = gcd(*nums)
+    if rel == GE or rel == GT:
+        divisor, rel = -divisor, (LE if rel == GE else LT)
+    elif rel == EQ and next(v for v in nums if v) < 0:
+        divisor = -divisor
+    if divisor == 1:
+        direction = tuple(nums)
+    elif divisor == -1:
+        direction = tuple(-v for v in nums)
+    else:
+        direction = tuple(v // divisor for v in nums)
+    # const * denom / divisor, an int when it is integral
+    num, den = const.numerator * denom, const.denominator * divisor
+    quotient, remainder = divmod(num, den)
+    return direction, rel, (Fraction(num, den) if remainder else quotient)
+
+
+def _cancel(r: Row, s: Row, j: int) -> Row:
+    """The canonical row |s_j|*r - sign(s_j)*r_j*s, a positive multiple of
+    r - (r_j/s_j)*s, whose column j is 0: strict if s is, else of r's
+    relation."""
+    (d, rel, b), (e, rel_s, c) = r, s
+    a, f = abs(e[j]), (-d[j] if e[j] > 0 else d[j])
+    return _row([x * a + y * f for x, y in zip(d, e)], LT if rel_s == LT else rel, b * a + c * f)
+
+
+def _prune(rows: Iterable[Row]) -> list[Row]:
+    """Collapse canonical or zero rows: drop trivially-true rows and
+    duplicates, and among parallel rows of the same direction keep only
+    the tightest one, at the position of the first.  A ground-false row, or
+    two parallel equalities that disagree, collapse the whole system to
+    the single row 0 < 0."""
     best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const)
-    for (coeffs, rel, const), canonical in zip(rows, chain(copied, repeat(False))):
-        if not any(coeffs):
+    for direction, rel, const in rows:
+        if not any(direction):
             if HOLDS[rel](0, const):
                 continue
-            return [_false_row(len(coeffs))]
-        if canonical:
-            direction = coeffs
-        else:
-            # Equalities canonicalize up to sign, inequalities only up to
-            # positive scaling; directions are kept as coprime integers, so
-            # the divisor's sign orients the row as <=, < or = in one step.
-            denom, nums = integer_scaling(coeffs)
-            divisor = gcd(*nums)
-            if rel == GE or rel == GT:
-                divisor, rel = -divisor, (LE if rel == GE else LT)
-            elif rel == EQ and next(v for v in nums if v) < 0:
-                divisor = -divisor
-            if divisor == 1:
-                direction = tuple(nums)
-            elif divisor == -1:
-                direction = tuple(-v for v in nums)
-            else:
-                direction = tuple(v // divisor for v in nums)
-            # const * denom / divisor, an int when it is integral
-            num, den = const.numerator * denom, const.denominator * divisor
-            quotient, remainder = divmod(num, den)
-            const = Fraction(num, den) if remainder else quotient
+            return [_false_row(len(direction))]
         key = (EQ if rel == EQ else LE, direction)
         incumbent = best.get(key)
         if incumbent is not None and rel == EQ:
@@ -137,15 +149,15 @@ def _prune(rows: Iterable[tuple], copied: Iterable[bool] = ()) -> list[Row]:
 
 
 def _canonical(rows: Iterable[LinConstraint]) -> list[Row]:
-    return _prune((row.coeffs, row.rel, row.const) for row in rows)
+    return _prune(_row(row.coeffs, row.rel, row.const) for row in rows)
 
 
 def _sweep(rows: Iterable[tuple], width: int, kept: set[int]) -> tuple[list[Row], list[int]]:
-    """Substitute, in index order, each column outside `kept` that an
-    equality row holds, through the first equality row holding it, then
-    prune once.  Takes triples in any form over `width` columns; returns
+    """Canonicalize triples in any form over `width` columns, substitute,
+    in index order, each column outside `kept` that an equality row holds,
+    through the first equality row holding it, then prune once.  Returns
     the canonical rows over the columns left, and those columns' indices."""
-    rows = list(rows)
+    rows = [_row(*row) for row in rows]
     swept = set()
     for j in range(width):
         if j in kept:
@@ -153,20 +165,8 @@ def _sweep(rows: Iterable[tuple], width: int, kept: set[int]) -> tuple[list[Row]
         k = next((k for k, (d, rel, _) in enumerate(rows) if rel == EQ and d[j]), None)
         if k is None:
             continue
-        pivot, _, b = rows.pop(k)
-        p = pivot[j]
-        a = abs(p)
-        for i, (d, rel, const) in enumerate(rows):
-            if d[j]:
-                # |p|*row - sign(p)*f*pivot: a positive multiple of row - (f/p)*pivot
-                f = -d[j] if p > 0 else d[j]
-                scale, nums = integer_scaling([x * a + y * f for x, y in zip(d, pivot)])
-                divisor = gcd(*nums) or 1
-                const = const * a + b * f
-                num, den = const.numerator * scale, const.denominator * divisor
-                quotient, remainder = divmod(num, den)
-                const = Fraction(num, den) if remainder else quotient
-                rows[i] = (tuple(v // divisor for v in nums), rel, const)
+        pivot = rows.pop(k)
+        rows = [_cancel(row, pivot, j) if row[0][j] else row for row in rows]
         swept.add(j)
     columns = [j for j in range(width) if j not in swept]
     if swept:
@@ -174,32 +174,16 @@ def _sweep(rows: Iterable[tuple], width: int, kept: set[int]) -> tuple[list[Row]
     return _prune(rows), columns
 
 
-def _eliminate(rows: Sequence[Row], idx: int) -> tuple[list[tuple], list[bool]]:
+def _eliminate(rows: Sequence[Row], idx: int) -> list[Row]:
     """Remove column idx, which no equality row holds, from canonical rows
-    by one Fourier-Motzkin step.  Returns the new rows, with int directions
-    but not yet pruned, and for each a flag: whether it is a row copied
-    with a zero dropped, which is still canonical.  A paired row is strict
-    iff either parent is."""
-    dropped = [d[:idx] + d[idx + 1 :] for d, _, _ in rows]
-    out: list[tuple] = []
-    copied: list[bool] = []
-    upper: list[int] = []
-    lower: list[int] = []
-    for i, (d, rel, const) in enumerate(rows):
-        if d[idx] == 0:
-            out.append((dropped[i], rel, const))
-            copied.append(True)
-        else:
-            (upper if d[idx] > 0 else lower).append(i)
-    for i in upper:
-        for k in lower:
-            # up*pl + low*pu: a positive multiple of up/pu + low/pl
-            a, b = -rows[k][0][idx], rows[i][0][idx]
-            coeffs = tuple(x * a + y * b for x, y in zip(dropped[i], dropped[k]))
-            rel = LT if LT in (rows[i][1], rows[k][1]) else LE
-            out.append((coeffs, rel, rows[i][2] * a + rows[k][2] * b))
-            copied.append(False)
-    return out, copied
+    by one Fourier-Motzkin step: copy the rows with a zero there, then
+    `_cancel` each upper row with each lower row, so a paired row is strict
+    iff either parent is.  The rows are canonical or zero, not pruned."""
+    upper = [row for row in rows if row[0][idx] > 0]
+    lower = [row for row in rows if row[0][idx] < 0]
+    out = [row for row in rows if not row[0][idx]]
+    out += [_cancel(r, s, idx) for r in upper for s in lower]
+    return [(d[:idx] + d[idx + 1 :], rel, const) for d, rel, const in out]
 
 
 def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
@@ -214,7 +198,7 @@ def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
         return _system(variables, [_false_row(len(variables))])
     rows, columns = _sweep(_triples(c), c.n_vars, set(range(c.n_vars)) - {idx})
     if idx in columns:
-        rows = _prune(*_eliminate(rows, idx))
+        rows = _prune(_eliminate(rows, idx))
     return _system(variables, rows)
 
 
@@ -254,10 +238,10 @@ def _entailed(rest: Sequence[Row], row: Row) -> bool:
 def entails(c: ConstraintSystem, k: LinConstraint) -> bool:
     """True iff every rational solution of c satisfies k; c must be
     satisfiable.  One `_entailed` test, no primal LP over c's rows."""
-    if not satisfiable(c):
-        raise ConstraintError("entailment over an unsatisfiable system")
     if len(k.coeffs) != c.n_vars:
         raise ConstraintError(f"row has {len(k.coeffs)} coefficients for {c.n_vars} variables")
+    if not satisfiable(c):
+        raise ConstraintError("entailment over an unsatisfiable system")
     premise = _canonical(c.rows)
     return all(_entailed(premise, row) for row in _canonical((k,)))
 
@@ -294,6 +278,8 @@ def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:
     checked once, on c; every redundancy scan is an `_irredundant` pass."""
     keep = tuple(keep)
     columns = [c.index_of(name) for name in keep]  # validates membership
+    if len(set(keep)) != len(keep):
+        raise ConstraintError("variable names must be unique")
     # Projecting an empty set is the empty set; eliminating variables from
     # an infeasible system head-on can blow up combinatorially instead.
     if not satisfiable(c):
@@ -318,15 +304,15 @@ def _project(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> list[Row
     grew = False
     for _ in range(len(columns) - len(kept)):
         idx = min((i for i, col in enumerate(columns) if col not in kept), key=cost)
-        stepped = _prune(*_eliminate(rows, idx))
+        stepped = _prune(_eliminate(rows, idx))
         grew = len(stepped) > len(rows)
         rows = _irredundant(stepped) if grew else stepped
         del columns[idx]
 
     # Permuting columns can flip an equality's leading sign, so the rows are
-    # pruned again.  After a growing last step they are already irredundant.
+    # canonicalized again.  After a growing last step they are already irredundant.
     perm = [columns.index(col) for col in keep]
-    rows = _prune((tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
+    rows = _prune(_row(tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
     return rows if grew else _irredundant(rows)
 
 

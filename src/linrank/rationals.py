@@ -6,7 +6,7 @@ denominator), so equality is structural and no operation ever rounds.
 Vectors and matrices are plain tuples of Fractions.  Inside, rows are
 ints where integral: the engines read a loop's matrix that way
 (`to_leq_rows` with `_ints`), and `projection`'s rows keep the coprime
-int directions `projection._prune` gives them and an int constant when
+int directions `projection._row` gives them and an int constant when
 it is integral.  So most LPs arrive all-int and the simplex lays them out
 as they are; any other row is scaled to ints once by `integer_scaling`.
 Floats and decimal strings are rejected, never rounded.

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from linrank.constraints import (
     EQ,
     GE,
     GT,
+    HOLDS,
     LE,
     LT,
     ConstraintError,
@@ -30,7 +31,7 @@ from linrank.ms import (
     _svg_rows,
 )
 from linrank.pr import _pr_alt_rows
-from linrank.projection import _canonical, _irredundant, _prune, project
+from linrank.projection import _irredundant, project
 from linrank.rationals import Rational, integer_scaling
 from linrank.simplex import (
     FREE,
@@ -237,7 +238,7 @@ def entails_by_negation(c: ConstraintSystem, k: LinConstraint) -> bool:
 def remove_redundant_by_negation(c: ConstraintSystem) -> ConstraintSystem:
     """The primal greedy rule: scan the canonical rows in order and drop
     each one that the rows still kept entail, by `entails_by_negation`."""
-    keep = [LinConstraint(*row) for row in _canonical(c.rows)]
+    keep = [LinConstraint(*row) for row in prune_rows((r.coeffs, r.rel, r.const) for r in c.rows)]
     i = 0
     while i < len(keep):
         rest = keep[:i] + keep[i + 1 :]
@@ -279,6 +280,42 @@ def equivalent_by_boundaries(c1: ConstraintSystem, c2: ConstraintSystem) -> bool
 # system.  The two must give the same rows, in the same order.
 
 
+def prune_rows(rows: Iterable[tuple]) -> list[tuple]:
+    """One pass over (coeffs, rel, const) rows in any form: give each row
+    its canonical form (oriented <=, < or =, a coprime-integer direction
+    with an equality's leading coefficient positive, a const that is an
+    int exactly when it is integral), drop trivially-true rows, keep the
+    tightest of parallel rows at the first one's position, and give an
+    empty system as the single row 0 < 0.  `projection` splits this into
+    `_row` and `_prune`; this copy shares no code with them."""
+    best: dict[tuple, tuple] = {}  # (kind, direction) -> (rel, const)
+    for coeffs, rel, const in rows:
+        width = len(coeffs)
+        if not any(coeffs):
+            if HOLDS[rel](0, const):
+                continue
+            return [((0,) * width, LT, 0)]
+        denom = lcm(*(Fraction(v).denominator for v in coeffs))
+        nums = [int(v * denom) for v in coeffs]
+        divisor = gcd(*nums)
+        if rel in (GE, GT):
+            divisor, rel = -divisor, (LE if rel == GE else LT)
+        elif rel == EQ and next(v for v in nums if v) < 0:
+            divisor = -divisor
+        direction = tuple(v // divisor for v in nums)
+        const = Fraction(const) * denom / divisor
+        const = const.numerator if const.denominator == 1 else const
+        key = (EQ if rel == EQ else LE, direction)
+        incumbent = best.get(key)
+        if incumbent is not None and rel == EQ:
+            if incumbent[1] != const:
+                return [((0,) * width, LT, 0)]
+            continue
+        if incumbent is None or const < incumbent[1] or (const == incumbent[1] and rel == LT):
+            best[key] = (rel, const)
+    return [(direction, rel, const) for (_, direction), (rel, const) in best.items()]
+
+
 def eliminate_column(rows: Sequence[tuple], idx: int) -> list[tuple]:
     """Remove column idx from canonical rows, by substitution through the
     first equality that holds it, or else by one Fourier-Motzkin step, and
@@ -304,7 +341,7 @@ def eliminate_column(rows: Sequence[tuple], idx: int) -> list[tuple]:
             for k in lower:
                 rel = LT if LT in (rows[i][1], rows[k][1]) else LE
                 combine(i, -rows[k][0][idx], k, rows[i][0][idx], rel)
-    return _prune(out)
+    return prune_rows(out)
 
 
 def project_stepwise(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> list[tuple]:
@@ -312,7 +349,7 @@ def project_stepwise(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> 
     equality holds first, then the column with the fewest (upper, lower)
     pairs; `_irredundant` after each step that grows the system, and at the
     end unless the last step grew it."""
-    rows = _prune(rows)
+    rows = prune_rows(rows)
     columns = list(range(width))
     kept = set(keep)
 
@@ -329,7 +366,7 @@ def project_stepwise(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> 
         rows = _irredundant(stepped) if grew else stepped
         del columns[idx]
     perm = [columns.index(col) for col in keep]
-    rows = _prune((tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
+    rows = prune_rows((tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
     return rows if grew else _irredundant(rows)
 
 

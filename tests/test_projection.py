@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from linrank import projection
+from linrank import ms, projection, simplex
 from linrank.constraints import ConstraintError, LinConstraint, loop_system
 from linrank.ms import build_ms_systems, ms_decreasing_space
 from linrank.projection import (
@@ -15,7 +15,7 @@ from linrank.projection import (
     project,
     remove_redundant,
 )
-from linrank.simplex import FREE, NONNEG, LpProblem, LpStatus, satisfiable, solve
+from linrank.simplex import FREE, NONNEG, LpProblem, LpStatus, find_point, satisfiable, solve
 from tests.conftest import sample_points
 from tests.oracles import (
     constraint,
@@ -23,6 +23,7 @@ from tests.oracles import (
     entails_by_negation,
     equivalent_by_boundaries,
     project_stepwise,
+    prune_rows,
     remove_redundant_by_negation,
     system,
 )
@@ -302,8 +303,9 @@ def test_projection_output_is_canonical_and_ignores_row_scaling():
 
 
 def test_prune_gives_int_and_fraction_rows_the_same_triples():
-    """Rows of equal value prune to identical triples whether their
-    coefficients are ints or Fractions: coprime int directions, and
+    """`_row` then `_prune` gives the oracle's one-pass canonicalization
+    (`prune_rows`), and rows of equal value give identical triples whether
+    their coefficients are ints or Fractions: coprime int directions, and
     constants that are ints exactly when integral, Fractions otherwise."""
     rng = random.Random(61)
     for _ in range(300):
@@ -314,9 +316,10 @@ def test_prune_gives_int_and_fraction_rows_the_same_triples():
             coeffs = [rng.randint(-4, 4) * factor for _ in range(nv)]
             const = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
             rows.append((coeffs, rng.choice(tuple(_FLIPPED)), const))
-        pruned = projection._prune(rows)
+        pruned = projection._prune(projection._row(*row) for row in rows)
+        assert pruned == prune_rows(rows)
         as_fractions = [([Fraction(v) for v in d], rel, b) for d, rel, b in rows]
-        assert pruned == projection._prune(as_fractions)
+        assert pruned == projection._prune(projection._row(*row) for row in as_fractions)
         for direction, rel, const in pruned:
             assert all(type(v) is int for v in direction)
             assert type(const) is (int if const.denominator == 1 else Fraction)
@@ -609,6 +612,68 @@ def test_projection_prunes_once_per_pairing_step(monkeypatch, seed207_loop):
     monkeypatch.setattr(projection, "_eliminate", counting_eliminate)
     ms_decreasing_space(seed207_loop)
     assert pairings and len(prunes) <= len(pairings) + 2
+
+
+def test_projection_canonicalizes_each_row_once(monkeypatch, seed207_loop):
+    """Every row `_project` handles is put in canonical form exactly once:
+    projecting the decrease system of `seed207_loop` calls `_row` once per
+    input row, once per `_cancel` (a substitution or a pairing) and once
+    per row at the final column permutation, so `_prune` rescales nothing
+    and no second rescaling pass is made."""
+    counts = {"_row": 0, "_cancel": 0}
+    inputs, pruned = [], []
+    row, cancel, prune, project_rows = (
+        projection._row, projection._cancel, projection._prune, projection._project
+    )
+
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return counted
+
+    def sizing_prune(rows):
+        rows = list(rows)
+        pruned.append(len(rows))
+        return prune(rows)
+
+    def recording_project(rows, width, keep):
+        rows = list(rows)
+        inputs.append(len(rows))
+        return project_rows(rows, width, keep)
+
+    monkeypatch.setattr(projection, "_row", counting("_row", row))
+    monkeypatch.setattr(projection, "_cancel", counting("_cancel", cancel))
+    monkeypatch.setattr(projection, "_prune", sizing_prune)
+    monkeypatch.setattr(ms, "_project", recording_project)
+    ms_decreasing_space(seed207_loop)
+    assert len(inputs) == 1 and counts["_cancel"] > 0
+    assert counts["_row"] == inputs[0] + counts["_cancel"] + pruned[-1]
+
+
+@pytest.fixture
+def no_lp(monkeypatch):
+    """Fail on any LP, a memoized feasibility answer included."""
+
+    def fail(problem):
+        raise AssertionError("an LP was solved before the arguments were checked")
+
+    find_point.cache_clear()
+    monkeypatch.setattr(simplex, "solve", fail)
+    monkeypatch.setattr(projection, "solve", fail)
+
+
+def test_project_rejects_a_repeated_kept_name_before_any_lp(no_lp):
+    c = cs(("x", "y"), [((1, 1), "<=", 4), ((1, -1), ">=", 0)])
+    with pytest.raises(ConstraintError, match="unique"):
+        project(c, ("x", "x"))
+
+
+def test_entails_checks_the_row_width_before_any_lp(no_lp):
+    c = cs(("x", "y"), [((1, 0), "<=", 0), ((1, 0), ">=", 1)])
+    with pytest.raises(ConstraintError, match="coefficients for 2 variables"):
+        entails(c, constraint((1,), "<=", 0))
 
 
 def test_projection_growth_stays_within_budget():
