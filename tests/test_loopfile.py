@@ -156,8 +156,9 @@ def _mutate(rng, text):
     return text[:pos] + (rng.choice(_FUZZ_TOKENS) if kind == 2 else "") + text[end:]
 
 
-def test_mutated_loop_files_parse_or_fail_with_a_position(loops_dir):
-    # About 2,000 mutations of each file: 1,000 inputs of one to three each.
+def mutated_loop_files(loops_dir):
+    """The seeded mutation stream: for each `*.loop` file in name order,
+    1,000 inputs of one to three `_mutate`s each, about 2,000 mutations."""
     rng = random.Random(20240607)
     for path in sorted(loops_dir.glob("*.loop")):
         source = path.read_text(encoding="utf-8")
@@ -165,7 +166,12 @@ def test_mutated_loop_files_parse_or_fail_with_a_position(loops_dir):
             text = source
             for _ in range(rng.randint(1, 3)):
                 text = _mutate(rng, text)
-            try:
-                parse_loop(text)
-            except LoopParseError as err:
-                assert err.line >= 1 and err.col >= 1, (text, err)
+            yield text
+
+
+def test_mutated_loop_files_parse_or_fail_with_a_position(loops_dir):
+    for text in mutated_loop_files(loops_dir):
+        try:
+            parse_loop(text)
+        except LoopParseError as err:
+            assert err.line >= 1 and err.col >= 1, (text, err)
