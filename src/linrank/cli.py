@@ -133,9 +133,8 @@ def _space_json(s: RankingSpace) -> dict:
     }
 
 
-def _emit(payload: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2), file=out)
+def _emit(payload: dict, out) -> None:
+    print(json.dumps(payload, indent=2), file=out)
 
 
 def _exit_for(verdict: Verdict) -> int:
@@ -146,7 +145,7 @@ def cmd_check(args, out) -> int:
     loop = _load_loop(args.file)
     verdict = METHODS[args.method][0](loop)
     if args.format == "json":
-        _emit({"status": verdict.status.value, "method": args.method}, "json", out)
+        _emit({"status": verdict.status.value, "method": args.method}, out)
     else:
         print(verdict.status.value, file=out)
     return _exit_for(verdict)
@@ -159,7 +158,7 @@ def cmd_rank(args, out) -> int:
     if verdict.witness is not None:
         payload["ranking_function"] = _rf_json(verdict.witness)
     if args.format == "json":
-        _emit(payload, "json", out)
+        _emit(payload, out)
     else:
         print(verdict.status.value, file=out)
         if verdict.witness is not None:
@@ -191,7 +190,7 @@ def cmd_space(args, out) -> int:
             space = METHODS[method][1](loop)
     except UnsatisfiableLoopError:  # for svg: no point over Q+
         if args.format == "json":
-            _emit({"status": "trivially-terminating", "method": method}, "json", out)
+            _emit({"status": "trivially-terminating", "method": method}, out)
         elif method == "svg" and satisfiable(loop_system(loop)):
             print("trivially-terminating: no nonnegative point satisfies the loop body", file=out)
         else:
@@ -206,7 +205,7 @@ def cmd_space(args, out) -> int:
                 "decreasing_space": _space_json(decreasing),
                 "bounded_space": _space_json(bounded),
             }
-            _emit(payload, "json", out)
+            _emit(payload, out)
         else:
             _print_space("decreasing candidates:", decreasing, out)
             _print_space("bounded candidates:", bounded, out)
@@ -216,7 +215,7 @@ def cmd_space(args, out) -> int:
         payload = {"status": "ok", "method": method, "space": _space_json(space)}
         if method == "both":
             payload["engines_agree"] = True
-        _emit(payload, "json", out)
+        _emit(payload, out)
     else:
         _print_space("ranking-function space:", space, out)
     return EXIT_OK
@@ -235,7 +234,7 @@ def cmd_compare(args, out) -> int:
         "consistent": report.all_consistent,
     }
     if args.format == "json":
-        _emit(payload, "json", out)
+        _emit(payload, out)
     else:
         for key, value in payload.items():
             print(f"{key}: {value}", file=out)

@@ -165,26 +165,26 @@ def random_loop(
     """
     n = rng.randint(1, max_vars)
     space = VarSpace(tuple(f"x{i}" for i in range(1, n + 1)))
-    p = [Fraction(rng.randint(0, 4) if i == 0 else rng.randint(-4, 4)) for i in range(n)]
+    p = [rng.randint(0, 4) if i == 0 else rng.randint(-4, 4) for i in range(n)]
 
     mu = None
     if force_rank:
         while True:
-            mu = [Fraction(rng.randint(0, 2)) for _ in range(n)]
+            mu = [rng.randint(0, 2) for _ in range(n)]
             if any(v > 0 for v in mu):
                 break
         # p' = p - d with mu . d >= 1
-        d = [Fraction(rng.randint(0, 2)) for _ in range(n)]
+        d = [rng.randint(0, 2) for _ in range(n)]
         while sum(a * b for a, b in zip(mu, d)) < 1:
             j = rng.choice([i for i in range(n) if mu[i] > 0])
             d[j] += 1
         pp = [a - b for a, b in zip(p, d)]
     else:
-        pp = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        pp = [rng.randint(-4, 4) for _ in range(n)]
 
-    def priced_row(coeffs: list[Fraction], point: list[Fraction], rel: str) -> LinConstraint:
-        lhs = sum((c * v for c, v in zip(coeffs, point)), Fraction(0))
-        slack = Fraction(rng.randint(0, 3))
+    def priced_row(coeffs: list[int], point: list[int], rel: str) -> LinConstraint:
+        lhs = sum(c * v for c, v in zip(coeffs, point))
+        slack = rng.randint(0, 3)
         const = lhs + slack if rel == LE else lhs - slack
         return LinConstraint(tuple(coeffs), rel, const)
 
@@ -192,25 +192,25 @@ def random_loop(
 
     guard_rows: list[LinConstraint] = []
     update_rows: list[LinConstraint] = []
-    x1_nonneg = [Fraction(0)] * n
-    x1_nonneg[0] = Fraction(1)
-    guard_rows.append(LinConstraint(tuple(x1_nonneg), GE, Fraction(0)))
+    x1_nonneg = [0] * n
+    x1_nonneg[0] = 1
+    guard_rows.append(LinConstraint(tuple(x1_nonneg), GE, 0))
 
     budget = max_rows - 1 - (2 if force_rank else 0)  # x1 >= 0 and plant rows count
     n_rows = rng.randint(1, max(1, budget))
     for _ in range(n_rows):
         rel = rng.choice([LE, GE])
         if guarded and rng.random() < 0.4:
-            coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(n)]
+            coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(n)]
             guard_rows.append(priced_row(coeffs, p, rel))
         else:
-            coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(2 * n)]
+            coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(2 * n)]
             update_rows.append(priced_row(coeffs, state, rel))
 
     if force_rank:
         decrease = tuple(mu) + tuple(-v for v in mu)
-        update_rows.append(LinConstraint(decrease, GE, Fraction(1)))
-        b0 = sum((a * b for a, b in zip(mu, p)), Fraction(0)) - Fraction(rng.randint(0, 3))
+        update_rows.append(LinConstraint(decrease, GE, 1))
+        b0 = sum(a * b for a, b in zip(mu, p)) - rng.randint(0, 3)
         guard_rows.append(LinConstraint(tuple(mu), GE, b0))
 
     loop = LoopModel(

@@ -11,6 +11,8 @@ The `vars:` line comes first; then either one `single:` section over
 use `<=`, `=` or `>=` -- strict relations are rejected at parse time.
 Coefficients are integers or `p/q` fractions; decimals are rejected.
 Serialization emits the same grammar and round-trips losslessly.
+A malformed file raises `LoopParseError`, which carries the 1-based line
+and column of the offending token (the first error in reading order).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ class LoopParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)"
+    r"(?P<num>\d+(?:/\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*'?)"
     r"|(?P<rel><=|>=|=|<|>)"
     r"|(?P<op>[*+-])"
-    r")"
+    r"|(?P<bad>\S)"
 )
 
 _SECTIONS = ("single", "guard", "update")
@@ -43,117 +45,77 @@ _SECTIONS = ("single", "guard", "update")
 
 def _tokenize(text: str, line_no: int, col_base: int):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_col = col_base + pos + (len(text[pos:]) - len(stripped))
-            raise LoopParseError(f"unexpected character {stripped[0]!r}", line_no, bad_col + 1)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), col_base + m.start(kind) + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, col_base + m.start() + 1
+        if kind == "bad":
+            raise LoopParseError(f"unexpected character {m.group()!r}", line_no, col)
+        tokens.append((kind, m.group(), col))
     return tokens
 
 
-class _TermParser:
-    """Parses one `lhs rel rhs` constraint from a token list."""
-
-    def __init__(self, tokens, line_no, variables, allow_primed):
-        self.tokens = tokens
-        self.i = 0
-        self.line = line_no
-        self.variables = variables
-        self.allow_primed = allow_primed
-
-    def error(self, message: str):
-        col = self.tokens[self.i][2] if self.i < len(self.tokens) else (
-            self.tokens[-1][2] if self.tokens else 1
-        )
-        raise LoopParseError(message, self.line, col)
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def parse(self) -> LinConstraint:
-        lhs_coeffs, lhs_const = self.parse_side(stop_at_rel=True)
-        kind, value, col = self.take()
-        if kind != "rel":
-            raise LoopParseError("expected a relation (<=, = or >=)", self.line,
-                                 col or (self.tokens[-1][2] if self.tokens else 1))
-        if value in ("<", ">"):
-            raise LoopParseError(
-                "strict inequality not allowed in loop files", self.line, col
-            )
-        rhs_coeffs, rhs_const = self.parse_side(stop_at_rel=False)
-        if self.i != len(self.tokens):
-            self.error("trailing input after constraint")
-        coeffs = tuple(a - b for a, b in zip(lhs_coeffs, rhs_coeffs))
-        return LinConstraint(coeffs, value, rhs_const - lhs_const)
-
-    def parse_side(self, stop_at_rel: bool):
-        coeffs = [Fraction(0)] * len(self.variables)
-        const = Fraction(0)
-        first = True
-        while True:
-            kind, value, col = self.peek()
-            if kind is None or (stop_at_rel and kind == "rel"):
-                if first:
-                    self.error("empty side of constraint")
-                return coeffs, const
-            if kind == "rel":
-                self.error("unexpected second relation")
-            sign = Fraction(1)
-            if kind == "op" and value in "+-":
-                sign = Fraction(-1) if value == "-" else Fraction(1)
-                self.take()
-                kind, value, col = self.peek()
-            elif not first:
-                self.error("expected '+' or '-' between terms")
-            first = False
-            if kind == "num":
-                self.take()
-                try:
-                    magnitude = Fraction(value)
-                except ZeroDivisionError:
-                    raise LoopParseError("zero denominator", self.line, col) from None
-                except ValueError:  # more digits than int() converts
-                    raise LoopParseError("number has too many digits", self.line, col) from None
-                nkind, nvalue, ncol = self.peek()
-                if nkind == "op" and nvalue == "*":
-                    self.take()
-                    vkind, vname, vcol = self.take()
-                    if vkind != "name":
-                        raise LoopParseError("expected a variable after '*'", self.line,
-                                             vcol or col)
-                    coeffs[self.var_index(vname, vcol)] += sign * magnitude
-                elif nkind == "name":
-                    raise LoopParseError("missing '*' between coefficient and variable",
-                                         self.line, ncol)
-                else:
-                    const += sign * magnitude
-            elif kind == "name":
-                self.take()
-                coeffs[self.var_index(value, col)] += sign
-            else:
-                self.error("expected a term")
-
-    def var_index(self, name: str, col: int) -> int:
-        if name.endswith("'") and not self.allow_primed:
-            raise LoopParseError(
-                f"primed variable {name!r} not allowed in a guard", self.line, col
-            )
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise LoopParseError(f"undeclared variable {name!r}", self.line, col) from None
+def _parse_constraint(tokens, line, variables, allow_primed) -> LinConstraint:
+    """Parse one `lhs rel rhs` constraint from its (non-empty) token list in
+    one left-to-right pass: each term goes into the coefficients with its
+    side's sign (+1 before the relation, -1 after) and each constant into
+    the right-hand side with the opposite one.  The first error met is
+    raised, at the column of its token, or of the last token when the
+    constraint stops short."""
+    coeffs = [Fraction(0)] * len(variables)
+    const = Fraction(0)
+    rel, side, first = None, 1, True  # first: no term yet on this side
+    end = (None, None, tokens[-1][2])
+    i = 0
+    while True:
+        kind, value, col = tokens[i] if i < len(tokens) else end
+        if kind is None or kind == "rel":
+            if kind and rel:
+                raise LoopParseError("unexpected second relation", line, col)
+            if first:
+                raise LoopParseError("empty side of constraint", line, col)
+            if kind is None:
+                if rel is None:
+                    raise LoopParseError("expected a relation (<=, = or >=)", line, col)
+                return LinConstraint(tuple(coeffs), rel, const)
+            if value in ("<", ">"):
+                raise LoopParseError("strict inequality not allowed in loop files", line, col)
+            rel, side, first = value, -1, True
+            i += 1
+            continue
+        sign = side
+        if kind == "op" and value in "+-":
+            sign = -side if value == "-" else side
+            i += 1
+            kind, value, col = tokens[i] if i < len(tokens) else end
+        elif not first:
+            raise LoopParseError("expected '+' or '-' between terms", line, col)
+        first = False
+        i += 1
+        if kind == "num":
+            try:
+                magnitude = Fraction(value)
+            except ZeroDivisionError:
+                raise LoopParseError("zero denominator", line, col) from None
+            except ValueError:  # more digits than int() converts
+                raise LoopParseError("number has too many digits", line, col) from None
+            nkind, nvalue, ncol = tokens[i] if i < len(tokens) else end
+            if nkind == "name":
+                raise LoopParseError("missing '*' between coefficient and variable", line, ncol)
+            if nvalue != "*":
+                const -= sign * magnitude
+                continue
+            kind, value, col = tokens[i + 1] if i + 1 < len(tokens) else (None, None, col)
+            i += 2
+            if kind != "name":
+                raise LoopParseError("expected a variable after '*'", line, col)
+        elif kind == "name":
+            magnitude = 1
+        else:
+            raise LoopParseError("expected a term", line, col)
+        if value.endswith("'") and not allow_primed:
+            raise LoopParseError(f"primed variable {value!r} not allowed in a guard", line, col)
+        if value not in variables:
+            raise LoopParseError(f"undeclared variable {value!r}", line, col)
+        coeffs[variables.index(value)] += sign * magnitude
 
 
 def _strip_comment(line: str) -> str:
@@ -230,8 +192,7 @@ def parse_loop(text: str) -> LoopModel:
             for piece in chunk.split(","):
                 if piece.strip():
                     tokens = _tokenize(piece, line_no, col_base + offset)
-                    parser = _TermParser(tokens, line_no, variables, allow_primed)
-                    rows.append(parser.parse())
+                    rows.append(_parse_constraint(tokens, line_no, variables, allow_primed))
                 offset += len(piece) + 1
         return ConstraintSystem(variables, tuple(rows))
 

@@ -309,10 +309,19 @@ def _project(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> list[Row
         rows = _irredundant(stepped) if grew else stepped
         del columns[idx]
 
-    # Permuting columns can flip an equality's leading sign, so the rows are
-    # canonicalized again.  After a growing last step they are already irredundant.
-    perm = [columns.index(col) for col in keep]
-    rows = _prune(_row(tuple(d[i] for i in perm), rel, const) for d, rel, const in rows)
+    # The columns left are `keep` in index order.  Permuting them can only
+    # flip an equality's leading sign, and it keeps distinct canonical rows
+    # distinct, so nothing is rescaled or pruned again.  After a growing
+    # last step the rows are already irredundant.
+    if columns != list(keep):
+        perm = [columns.index(col) for col in keep]
+        permuted = []
+        for d, rel, const in rows:
+            d = tuple(d[i] for i in perm)
+            if rel == EQ and next(v for v in d if v) < 0:
+                d, const = tuple(-v for v in d), -const
+            permuted.append((d, rel, const))
+        rows = permuted
     return rows if grew else _irredundant(rows)
 
 

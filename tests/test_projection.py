@@ -570,32 +570,36 @@ def test_project_and_eliminate_give_the_rows_of_one_column_per_step():
     substituting one column per step with a prune after each
     (`project_stepwise`).  So are `eliminate`'s rows for a variable that an
     equality holds (`eliminate_column`)."""
-    rng = random.Random(1201)
+    rng, order = random.Random(1201), random.Random(1202)
     shapes = dict.fromkeys(("fraction", "strict", "kept-only", "duplicated", "cancels"), 0)
-    substituted = 0
+    substituted = shuffled = 0
     for _ in range(1200):
         c, keep, found = _equality_system(rng)
         for shape in found:
             shapes[shape] += 1
         assert satisfiable(c)
         rows = [(r.coeffs, r.rel, r.const) for r in c.rows]
-        columns = [c.index_of(v) for v in keep]
-        expected = [LinConstraint(*row) for row in project_stepwise(rows, c.n_vars, columns)]
-        assert project(c, keep).rows == tuple(expected)
+        # `keep` as drawn is in column order; a shuffled copy permutes the
+        # result's columns, which can flip an equality's leading sign.
+        for names in (keep, tuple(order.sample(keep, len(keep)))):
+            shuffled += names != keep
+            columns = [c.index_of(v) for v in names]
+            expected = [LinConstraint(*row) for row in project_stepwise(rows, c.n_vars, columns)]
+            assert project(c, names).rows == tuple(expected)
         canonical = projection._canonical(c.rows)
         for idx, var in enumerate(c.variables):
             if any(rel == "=" and d[idx] for d, rel, _ in canonical):
                 substituted += 1
                 expected = [LinConstraint(*row) for row in eliminate_column(canonical, idx)]
                 assert eliminate(c, var).rows == tuple(expected)
-    assert min(shapes.values()) >= 150 and substituted >= 1200
+    assert min(shapes.values()) >= 150 and substituted >= 1200 and shuffled >= 300
 
 
 def test_projection_prunes_once_per_pairing_step(monkeypatch, seed207_loop):
     """The columns that equalities hold are substituted in one sweep with
     one prune: projecting the decrease system of `seed207_loop` calls
-    `_prune` at most once per Fourier-Motzkin pairing step, plus once after
-    the sweep and once after the final column permutation."""
+    `_prune` exactly once per Fourier-Motzkin pairing step, plus once after
+    the sweep."""
     prunes, pairings = [], []
     prune, eliminate_step = projection._prune, projection._eliminate
 
@@ -611,20 +615,17 @@ def test_projection_prunes_once_per_pairing_step(monkeypatch, seed207_loop):
     monkeypatch.setattr(projection, "_prune", counting_prune)
     monkeypatch.setattr(projection, "_eliminate", counting_eliminate)
     ms_decreasing_space(seed207_loop)
-    assert pairings and len(prunes) <= len(pairings) + 2
+    assert pairings and len(prunes) == len(pairings) + 1
 
 
 def test_projection_canonicalizes_each_row_once(monkeypatch, seed207_loop):
     """Every row `_project` handles is put in canonical form exactly once:
     projecting the decrease system of `seed207_loop` calls `_row` once per
-    input row, once per `_cancel` (a substitution or a pairing) and once
-    per row at the final column permutation, so `_prune` rescales nothing
-    and no second rescaling pass is made."""
+    input row and once per `_cancel` (a substitution or a pairing), so
+    neither `_prune` nor the final column permutation rescales a row."""
     counts = {"_row": 0, "_cancel": 0}
-    inputs, pruned = [], []
-    row, cancel, prune, project_rows = (
-        projection._row, projection._cancel, projection._prune, projection._project
-    )
+    inputs = []
+    row, cancel, project_rows = projection._row, projection._cancel, projection._project
 
     def counting(name, f):
         def counted(*args):
@@ -633,11 +634,6 @@ def test_projection_canonicalizes_each_row_once(monkeypatch, seed207_loop):
 
         return counted
 
-    def sizing_prune(rows):
-        rows = list(rows)
-        pruned.append(len(rows))
-        return prune(rows)
-
     def recording_project(rows, width, keep):
         rows = list(rows)
         inputs.append(len(rows))
@@ -645,11 +641,10 @@ def test_projection_canonicalizes_each_row_once(monkeypatch, seed207_loop):
 
     monkeypatch.setattr(projection, "_row", counting("_row", row))
     monkeypatch.setattr(projection, "_cancel", counting("_cancel", cancel))
-    monkeypatch.setattr(projection, "_prune", sizing_prune)
     monkeypatch.setattr(ms, "_project", recording_project)
     ms_decreasing_space(seed207_loop)
     assert len(inputs) == 1 and counts["_cancel"] > 0
-    assert counts["_row"] == inputs[0] + counts["_cancel"] + pruned[-1]
+    assert counts["_row"] == inputs[0] + counts["_cancel"]
 
 
 @pytest.fixture
