@@ -13,17 +13,20 @@ import random
 from linrank import simplex
 from linrank.equivalence import random_loop
 from linrank.ms import ms_analyze, ms_space
-from linrank.pr import pr_analyze
+from linrank.pr import pr_analyze, pr_space
 from linrank.simplex import find_point
 
 N_LOOPS = 48
 # (LPs, exchange steps) per route over the stream, drive-out steps
-# included; ms_space runs on the loops with at most 3 variables only, as
-# larger ones take seconds each in the projection.
+# included.  The space routes, ms_space and pr_space, run on the loops
+# with at most 3 variables only, as larger ones take seconds each in the
+# projection; pr_space is the one that solves strict-row LPs and the
+# maximizing face LPs of the Motzkin stage.
 EXPECTED = {
     "ms_analyze": (92, 2138),
     "pr_analyze": (48, 940),
     "ms_space": (685, 4806),
+    "pr_space": (563, 6606),
 }
 
 
@@ -50,7 +53,7 @@ def test_lp_and_exchange_counts_are_pinned(monkeypatch):
                 force_rank=(i % 3 == 0), guarded=(i % 2 == 0),
             )
             find_point.cache_clear()
-            routes = [ms_analyze, pr_analyze] + ([ms_space] if loop.space.n <= 3 else [])
+            routes = [ms_analyze, pr_analyze] + ([ms_space, pr_space] if loop.space.n <= 3 else [])
             for route in routes:
                 before = tuple(counts)
                 route(loop)
