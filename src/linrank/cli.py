@@ -279,7 +279,7 @@ def cmd_selftest(args, out) -> int:
             rng, force_rank=(i % 3 == 0), guarded=(i % 2 == 0)
         )
         report = cross_check(loop, compare_spaces=(i % 5 == 0))
-        if not (report.agree and report.all_consistent):
+        if not report.all_consistent:
             failures += 1
             print(f"inconsistency on loop {i}: {report}", file=sys.stderr)
     elapsed = time.perf_counter() - t0

@@ -9,7 +9,8 @@ The `vars:` line comes first; then either one `single:` section over
 (x, x') or a `guard:` section (unprimed variables only) followed by an
 `update:` section.  Constraints are separated by commas and/or newlines and
 use `<=`, `=` or `>=` -- strict relations are rejected at parse time.
-Coefficients are integers or `p/q` fractions; decimals are rejected.
+Coefficients are integers or `p/q` fractions in ASCII digits; decimals
+are rejected.
 Serialization emits the same grammar and round-trips losslessly.
 A malformed file raises `LoopParseError`, which carries the 1-based line
 and column of the offending token (the first error in reading order).
@@ -33,7 +34,7 @@ class LoopParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)"
+    r"(?P<num>[0-9]+(?:/[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*'?)"
     r"|(?P<rel><=|>=|=|<|>)"
     r"|(?P<op>[*+-])"

@@ -36,7 +36,6 @@ from .constraints import (
     LeqMatrixForm,
     LoopModel,
     loop_system,
-    merge_guarded,
     to_leq_matrix,
     to_leq_rows,
 )
@@ -221,7 +220,7 @@ def pr_alt_analyze(loop: LoopModel) -> Verdict:
     if point is None:
         return Verdict.unknown()
     witness = PrAltWitness(point[:r], point[r : 2 * r], point[2 * r :])
-    merged = to_leq_matrix(merge_guarded(loop), loop.space, _ints=True)
+    merged = to_leq_matrix(c, loop.space, _ints=True)
     return Verdict.terminating(extract_rf(witness.reconstruct(), merged))
 
 

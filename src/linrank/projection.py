@@ -262,14 +262,11 @@ def _irredundant(rows: Sequence[Row]) -> list[Row]:
 
 def remove_redundant(c: ConstraintSystem) -> ConstraintSystem:
     """Drop, in order, each canonical row that the rows still kept entail;
-    the result has c's solution set and no entailed row.  Dropping a row
-    keeps the solution set, so one `satisfiable` on c tells feasibility for
-    the whole scan: a feasible c costs one `_entailed` test per row (no
-    witness points are kept), and an infeasible c gives the single row
-    0 < 0, the one empty result, as `project` does."""
-    if not satisfiable(c):
-        return _system(c.variables, [_false_row(c.n_vars)])
-    return _system(c.variables, _irredundant(_canonical(c.rows)))
+    the result has c's solution set and no entailed row.  This is `project`
+    keeping every variable, which eliminates nothing: one `satisfiable` on
+    c, then one `_entailed` test per canonical row of a feasible c, and the
+    single row 0 < 0 for an infeasible one."""
+    return project(c, c.variables)
 
 
 def project(c: ConstraintSystem, keep: Sequence[str]) -> ConstraintSystem:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def rat(numerator: int | str | Rational, denominator: int | Rational = 1) -> Rational:
@@ -38,8 +38,8 @@ def rat(numerator: int | str | Rational, denominator: int | Rational = 1) -> Rat
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p" or "p/q" exactly.  Decimals and zero denominators are
-    rejected with ValueError, not rounded."""
+    """Parse "p" or "p/q" in ASCII digits exactly.  Decimals and zero
+    denominators are rejected with ValueError, not rounded."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")

@@ -41,7 +41,6 @@ and tightens each strict row to <= -1; one feasibility LP answers.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -169,8 +168,9 @@ def _integer_standard_form(p: LpProblem):
 # rebuilt only for the reported point and ray.  A pivot is an exchange step
 # (`_exchange`): the leaving variable takes the entering column's position,
 # or deletes it if it is an artificial, which never re-enters.  Positions
-# are thus not in variable order once a real variable has left, and Bland's
-# rule, which enters the least variable index, scans them through `order`.
+# are thus not in variable order once a real variable has left, so Bland's
+# rule, which enters the least variable index, compares the eligible
+# positions by their `nonbasic` entries.
 # The layout is one pass: the crash basis is one sweep over the columns,
 # the rows lose the columns it makes basic, and the phase-1 cost row is the
 # column sums of the rows it leaves uncovered.  Artificial k is variable
@@ -190,15 +190,14 @@ def _basic_point(rows, scale, basis, sign):
 
 class _Tableau:
     """The condensed tableau's rows, their scales and basic variables, the
-    variable at each position and, once a real variable has left the basis,
-    the positions in variable order (until then they are in it), and each
-    column's orientation: sign[j] is +-1 for a free one, 0 for any other."""
+    variable at each position, and each real column's orientation: sign[j]
+    is +-1 for a free one, 0 for any other."""
 
-    __slots__ = ("rows", "scale", "basis", "nonbasic", "order", "n", "sign")
+    __slots__ = ("rows", "scale", "basis", "nonbasic", "sign")
 
     def __init__(self, rows, scale, basis, nonbasic, sign):
-        self.rows, self.scale, self.basis, self.nonbasic = rows, scale, basis, nonbasic
-        self.order, self.n, self.sign = None, len(sign), sign
+        self.rows, self.scale, self.basis = rows, scale, basis
+        self.nonbasic, self.sign = nonbasic, sign
 
 
 def _flip(t, q, cost):
@@ -226,12 +225,10 @@ def _exchange(t, r, q, cost):
         prow = rows[r] = [-e for e in prow]
         p, s = -p, -s
     leaving, basis[r], scale[r] = basis[r], nonbasic[q], p
-    artificial = leaving >= t.n
+    artificial = leaving >= len(t.sign)
     if artificial:
         del prow[q], nonbasic[q]
         f = cost.pop(q) if cost is not None else 0
-        if t.order:
-            t.order = [k - (k > q) for k in t.order if k != q]
     else:
         f = cost[q] if cost is not None else 0
         prow[q] = p + s  # so that every combination leaves -s * f at q
@@ -254,10 +251,6 @@ def _exchange(t, r, q, cost):
     if not artificial:
         prow[q] = s
         nonbasic[q] = leaving
-        order = t.order or list(range(len(nonbasic)))
-        order.remove(q)
-        insort(order, q, key=nonbasic.__getitem__)
-        t.order = order
 
 
 def _bland_min(t, cost, phase1=False):
@@ -265,22 +258,23 @@ def _bland_min(t, cost, phase1=False):
     row over t's positions with the negated objective value in its last
     cell, as ints scaled by a positive factor.  Updates cost in place and
     returns None at the optimum, or the entering position of an unbounded
-    ray.  A free column with a positive reduced cost enters too, flipped:
-    its other half prices negative.  With phase1, cost prices w >= 0, the
-    sum of the artificials, and the run returns once w is zero.  An
-    artificial would enter only if every real column priced non-negative:
-    pi.A <= 0 for the simplex multipliers pi.  A feasible x >= 0 would give
-    w = pi.b = pi.A x <= 0, so with w > 0 pi is a Farkas certificate of
-    infeasibility, and the run returns there instead, with -w < 0 in the
-    last cost cell."""
+    ray.  Of the eligible positions, the one whose variable is least
+    enters.  A free column with a positive reduced cost is eligible too,
+    and enters flipped: its other half prices negative.  With phase1, cost
+    prices w >= 0, the sum of the artificials, and the run returns once w
+    is zero.  An artificial would enter only if every real column priced
+    non-negative: pi.A <= 0 for the simplex multipliers pi.  A feasible
+    x >= 0 would give w = pi.b = pi.A x <= 0, so with w > 0 pi is a Farkas
+    certificate of infeasibility, and the run returns there instead, with
+    -w < 0 in the last cost cell."""
     rows, basis, nonbasic, sign = t.rows, t.basis, t.nonbasic, t.sign
     while True:
         if phase1 and cost[-1] >= 0:
             return None
-        order = t.order or range(len(cost) - 1)
-        entering = next((k for k in order if cost[k] < 0 or cost[k] and sign[nonbasic[k]]), None)
-        if entering is None:
+        eligible = [k for k, (c, j) in enumerate(zip(cost, nonbasic)) if c < 0 or c and sign[j]]
+        if not eligible:
             return None
+        entering = min(eligible, key=nonbasic.__getitem__)
         if cost[entering] > 0:
             _flip(t, entering, cost)
         # Bland's ratio test: least rhs / entry over positive entries,
@@ -369,10 +363,11 @@ def _solve_standard(rows, scales, objective, sign):
         keep = []
         for r in range(m):
             if basis[r] >= n:
-                q = next((k for k in t.order or range(len(t.nonbasic)) if rows[r][k]), None)
+                q = min((k for k, e in enumerate(rows[r][:-1]) if e),
+                        key=nonbasic.__getitem__, default=None)
                 if q is None:
                     continue
-                if sign[t.nonbasic[q]] < 0:
+                if sign[nonbasic[q]] < 0:
                     _flip(t, q, None)
                 _exchange(t, r, q, None)
             keep.append(r)

@@ -4,11 +4,13 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from linrank.cli import build_parser, main
-from linrank.constraints import ConstraintSystem, LinConstraint
+from linrank.constraints import ConstraintError, ConstraintSystem, LinConstraint
+from linrank.ms import Verdict
 from linrank.projection import equivalent
 from linrank.rationals import parse_rational
 
@@ -291,15 +293,45 @@ def test_help_lists_every_subcommand():
     assert set(sub.choices) <= listed
 
 
-def test_method_both_fails_on_engine_disagreement(monkeypatch):
-    # the engines provably agree, so force a bogus verdict to pin the
+def _empty_pr_space(loop):
+    # pr's space of the loop, with every row replaced by 0 < 0
+    from linrank.pr import pr_space
+
+    c = pr_space(loop).constraints
+    return SimpleNamespace(
+        constraints=ConstraintSystem(c.variables, (LinConstraint((0,) * c.n_vars, "<", 0),))
+    )
+
+
+def test_method_both_fails_on_engine_disagreement(monkeypatch, capsys):
+    # the engines provably agree, so force a bogus answer to pin the
     # production guard: any disagreement must abort with exit code 3
     import linrank.cli as cli_mod
-    from linrank.ms import Verdict
 
-    monkeypatch.setattr(cli_mod, "pr_analyze", lambda loop: Verdict.unknown())
-    code, _ = run("check", str(LOOPS / "log2.loop"), "--method=both")
-    assert code == 3
+    for command, engine, stub, message in (
+        ("check", "pr_analyze", lambda loop: Verdict.unknown(),
+         "engines disagree: ms=terminating pr=unknown"),
+        ("space", "pr_space", _empty_pr_space,
+         "engines disagree: scaled ms space differs from pr space"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, engine, stub)
+            code, _ = run(command, str(LOOPS / "log2.loop"), "--method=both")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("error", [ConstraintError, ValueError])
+def test_engine_input_error_exits_2_without_a_traceback(monkeypatch, capsys, error):
+    import linrank.cli as cli_mod
+
+    def failing(loop):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli_mod, "ms_analyze", failing)
+    code, text = run("check", str(LOOPS / "log2.loop"), "--method=ms")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_pr_alt_method_requires_guarded_file():

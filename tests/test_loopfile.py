@@ -86,6 +86,14 @@ def test_decimal_coefficient_rejected():
     assert (zero.value.line, zero.value.col) == (2, 14)
 
 
+def test_numbers_are_ascii_digits():
+    # U+0663 ARABIC-INDIC DIGIT THREE is a Unicode decimal digit, not a number.
+    with pytest.raises(LoopParseError) as err:
+        parse_loop("vars: x\nsingle: \u0663*x >= 12, x' = x - 1")
+    assert str(err.value).endswith("unexpected character '\u0663'")
+    assert (err.value.line, err.value.col) == (2, 9)
+
+
 def test_fraction_coefficients_and_comments():
     loop = parse_loop(
         "# a comment\nvars: x y\nsingle:\n  1/2*x - 3*y >= 1/3  # inline\n  x' = x, y' = y\n"

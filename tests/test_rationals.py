@@ -77,6 +77,15 @@ def test_decimal_literals_rejected():
         parse_rational("1/0")
 
 
+def test_non_ascii_digits_rejected():
+    # Arabic-Indic digits (U+0660..U+0669) are Unicode decimal digits.
+    for text in ("\u0663/\u0661\u0662", "\u0663", "1/\u0662", "-\u0661"):
+        with pytest.raises(ValueError):
+            rat(text)
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
 def test_integer_scaling_of_ints_matches_integral_fractions():
     rng = random.Random(17)
     for _ in range(200):

@@ -129,7 +129,8 @@ def test_phase1_rows_are_no_wider_than_the_nonbasic_columns(monkeypatch):
     widths = []
 
     def record(t, r, q):
-        real_nonbasic = t.n - sum(b < t.n for b in t.basis)
+        n = len(t.sign)
+        real_nonbasic = n - sum(b < n for b in t.basis)
         widths.extend((len(row), real_nonbasic + 1) for row in t.rows)
 
     _recording_exchange(monkeypatch, record)
@@ -158,7 +159,8 @@ def test_feasibility_lp_returns_its_phase1_point(monkeypatch):
     def recording_min(t, cost, phase1=False):
         outcome = bland_min(t, cost, phase1)
         if phase1:
-            after_phase1.extend((row[-1], any(row[:-1])) for row, b in zip(t.rows, t.basis) if b >= t.n)
+            n = len(t.sign)
+            after_phase1.extend((row[-1], any(row[:-1])) for row, b in zip(t.rows, t.basis) if b >= n)
             exchanges.clear()
         return outcome
 
@@ -181,7 +183,7 @@ def _recording_phases(monkeypatch):
     bland_min = simplex._bland_min
 
     def recording(t, cost, phase1=False):
-        phases.append((phase1, [b >= t.n for b in t.basis]))
+        phases.append((phase1, [b >= len(t.sign) for b in t.basis]))
         return bland_min(t, cost, phase1)
 
     monkeypatch.setattr(simplex, "_bland_min", recording)
