@@ -16,6 +16,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from linrank import simplex
 from linrank.constraints import EQ, GE, LE
 from linrank.equivalence import cross_check, random_loop
@@ -24,6 +26,11 @@ from tests.oracles import solve_with_artificial_block
 
 N_SEEDED = 120
 N_LOOPS = 24
+# One prime past the coefficients' range per row of `_decide_size_lp`.
+_ROW_PRIMES = (
+    11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
+)
 
 
 def _number(rng: random.Random, big: bool) -> Fraction:
@@ -65,7 +72,19 @@ def _decide_size_lp(seed: int) -> LpProblem:
     return lp(objective, not bounded and rng.random() < 0.5, rows, signs)
 
 
-def _cross_check_lps(monkeypatch) -> list[LpProblem]:
+def _scaled_rows_lp(seed: int) -> LpProblem:
+    """`_decide_size_lp(seed)` with row i divided by the i-th of
+    `_ROW_PRIMES`: the same LP, but each row with an entry the prime does
+    not divide is laid out with a scale of its own, greater than 1."""
+    p = _decide_size_lp(seed)
+    rows = tuple(
+        (tuple(c / d for c in coeffs), rel, rhs / d)
+        for (coeffs, rel, rhs), d in zip(p.rows, _ROW_PRIMES)
+    )
+    return LpProblem(p.objective, p.maximize, rows, p.signs)
+
+
+def _cross_check_lps() -> list[LpProblem]:
     """Every LP that `cross_check` solves on the first loops of criterion
     4's stream, each loop from a cold `find_point` memo."""
     asked = []
@@ -76,7 +95,7 @@ def _cross_check_lps(monkeypatch) -> list[LpProblem]:
         return standard_form(p)
 
     rng = random.Random(20260810)
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_integer_standard_form", recording)
         for i in range(N_LOOPS):
             loop = random_loop(
@@ -89,15 +108,35 @@ def _cross_check_lps(monkeypatch) -> list[LpProblem]:
     return asked
 
 
-def test_solve_matches_artificial_block_oracle(monkeypatch):
-    """Same status, point, value and ray as the artificial block, on seeded
-    decide-size LPs and on the LPs of `cross_check`.  All four statuses
-    occur in the seeded family; the `cross_check` family is infeasible,
-    feasible and optimal LPs, none of them unbounded."""
-    families = {
+@pytest.fixture(scope="module")
+def families() -> dict[str, list[LpProblem]]:
+    return {
         "seeded": [_decide_size_lp(seed) for seed in range(N_SEEDED)],
-        "cross_check": _cross_check_lps(monkeypatch),
+        "scaled": [_scaled_rows_lp(seed) for seed in range(N_SEEDED)],
+        "cross_check": _cross_check_lps(),
     }
+
+
+def test_scaled_family_lays_out_a_scale_per_row(families):
+    """In the scaled family, the rows of an LP that have a nonzero entry
+    get distinct scales, each greater than 1, so the starting basis
+    determinant, the product of the scales, exceeds 1."""
+    laid_out = 0
+    for p in families["scaled"]:
+        _, rows, scales, _ = simplex._integer_standard_form(p)
+        nonzero = [s for (coeffs, _, rhs), s in zip(p.rows, scales) if any(coeffs) or rhs]
+        assert all(s > 1 for s in nonzero) and len(set(nonzero)) == len(nonzero), scales
+        laid_out += len(nonzero) > 1
+    assert laid_out > N_SEEDED * 3 // 4, laid_out
+
+
+def test_solve_matches_artificial_block_oracle(families):
+    """Same status, point, value and ray as the artificial block, on seeded
+    decide-size LPs, on the same LPs with a scale per row, and on the LPs
+    of `cross_check`.  All four statuses occur in the seeded families,
+    equally often, as dividing a row by a positive number changes no
+    status; the `cross_check` family is infeasible, feasible and optimal
+    LPs, none of them unbounded."""
     counts = {}
     for name, problems in families.items():
         outcomes = [solve(p) for p in problems]
@@ -106,7 +145,68 @@ def test_solve_matches_artificial_block_oracle(monkeypatch):
         assert not differ, f"{name}: {len(differ)} outcomes differ from the oracle's, at {differ}"
         counts[name] = Counter(out.status.value for out in outcomes)
     assert counts["seeded"] == {"infeasible": 30, "unbounded": 29, "optimal": 33, "feasible": 28}
+    assert counts["scaled"] == counts["seeded"]
     assert set(counts["cross_check"]) == {"infeasible", "feasible", "optimal"}, counts
+
+
+def _rational_exchange(t, r, q):
+    """The textbook pivot of t's rational rows on row r at position q, each
+    new row given as numerators over one denominator.  Row i stands for
+    row / c with c its scale; with a the pivot row's cell at q and c_r its
+    scale, the pivot entry is a / c_r, so the pivot row becomes prow / a,
+    and each other row, its cell g at q, becomes  row / c - g / c * prow / a,
+    that is  (row * a - prow * g) / (c * a).  Position q, now the leaving
+    variable's, holds c_r / a in the pivot row and -g * c_r / (c * a) in
+    the others, or is deleted if an artificial leaves."""
+    prow, c_r = t.rows[r], t.scale[r]
+    a = prow[q]
+    artificial = t.basis[r] >= len(t.sign)
+    out = []
+    for i, (row, c) in enumerate(zip(t.rows, t.scale)):
+        if i == r:
+            num, den = list(prow), a
+            num[q] = c_r
+        else:
+            g = row[q]
+            num, den = [e * a - b * g for e, b in zip(row, prow)], c * a
+            num[q] = -g * c_r
+        if artificial:
+            del num[q]
+        out.append((num, den))
+    return out
+
+
+def _same_rationals(t, want) -> bool:
+    """Whether each row of t, its cells over its positive scale, is the
+    rational row that want gives as numerators over a denominator."""
+    return len(t.rows) == len(want) and all(
+        s > 0 and len(row) == len(num) and all(e * den == n * s for e, n in zip(row, num))
+        for row, s, (num, den) in zip(t.rows, t.scale, want)
+    )
+
+
+def test_every_exchange_leaves_the_rational_pivot(families, monkeypatch):
+    """Each exchange step leaves exactly the rational rows that the
+    textbook pivot makes of the rows before it, compared by
+    cross-multiplication, on all three families: every pivot of the int
+    core is the rational one, and a division in it that drops a remainder
+    fails here."""
+    exchange = simplex._exchange
+    steps, wrong = Counter(), Counter()
+    family = None
+
+    def checking(t, r, q, cost):
+        want = _rational_exchange(t, r, q)
+        exchange(t, r, q, cost)
+        steps[family] += 1
+        wrong[family] += not _same_rationals(t, want)
+
+    monkeypatch.setattr(simplex, "_exchange", checking)
+    for family, problems in families.items():
+        for p in problems:
+            solve(p)
+    assert not +wrong, (wrong, steps)
+    assert min(steps.values()) > 900, steps
 
 
 def _recording_exchange(monkeypatch, record):
