@@ -1,14 +1,14 @@
 """Exact rational linear programming.
 
 A two-phase simplex with Bland's pivoting rule, so every run terminates,
-on a condensed (dictionary) tableau of fraction-free integer rows: a row
-holds only the nonbasic columns and the rhs, and one positive scale, its
-basic variable's entry, so a pivot updates the nonbasic columns only.
-Rows are ints inside: most LP rows arrive all-int (the engines' rows come
-from an integer view of the loop's matrix) and are laid out as they are;
-any other row is integer-scaled once.  Every reported point, value and
-certificate is an exact `Fraction`.  Problems here are small (tens of
-rows), which makes a dense tableau the right trade-off.
+on a condensed (dictionary) tableau of integer rows: a row holds only the
+nonbasic columns and the rhs, and one positive scale, its basic variable's
+entry, so a pivot updates the nonbasic columns only and divides each row
+it touches exactly by its old scale.  Rows are ints inside: most LP rows
+arrive all-int (from an integer view of the loop's matrix) and are laid
+out as they are; any other row is integer-scaled once.  Every reported
+point, value and certificate is an exact `Fraction`.  Problems here are
+small (tens of rows), which makes a dense tableau the right trade-off.
 
 Each variable is one column, a free one too: of the textbook split
 x = x+ - x- the column holds one half, its orientation sign +1 or -1.  No
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .constraints import EQ, GE, GT, HOLDS, LE, LT, ConstraintSystem
 from .rationals import Rational, integer_scaling, rat
@@ -156,21 +156,23 @@ def _integer_standard_form(p: LpProblem):
 
 # --- tableau core -----------------------------------------------------------
 #
-# A condensed (dictionary) tableau of fraction-free rows (Edmonds/Bareiss;
-# Chvatal, *Linear Programming*, 1983).  Only the nonbasic real columns are
-# stored: cell k of every row is variable nonbasic[k], and the last cell is
-# the rhs.  Row r stands for the rational row  row / scale[r],  in which its
-# basic variable basis[r] has the unit entry: scale[r] > 0 is the basic
-# entry a full row would hold, and the cells are exactly that full row's
-# ints with the basic columns' zeros left out.  Every sign test and ratio
-# comparison of the rational tableau therefore reads off the ints directly,
-# so the pivots are exactly those of the rational simplex; rationals are
-# rebuilt only for the reported point and ray.  A pivot is an exchange step
-# (`_exchange`): the leaving variable takes the entering column's position,
-# or deletes it if it is an artificial, which never re-enters.  Positions
-# are thus not in variable order once a real variable has left, so Bland's
-# rule, which enters the least variable index, compares the eligible
-# positions by their `nonbasic` entries.
+# A condensed (dictionary) tableau of integer rows (Chvatal, *Linear
+# Programming*, 1983).  Only the nonbasic real columns are stored: cell k of
+# every row is variable nonbasic[k], and the last cell is the rhs.  Row r
+# stands for the rational row  row / scale[r],  in which its basic variable
+# basis[r] has the unit entry, so every sign test and ratio comparison of the
+# rational tableau reads off the ints: the pivots are the rational simplex's,
+# and rationals are rebuilt only for the reported point and ray.  The ints
+# are integer-preserving elimination's (Edmonds 1967; Bareiss 1968): with
+# det = |det B| for the basis B of the int layout A, row * det / scale[r] is
+# row r of adj(B) A, which is integral, so `_exchange` divides exactly.  An
+# up-to-date row has scale[r] == det and is that row; a stale one, untouched
+# since det last changed, keeps its older scale.  Columns cut out and rows
+# dropped stay as they are in the full tableau, which keeps the invariant.
+# A pivot is an exchange step: the leaving variable takes the entering
+# column's position, or deletes it if it is an artificial, which never
+# re-enters; so Bland's rule, which enters the least variable index, reads
+# each eligible position's variable off `nonbasic`.
 # The layout is one pass: the crash basis is one sweep over the columns,
 # the rows lose the columns it makes basic, and the phase-1 cost row is the
 # column sums of the rows it leaves uncovered.  Artificial k is variable
@@ -190,14 +192,15 @@ def _basic_point(rows, scale, basis, sign):
 
 class _Tableau:
     """The condensed tableau's rows, their scales and basic variables, the
-    variable at each position, and each real column's orientation: sign[j]
-    is +-1 for a free one, 0 for any other."""
+    variable at each position, each real column's orientation (sign[j] is
+    +-1 for a free one, 0 for any other) and det, the basis determinant,
+    first the product of the scales: each row's first basic entry."""
 
-    __slots__ = ("rows", "scale", "basis", "nonbasic", "sign")
+    __slots__ = ("rows", "scale", "basis", "nonbasic", "sign", "det")
 
     def __init__(self, rows, scale, basis, nonbasic, sign):
         self.rows, self.scale, self.basis = rows, scale, basis
-        self.nonbasic, self.sign = nonbasic, sign
+        self.nonbasic, self.sign, self.det = nonbasic, sign, prod(scale)
 
 
 def _flip(t, q, cost):
@@ -213,37 +216,33 @@ def _flip(t, q, cost):
 def _exchange(t, r, q, cost):
     """Pivot on row r at position q: the variable at q enters the basis in
     row r, and the leaving one takes position q, or deletes it if it is an
-    artificial.  With p > 0 the pivot row's entry at q and s its scale, each
-    other row with a cell f != 0 at q becomes  row * p - prow * f  with -s * f
-    at q and scale  scale * p,  over the gcd of its cells and scale; cost, if
-    given, is updated in place alike.  The pivot row keeps its ints, s at q,
-    and gets scale p."""
+    artificial.  The pivot row is first brought up to date, times s / its
+    scale with s = det, or -det on the drive-out's negative entry, so its
+    entry p > 0 at q is the new det.  Each other row with a cell g != 0 at
+    q becomes  (row * p - prow * g) / scale,  exactly, with -s * g / scale
+    at q and scale p; cost, if given, likewise but over its gcd.  The pivot
+    row keeps its ints, s at q, and gets scale p."""
     rows, scale, basis, nonbasic = t.rows, t.scale, t.basis, t.nonbasic
-    prow = rows[r]
-    p, s = prow[q], scale[r]
-    if p < 0:  # only the phase-1 drive-out pivots on a negative entry
-        prow = rows[r] = [-e for e in prow]
-        p, s = -p, -s
-    leaving, basis[r], scale[r] = basis[r], nonbasic[q], p
+    prow, s = rows[r], t.det
+    if prow[q] < 0:  # only the phase-1 drive-out pivots on a negative entry
+        s = -s
+    if scale[r] != s:  # a stale or negated pivot row: to its cells * s / scale
+        prow = rows[r] = [e * s // scale[r] for e in prow]
+    p = prow[q]
+    leaving, basis[r], scale[r], t.det = basis[r], nonbasic[q], p, p
     artificial = leaving >= len(t.sign)
     if artificial:
         del prow[q], nonbasic[q]
         f = cost.pop(q) if cost is not None else 0
     else:
         f = cost[q] if cost is not None else 0
-        prow[q] = p + s  # so that every combination leaves -s * f at q
-    for i, row in enumerate(rows):
+        prow[q] = p + s  # so that every combination leaves -s * g at q
+    for i, (row, c) in enumerate(zip(rows, scale)):
         if i == r:
             continue
         g = row.pop(q) if artificial else row[q]
         if g:
-            out = [a * p - b * g if b else a * p for a, b in zip(row, prow)]
-            c = scale[i] * p
-            d = gcd(c, *out)
-            if d > 1:
-                out = [e // d for e in out]
-                c //= d
-            rows[i], scale[i] = out, c
+            rows[i], scale[i] = [(a * p - b * g) // c for a, b in zip(row, prow)], p
     if f:
         out = [a * p - b * f if b else a * p for a, b in zip(cost, prow)]
         d = gcd(*out)
@@ -300,10 +299,11 @@ def _solve_standard(rows, scales, objective, sign):
     scales[i] > 0; objective is ints or None.  The lists are taken over:
     rows become the condensed tableau's rows, the crash basis's columns cut
     out in place (a row with a negative rhs is negated into a copy first),
-    scales its scale list and sign its orientations.  Rows the crash basis
-    leaves uncovered get an artificial basic variable; the phase-1 cost row
-    is minus the column sums of those rows, each times lcm / scales[i], and
-    the phase-2 one the oriented objective priced out on the condensed rows.
+    scales its scale list, whose product is the first basis determinant,
+    and sign its orientations.  Rows the crash basis leaves uncovered get
+    an artificial basic variable; the phase-1 cost row is minus the column
+    sums of those rows, each times lcm / scales[i], and the phase-2 one the
+    oriented objective priced out on the condensed rows.
 
     Returns (status, point, ray).  Objective None asks for feasibility only,
     answered right after phase 1 (see the module doc).

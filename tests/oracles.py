@@ -378,7 +378,11 @@ def project_stepwise(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> 
 # column at all prices negative, and a free variable x is split into two
 # nonnegative columns x+ and x-.  `solve` keeps a condensed tableau of the
 # nonbasic real columns, prices real columns only and keeps one signed
-# column per free variable; it must return exactly what this returns.
+# column per free variable; it must return exactly what this returns.  This
+# block tableau also keeps the gcd rule on purpose: every row it combines is
+# made primitive, where `simplex._exchange` divides exactly by the row's old
+# scale, so the exact-division core is checked against a reference that
+# does not share its invariant.
 
 
 def _split_standard_form(p: LpProblem):
@@ -432,7 +436,9 @@ def _recover(columns, standard_point):
 
 
 def _combine(row, prow, p, f):
-    """row * p - prow * f, divided by the gcd of its entries."""
+    """row * p - prow * f, divided by the gcd of its entries: the primitive
+    row, kept as the reference's rule in place of the core's exact division
+    by the old scale."""
     out = [a * p - b * f if b else a * p for a, b in zip(row, prow)]
     g = gcd(*out)
     return [e // g for e in out] if g > 1 else out
@@ -546,7 +552,9 @@ def _block_solve_standard(rows, scales, objective, n):
 
 
 def solve_with_artificial_block(p: LpProblem) -> LpOutcome:
-    """`solve` on the split standard form, with the artificial block."""
+    """`solve` on the split standard form, with the artificial block and
+    every combined row made primitive by its gcd (`_combine`), independent
+    of the core's exact-division invariant."""
     columns, n, rows, scales, objective = _split_standard_form(p)
     status, point, ray = _block_solve_standard(rows, scales, objective, n)
     if status is LpStatus.INFEASIBLE:

@@ -7,7 +7,10 @@ split x = x+ - x-.  These tests hold it to the textbook layout kept in
 `tests.oracles.solve_with_artificial_block`, with an artificial block and
 both halves of every free variable, outcome for outcome, on seeded LPs and
 on degenerate shapes; check that phase-1 rows hold no more than the real
-nonbasic columns; and run each place where the core picks a half.
+nonbasic columns; and run each place where the core picks a half.  They
+also hold every exchange step to the textbook rational pivot, and check
+that it divides each row it touches exactly by the row's old scale, with
+no gcd, on LPs whose rows all start with scales of their own.
 """
 
 from __future__ import annotations
@@ -207,6 +210,51 @@ def test_every_exchange_leaves_the_rational_pivot(families, monkeypatch):
             solve(p)
     assert not +wrong, (wrong, steps)
     assert min(steps.values()) > 900, steps
+
+
+def test_exchange_divides_touched_rows_by_their_old_scale(families, monkeypatch):
+    """No tableau row is made primitive: while the `cross_check` family
+    solves, `gcd` runs at most once per exchange step (the cost row) and
+    once per LP (its phase-2 pricing).  After every exchange, on all three
+    families, each row the step touched has the pivot entry as its scale:
+    the pivot row's new scale, which is the new basis determinant.  In the
+    scaled family every LP starts with a determinant above 1, and most
+    first pivot rows are stale."""
+    calls = Counter()
+    exchange, solve_standard, gcd = simplex._exchange, simplex._solve_standard, simplex.gcd
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(simplex, "_solve_standard", counting("lp", solve_standard))
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "gcd", counting("gcd", gcd))
+        patch.setattr(simplex, "_exchange", counting("exchange", exchange))
+        for p in families["cross_check"]:
+            solve(p)
+    assert calls["exchange"] > 900, calls
+    assert calls["gcd"] <= calls["exchange"] + calls["lp"], calls
+
+    firsts = {}  # per LP: the determinant, and whether the pivot row is stale, at its first step
+
+    def checking(t, r, q, cost):
+        firsts.setdefault(calls["lp"], (t.det, t.scale[r] != t.det))
+        touched = [i for i, row in enumerate(t.rows) if row[q]]
+        exchange(t, r, q, cost)
+        calls["off scale"] += any(t.scale[i] != t.scale[r] for i in touched) or t.det != t.scale[r]
+
+    monkeypatch.setattr(simplex, "_exchange", checking)
+    for name in ("cross_check", "seeded", "scaled"):
+        firsts.clear()
+        for p in families[name]:
+            solve(p)
+    assert not calls["off scale"], calls
+    pivoted = list(firsts.values())
+    assert len(pivoted) > N_SEEDED // 2 and all(det > 1 for det, _ in pivoted), pivoted
+    assert sum(stale for _, stale in pivoted) > len(pivoted) // 2, pivoted
 
 
 def _recording_exchange(monkeypatch, record):
