@@ -43,16 +43,18 @@ built and no prune first: the sweep canonicalizes them.
 and every engine space built on them, give an empty set as `0 < 0`, the
 one empty result.
 
-Entailment is one test, `_entailed`, in the space's own dimension.  By
-Farkas' lemma, min y.b over the multipliers y >= 0 (free on an equality)
-with sum y_i d_i = a is the supremum of a.x over a feasible system's
-closure: a dual LP with one equality row per variable, however many rows
-the system has.  When a strict a.x < b meets that supremum exactly, a
-second LP decides it (Motzkin's transposition theorem): it holds iff the
-multipliers reaching b can weight a strict row.  So `_entailed` is exact
-for strict rows too, and solution-set equality is mutual entailment of the
-canonical rows.  No LP is needed when a coordinate of the row's direction
-has a sign that no row can supply to the dual's equality for it.
+Entailment is one test, `_entailed`, in the space's own dimension, and it
+asks the simplex only feasibility questions, through `simplex._point`.
+Its rows are Farkas multipliers y >= 0 (free on an equality) with
+sum y_i d_i = a: one equality row per variable, however many rows the
+system has.  By the affine Farkas lemma a feasible system entails
+a.x <= b iff such a y has y.b <= b, and a.x < b if one has y.b < b (a
+strict row, which `_point` homogenizes).  Failing that, a.x < b holds iff
+a y with y.b = b puts weight on a strict row, which is a > row over the
+same y (Motzkin's transposition theorem).  So `_entailed` is exact for strict
+rows too, and solution-set equality is mutual entailment of the canonical
+rows.  No LP is needed when a coordinate of the row's direction has a
+sign that no row can supply to the equality for it.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .constraints import (
     LinConstraint,
 )
 from .rationals import integer_scaling
-from .simplex import FREE, NONNEG, LpProblem, LpStatus, _triples, satisfiable, solve
+from .simplex import FREE, NONNEG, _point, _triples, satisfiable
 
 Row = tuple[tuple[int, ...], str, int | Fraction]
 
@@ -204,15 +206,16 @@ def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
 
 def _entailed(rest: Sequence[Row], row: Row) -> bool:
     """Whether every point of the feasible canonical rows `rest` satisfies
-    the canonical `row`: the dual LP, then the Motzkin stage for a strict
-    row at its bound.  An equality is both of its directions."""
+    the canonical `row`: one `_point` question on the Farkas multipliers
+    (see the module doc), and a second, on the Motzkin face, for a strict
+    row that none puts below its bound.  An equality is both directions."""
     direction, rel, const = row
     if rel == EQ:
         opposite = (tuple(-v for v in direction), LE, -const)
         return _entailed(rest, (direction, LE, const)) and _entailed(rest, opposite)
     rels = [r for _, r, _ in rest]
     columns = list(zip(*(d for d, _, _ in rest))) if rest else [()] * len(direction)
-    # The dual's row j, sum_i y_i d_ij = a_j, needs a term of a_j's sign: an
+    # The gradient row j, sum_i y_i d_ij = a_j, needs a term of a_j's sign: an
     # inequality row (y_i >= 0) of that sign in column j, or an equality row
     # (y_i free) with any nonzero there.  Without one it is infeasible.
     for a, column in zip(direction, columns):
@@ -222,17 +225,12 @@ def _entailed(rest: Sequence[Row], row: Row) -> bool:
             return False
     signs = tuple(FREE if r == EQ else NONNEG for r in rels)
     consts = tuple(b for _, _, b in rest)
-    gradient = tuple((column, EQ, a) for column, a in zip(columns, direction))
-    bound = solve(LpProblem(consts, False, gradient, signs))
-    if bound.status is LpStatus.INFEASIBLE or bound.value > const:
-        return False
-    if bound.value < const or rel == LE:
+    gradient = [(column, EQ, a) for column, a in zip(columns, direction)]
+    if _point(gradient + [(consts, rel, const)], signs) is not None:
         return True
     strict = tuple(int(r == LT) for r in rels)
-    if not any(strict):
-        return False
-    face = solve(LpProblem(strict, True, gradient + ((consts, EQ, const),), signs))
-    return face.status is LpStatus.UNBOUNDED or face.value > 0
+    face = [(consts, EQ, const), (strict, GT, 0)]
+    return rel == LT and any(strict) and _point(gradient + face, signs) is not None
 
 
 def entails(c: ConstraintSystem, k: LinConstraint) -> bool:

@@ -26,11 +26,13 @@ are a Farkas certificate that the LP is infeasible (see `_bland_min`).
 A feasibility LP returns its point right after phase 1: driving out an
 artificial still basic, which is zero, is a degenerate pivot.
 
-`solve` takes an `LpProblem`.  Projection's entailment test builds its
-dual LPs itself; every other question is one of feasibility, and `_point`
-is its only routine: the four termination analyses and the space routes'
-emptiness checks hand it the engines' multiplier rows, and `find_point`
-(so `satisfiable`) a `ConstraintSystem`'s rows.  One rule decides strict
+`solve` takes an `LpProblem`.  The engines ask only feasibility questions,
+and `_point`, the one caller of `solve` here, answers them: the four
+termination analyses and the space routes' emptiness checks hand it the
+engines' multiplier rows, projection's entailment test its Farkas rows,
+and `find_point` (so `satisfiable`) a `ConstraintSystem`'s rows.  Phase 2
+(pricing, the drive-out, rays) serves only an `LpProblem` with an
+objective, through the public `solve` and `lp`.  One rule decides strict
 rows, the one the paper's PR uses on its multiplier cone: in a
 homogeneous system the solutions scale, so e.x < 0 has a solution iff
 e.x <= -1 does.  `_point` makes a system with a strict row homogeneous

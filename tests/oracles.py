@@ -235,6 +235,18 @@ def entails_by_negation(c: ConstraintSystem, k: LinConstraint) -> bool:
     return all(find_point(c.with_rows(c.rows + (neg,))) is None for neg in _negations(k))
 
 
+def entailment_dual_lp(rest: Sequence[tuple], direction: Sequence[int]) -> LpProblem:
+    """The dual LP of entailment over canonical rows `rest`: min y.b with
+    sum y_i d_i = direction, y_i >= 0 on an inequality row and free on an
+    equality.  Over a feasible `rest` its optimum is the supremum of
+    direction.x (the affine Farkas lemma), and it is infeasible when that
+    supremum is infinite.  `projection._entailed` asks the same rows only
+    as feasibility questions."""
+    signs = tuple(FREE if rel == EQ else NONNEG for _, rel, _ in rest)
+    rows = tuple((tuple(d[j] for d, _, _ in rest), EQ, a) for j, a in enumerate(direction))
+    return LpProblem(tuple(b for _, _, b in rest), False, rows, signs)
+
+
 def remove_redundant_by_negation(c: ConstraintSystem) -> ConstraintSystem:
     """The primal greedy rule: scan the canonical rows in order and drop
     each one that the rows still kept entail, by `entails_by_negation`."""

@@ -1,7 +1,7 @@
 """The simplex's pivot rule, pinned by count.
 
-Every exchange step the simplex takes is fixed by Bland's rule, the ratio
-test's tie-break and the drive-out's column choice.  This test counts the
+Every exchange step the simplex takes on the engines' feasibility LPs is
+fixed by Bland's rule and the ratio test's tie-break.  This test counts the
 LPs and the exchange steps on a fixed `random_loop` stream, so any change
 to those rules, or to the LPs the engines ask, shows as a changed count.
 """
@@ -17,16 +17,17 @@ from linrank.pr import pr_analyze, pr_space
 from linrank.simplex import find_point
 
 N_LOOPS = 48
-# (LPs, exchange steps) per route over the stream, drive-out steps
-# included.  The space routes, ms_space and pr_space, run on the loops
-# with at most 3 variables only, as larger ones take seconds each in the
-# projection; pr_space is the one that solves strict-row LPs and the
-# maximizing face LPs of the Motzkin stage.
+# (LPs, exchange steps) per route over the stream.  Every LP is a
+# feasibility LP, answered after phase 1, so no step is a drive-out.  The
+# space routes, ms_space and pr_space, run on the loops with at most 3
+# variables only, as larger ones take seconds each in the projection;
+# pr_space is the one whose entailments test strict rows, each one or two
+# `_point` questions (the second on the Motzkin face).
 EXPECTED = {
     "ms_analyze": (92, 2138),
     "pr_analyze": (48, 940),
-    "ms_space": (685, 4806),
-    "pr_space": (563, 6606),
+    "ms_space": (685, 4358),
+    "pr_space": (621, 7622),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from linrank import ms, projection, simplex
 from linrank.constraints import ConstraintError, LinConstraint, loop_system
+from linrank.equivalence import cross_check, random_loop
 from linrank.ms import build_ms_systems, ms_decreasing_space
 from linrank.projection import (
     eliminate,
@@ -15,11 +16,12 @@ from linrank.projection import (
     project,
     remove_redundant,
 )
-from linrank.simplex import FREE, NONNEG, LpProblem, LpStatus, find_point, satisfiable, solve
+from linrank.simplex import LpStatus, find_point, satisfiable, solve
 from tests.conftest import sample_points
 from tests.oracles import (
     constraint,
     eliminate_column,
+    entailment_dual_lp,
     entails_by_negation,
     equivalent_by_boundaries,
     project_stepwise,
@@ -374,27 +376,31 @@ def test_redundancy_and_entailment_match_the_negation_rule():
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def _dual_lp(rest, direction):
-    """The dual LP of `_entailed`: min y.b with sum y_i d_i = direction,
-    y_i >= 0 on an inequality row and free on an equality."""
-    signs = tuple(FREE if rel == "=" else NONNEG for _, rel, _ in rest)
-    rows = tuple((tuple(d[j] for d, _, _ in rest), "=", a) for j, a in enumerate(direction))
-    return LpProblem(tuple(b for _, _, b in rest), False, rows, signs)
+def _entailed_and_points(monkeypatch, rest, row):
+    """`_entailed(rest, row)` and the rows of each `_point` question it asked."""
+    asked = []
+    point = projection._point
+
+    def asking(rows, signs):
+        asked.append(rows)
+        return point(rows, signs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "_point", asking)
+        answer = projection._entailed(rest, row)
+    return answer, asked
 
 
 def _entailed_and_lp_count(monkeypatch, rest, row):
-    calls = []
-    original = projection.solve
-    with monkeypatch.context() as patch:
-        patch.setattr(projection, "solve", lambda p: calls.append(p) or original(p))
-        answer = projection._entailed(rest, row)
-    return answer, len(calls)
+    answer, asked = _entailed_and_points(monkeypatch, rest, row)
+    return answer, len(asked)
 
 
 def test_entailed_skips_the_lp_only_when_signs_decide(monkeypatch):
-    """`_entailed` answers False with no LP when a coordinate of the row's
-    direction has a sign no row of `rest` can supply; the skipped dual LP is
-    then infeasible.  Answers agree with the negation rule either way."""
+    """`_entailed` answers False with no `_point` question when a coordinate
+    of the row's direction has a sign no row of `rest` can supply; the
+    skipped dual LP is then infeasible.  Answers agree with the negation
+    rule either way."""
     rng = random.Random(89)
     skipped = solved = 0
     for _ in range(200):
@@ -420,7 +426,7 @@ def test_entailed_skips_the_lp_only_when_signs_decide(monkeypatch):
                     else:
                         skipped += 1
                         assert not answer
-                        assert solve(_dual_lp(rest, row[0])).status is LpStatus.INFEASIBLE
+                        assert solve(entailment_dual_lp(rest, row[0])).status is LpStatus.INFEASIBLE
     assert skipped >= 100 and solved >= 1000, (skipped, solved)
 
     # x = 0 supplies either sign in x's column, so -x <= 0 needs its LP.
@@ -428,6 +434,50 @@ def test_entailed_skips_the_lp_only_when_signs_decide(monkeypatch):
     assert _entailed_and_lp_count(monkeypatch, x_is_zero, ((-1, 0), "<=", 0)) == (True, 1)
     x_at_most_zero = [((1, 0), "<=", 0), ((0, 1), "<=", 1)]
     assert _entailed_and_lp_count(monkeypatch, x_at_most_zero, ((-1, 0), "<=", 0)) == (False, 0)
+
+
+def test_strict_row_at_its_bound_is_decided_on_the_motzkin_face(monkeypatch):
+    """x < 1 where the closure reaches x = 1: no multipliers combine the
+    rows into x <= b with b < 1, so `_entailed` asks the face question, the
+    one with a > row.  x <= y < 1 entails x < 1, and the face's multipliers
+    put weight on y < 1; with y < 2 instead, (1, 3/2) is a point with x = 1.
+    Both answers are the negation rule's."""
+    row = ((1, 0), "<", 1)
+    for y_bound, want in ((1, True), (2, False)):
+        c = cs(("x", "y"), [((1, 0), "<=", 1), ((0, 1), "<", y_bound), ((1, -1), "<=", 0)])
+        answer, asked = _entailed_and_points(monkeypatch, projection._canonical(c.rows), row)
+        assert answer == want == entails_by_negation(c, constraint(*row))
+        assert [any(rel == ">" for _, rel, _ in rows) for rows in asked] == [False, True]
+
+
+def test_every_lp_the_engines_solve_is_a_feasibility_question(monkeypatch):
+    """No LP with an objective reaches the simplex: not from `cross_check`
+    comparing spaces over a seeded loop stream, nor from `remove_redundant`
+    and `equivalent` over seeded systems.  Entailment asks `_point`
+    feasibility questions only."""
+    asked = []
+    layout = simplex._integer_standard_form
+    monkeypatch.setattr(simplex, "_integer_standard_form", lambda p: asked.append(p) or layout(p))
+    rng = random.Random(97)
+    for i in range(12):
+        loop = random_loop(
+            rng, max_vars=4, max_rows=8, coeff_bound=5,
+            force_rank=(i % 3 == 0), guarded=(i % 2 == 0),
+        )
+        find_point.cache_clear()
+        cross_check(loop, compare_spaces=True)
+    from_loops = len(asked)
+    rng = random.Random(101)
+    for _ in range(40):
+        names, rows = _noncanonical_system(rng)
+        i = rng.randrange(len(rows))
+        coeffs, rel, const = rows[i]
+        moved = rows[:i] + [(coeffs, rel, const + rng.choice((-1, 1)))] + rows[i + 1 :]
+        remove_redundant(cs(names, rows))
+        equivalent(cs(names, rows), cs(names, moved))
+    find_point.cache_clear()
+    assert from_loops > 200 and len(asked) - from_loops > 100, (from_loops, len(asked))
+    assert all(p.objective is None for p in asked)
 
 
 _TOGGLED = {"<=": "<", "<": "<=", "=": "=", ">=": ">", ">": ">="}
@@ -649,14 +699,14 @@ def test_projection_canonicalizes_each_row_once(monkeypatch, seed207_loop):
 
 @pytest.fixture
 def no_lp(monkeypatch):
-    """Fail on any LP, a memoized feasibility answer included."""
+    """Fail on any LP, a memoized feasibility answer included: `_point`, the
+    one caller of `solve`, looks it up in `simplex`."""
 
     def fail(problem):
         raise AssertionError("an LP was solved before the arguments were checked")
 
     find_point.cache_clear()
     monkeypatch.setattr(simplex, "solve", fail)
-    monkeypatch.setattr(projection, "solve", fail)
 
 
 def test_project_rejects_a_repeated_kept_name_before_any_lp(no_lp):

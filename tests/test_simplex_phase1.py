@@ -21,11 +21,11 @@ from fractions import Fraction
 
 import pytest
 
-from linrank import simplex
+from linrank import projection, simplex
 from linrank.constraints import EQ, GE, LE
 from linrank.equivalence import cross_check, random_loop
 from linrank.simplex import FREE, NONNEG, LpProblem, LpStatus, find_point, lp, solve
-from tests.oracles import solve_with_artificial_block
+from tests.oracles import entailment_dual_lp, solve_with_artificial_block
 
 N_SEEDED = 120
 N_LOOPS = 24
@@ -89,17 +89,24 @@ def _scaled_rows_lp(seed: int) -> LpProblem:
 
 def _cross_check_lps() -> list[LpProblem]:
     """Every LP that `cross_check` solves on the first loops of criterion
-    4's stream, each loop from a cold `find_point` memo."""
-    asked = []
-    standard_form = simplex._integer_standard_form
+    4's stream, each loop from a cold `find_point` memo, all of them
+    feasibility LPs; then the dual LP of each entailment it asks, so that
+    phase 2 meets the projection's LPs too."""
+    asked, duals = [], []
+    standard_form, entailed = simplex._integer_standard_form, projection._entailed
 
     def recording(p):
         asked.append(p)
         return standard_form(p)
 
+    def recording_entailed(rest, row):
+        duals.append(entailment_dual_lp(rest, row[0]))
+        return entailed(rest, row)
+
     rng = random.Random(20260810)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_integer_standard_form", recording)
+        patch.setattr(projection, "_entailed", recording_entailed)
         for i in range(N_LOOPS):
             loop = random_loop(
                 rng, max_vars=4, max_rows=8, coeff_bound=5,
@@ -108,7 +115,7 @@ def _cross_check_lps() -> list[LpProblem]:
             find_point.cache_clear()
             cross_check(loop, compare_spaces=(i % 4 == 0))
     find_point.cache_clear()
-    return asked
+    return asked + duals
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +145,9 @@ def test_solve_matches_artificial_block_oracle(families):
     decide-size LPs, on the same LPs with a scale per row, and on the LPs
     of `cross_check`.  All four statuses occur in the seeded families,
     equally often, as dividing a row by a positive number changes no
-    status; the `cross_check` family is infeasible, feasible and optimal
-    LPs, none of them unbounded."""
+    status; in the `cross_check` family the feasibility LPs are infeasible
+    or feasible and the entailment duals infeasible or optimal, none of
+    them unbounded."""
     counts = {}
     for name, problems in families.items():
         outcomes = [solve(p) for p in problems]
