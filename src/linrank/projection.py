@@ -43,18 +43,18 @@ built and no prune first: the sweep canonicalizes them.
 and every engine space built on them, give an empty set as `0 < 0`, the
 one empty result.
 
-Entailment is one test, `_entailed`, in the space's own dimension, and it
-asks the simplex only feasibility questions, through `simplex._point`.
-Its rows are Farkas multipliers y >= 0 (free on an equality) with
-sum y_i d_i = a: one equality row per variable, however many rows the
-system has.  By the affine Farkas lemma a feasible system entails
-a.x <= b iff such a y has y.b <= b, and a.x < b if one has y.b < b (a
-strict row, which `_point` homogenizes).  Failing that, a.x < b holds iff
-a y with y.b = b puts weight on a strict row, which is a > row over the
-same y (Motzkin's transposition theorem).  So `_entailed` is exact for strict
-rows too, and solution-set equality is mutual entailment of the canonical
-rows.  No LP is needed when a coordinate of the row's direction has a
-sign that no row can supply to the equality for it.
+Entailment is one test, `_entailed`, in the space's own dimension: one
+`simplex._point` feasibility question per `<=` or `<` row, with no strict
+row in it.  By the affine Farkas lemma and Motzkin's transposition theorem
+a feasible system of rows d_i.x rel_i b_i entails a.x <= c iff multipliers
+y >= 0 (free on an equality) have sum y_i d_i = a and b.y <= c, and a.x < c
+iff such a y also has (b - e).y < c, e the strict rows' indicator: b.y < c,
+or b.y = c with weight on a strict row.  The question asks this of y scaled
+by 1 + s, s >= 0: sum y_i d_i - a s = a, b.y - c s <= c and, for a.x < c,
+(b - e).y - c s <= c - 1.  A solution gives y / (1 + s), and y gives a
+solution ((1 + s) y, s) for s large enough.  Solution-set equality is mutual
+entailment of the canonical rows.  No LP is needed when a coordinate of the
+row's direction has a sign that no row can supply to the equality for it.
 """
 
 from __future__ import annotations
@@ -206,9 +206,8 @@ def eliminate(c: ConstraintSystem, var: str) -> ConstraintSystem:
 
 def _entailed(rest: Sequence[Row], row: Row) -> bool:
     """Whether every point of the feasible canonical rows `rest` satisfies
-    the canonical `row`: one `_point` question on the Farkas multipliers
-    (see the module doc), and a second, on the Motzkin face, for a strict
-    row that none puts below its bound.  An equality is both directions."""
+    the canonical `row`: one `_point` question with no strict row (see the
+    module doc).  An equality is both directions."""
     direction, rel, const = row
     if rel == EQ:
         opposite = (tuple(-v for v in direction), LE, -const)
@@ -223,14 +222,14 @@ def _entailed(rest: Sequence[Row], row: Row) -> bool:
             continue
         if not any(v for v, r in zip(column, rels) if r == EQ):
             return False
-    signs = tuple(FREE if r == EQ else NONNEG for r in rels)
+    signs = tuple(FREE if r == EQ else NONNEG for r in rels) + (NONNEG,)
     consts = tuple(b for _, _, b in rest)
-    gradient = [(column, EQ, a) for column, a in zip(columns, direction)]
-    if _point(gradient + [(consts, rel, const)], signs) is not None:
-        return True
-    strict = tuple(int(r == LT) for r in rels)
-    face = [(consts, EQ, const), (strict, GT, 0)]
-    return rel == LT and any(strict) and _point(gradient + face, signs) is not None
+    rows = [(column + (-a,), EQ, a) for column, a in zip(columns, direction)]
+    rows.append((consts + (-const,), LE, const))
+    if rel == LT:
+        shifted = tuple(b - 1 if r == LT else b for b, r in zip(consts, rels))
+        rows.append((shifted + (-const,), LE, const - 1))
+    return _point(rows, signs) is not None
 
 
 def entails(c: ConstraintSystem, k: LinConstraint) -> bool:

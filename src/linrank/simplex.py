@@ -36,9 +36,10 @@ objective, through the public `solve` and `lp`.  One rule decides strict
 rows, the one the paper's PR uses on its multiplier cone: in a
 homogeneous system the solutions scale, so e.x < 0 has a solution iff
 e.x <= -1 does.  `_point` makes a system with a strict row homogeneous
-first (a new column t > 0 takes the constants), and its bridge `_lp_rows`
-orients each row as <= or =, turns plain sign rows into variable bounds
-and tightens each strict row to <= -1; one feasibility LP answers.
+first (a new column t > 0 takes the constants: only `find_point` needs it,
+as entailment asks no strict row), and its bridge `_lp_rows` orients each
+row as <= or =, turns plain sign rows into variable bounds and tightens
+each strict row to <= -1; one feasibility LP answers.
 """
 
 from __future__ import annotations

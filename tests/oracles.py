@@ -240,8 +240,10 @@ def entailment_dual_lp(rest: Sequence[tuple], direction: Sequence[int]) -> LpPro
     sum y_i d_i = direction, y_i >= 0 on an inequality row and free on an
     equality.  Over a feasible `rest` its optimum is the supremum of
     direction.x (the affine Farkas lemma), and it is infeasible when that
-    supremum is infinite.  `projection._entailed` asks the same rows only
-    as feasibility questions."""
+    supremum is infinite.  `projection._entailed` asks no LP with an
+    objective: one feasibility question on these rows, scaled by one more
+    column, with y.b bounded by the tested row's constant in a row of its
+    own, and a strict row's strictness in one more (see `projection`)."""
     signs = tuple(FREE if rel == EQ else NONNEG for _, rel, _ in rest)
     rows = tuple((tuple(d[j] for d, _, _ in rest), EQ, a) for j, a in enumerate(direction))
     return LpProblem(tuple(b for _, _, b in rest), False, rows, signs)

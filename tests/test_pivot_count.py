@@ -21,13 +21,13 @@ N_LOOPS = 48
 # feasibility LP, answered after phase 1, so no step is a drive-out.  The
 # space routes, ms_space and pr_space, run on the loops with at most 3
 # variables only, as larger ones take seconds each in the projection;
-# pr_space is the one whose entailments test strict rows, each one or two
-# `_point` questions (the second on the Motzkin face).
+# pr_space is the one whose entailments test strict rows, each one `_point`
+# question with no strict row (the Motzkin face folded in).
 EXPECTED = {
     "ms_analyze": (92, 2138),
     "pr_analyze": (48, 940),
     "ms_space": (685, 4358),
-    "pr_space": (621, 7622),
+    "pr_space": (513, 5982),
 }
 
 

@@ -377,13 +377,14 @@ def test_redundancy_and_entailment_match_the_negation_rule():
 
 
 def _entailed_and_points(monkeypatch, rest, row):
-    """`_entailed(rest, row)` and the rows of each `_point` question it asked."""
+    """`_entailed(rest, row)` and each `_point` question it asked, as the
+    question's rows and its answer."""
     asked = []
     point = projection._point
 
     def asking(rows, signs):
-        asked.append(rows)
-        return point(rows, signs)
+        asked.append((rows, point(rows, signs)))
+        return asked[-1][1]
 
     with monkeypatch.context() as patch:
         patch.setattr(projection, "_point", asking)
@@ -399,10 +400,11 @@ def _entailed_and_lp_count(monkeypatch, rest, row):
 def test_entailed_skips_the_lp_only_when_signs_decide(monkeypatch):
     """`_entailed` answers False with no `_point` question when a coordinate
     of the row's direction has a sign no row of `rest` can supply; the
-    skipped dual LP is then infeasible.  Answers agree with the negation
-    rule either way."""
+    skipped dual LP is then infeasible.  Otherwise it asks exactly one
+    question, and no question it asks holds a strict row, so `_point` never
+    lifts one.  Answers agree with the negation rule either way."""
     rng = random.Random(89)
-    skipped = solved = 0
+    skipped = solved = strict = 0
     for _ in range(200):
         names, rows = _noncanonical_system(rng)
         c = cs(names, rows)
@@ -419,15 +421,18 @@ def test_entailed_skips_the_lp_only_when_signs_decide(monkeypatch):
                     opposite = tuple(-v for v in direction)
                     halves = [(direction, "<=", const), (opposite, "<=", -const)]
                 for row in halves:
-                    answer, lps = _entailed_and_lp_count(monkeypatch, rest, row)
+                    answer, asked = _entailed_and_points(monkeypatch, rest, row)
                     assert answer == entails_by_negation(premise, LinConstraint(*row))
-                    if lps:
+                    assert len(asked) <= 1
+                    assert not any(rel in ("<", ">") for rows, _ in asked for _, rel, _ in rows)
+                    strict += row[1] == "<"
+                    if asked:
                         solved += 1
                     else:
                         skipped += 1
                         assert not answer
                         assert solve(entailment_dual_lp(rest, row[0])).status is LpStatus.INFEASIBLE
-    assert skipped >= 100 and solved >= 1000, (skipped, solved)
+    assert skipped >= 100 and solved >= 1000 and strict >= 300, (skipped, solved, strict)
 
     # x = 0 supplies either sign in x's column, so -x <= 0 needs its LP.
     x_is_zero = [((1, 0), "=", 0), ((0, 1), "<=", 1)]
@@ -438,16 +443,23 @@ def test_entailed_skips_the_lp_only_when_signs_decide(monkeypatch):
 
 def test_strict_row_at_its_bound_is_decided_on_the_motzkin_face(monkeypatch):
     """x < 1 where the closure reaches x = 1: no multipliers combine the
-    rows into x <= b with b < 1, so `_entailed` asks the face question, the
-    one with a > row.  x <= y < 1 entails x < 1, and the face's multipliers
-    put weight on y < 1; with y < 2 instead, (1, 3/2) is a point with x = 1.
-    Both answers are the negation rule's."""
+    rows into x <= b with b < 1, so only multipliers on the Motzkin face,
+    with b = 1 and weight on a strict row, decide it.  `_entailed` asks
+    that as one question with no strict row: its shifted row takes 1 off
+    each strict row's constant.  x <= y < 1 entails x < 1, and the answer's
+    multipliers put weight on y < 1; with y < 2 instead, (1, 3/2) is a point
+    with x = 1.  Both answers are the negation rule's."""
     row = ((1, 0), "<", 1)
     for y_bound, want in ((1, True), (2, False)):
         c = cs(("x", "y"), [((1, 0), "<=", 1), ((0, 1), "<", y_bound), ((1, -1), "<=", 0)])
-        answer, asked = _entailed_and_points(monkeypatch, projection._canonical(c.rows), row)
+        rest = projection._canonical(c.rows)
+        answer, asked = _entailed_and_points(monkeypatch, rest, row)
         assert answer == want == entails_by_negation(c, constraint(*row))
-        assert [any(rel == ">" for _, rel, _ in rows) for rows in asked] == [False, True]
+        assert len(asked) == 1
+        rows, point = asked[0]
+        assert not any(rel in ("<", ">") for _, rel, _ in rows)
+        if want:
+            assert point[[rel for _, rel, _ in rest].index("<")] > 0
 
 
 def test_every_lp_the_engines_solve_is_a_feasibility_question(monkeypatch):
