@@ -10,13 +10,15 @@ cross-checks them on seeded random loops.
 Exit codes: 0 terminating or trivially terminating, 10 unknown (`check`
 and `rank` only: `space` and `compare` exit 0 on an unknown loop), 2 input
 errors, 3 method disagreement (with --method=both) or an inconsistent
-`compare` report; `selftest` exits 1 on any failure.
+`compare` report; `selftest` exits 1 on any failure, and every command
+exits 1 when its stdout is closed before it has written everything.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -56,7 +58,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_loop(path: str) -> LoopModel:
+def _load_loop(path: str | Path) -> LoopModel:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
@@ -248,8 +250,8 @@ def cmd_bench(args, out) -> int:
     print("file,n,m,verdict_ms,verdict_pr,agree,us_ms,us_pr", file=out)
     for path in sorted(directory.glob("*.loop")):
         try:
-            loop = parse_loop(path.read_text(encoding="utf-8-sig"))
-        except (LoopParseError, OSError, UnicodeDecodeError):
+            loop = _load_loop(path)
+        except CliError:
             print(f"{path.name},,,parse-error,parse-error,,,", file=out)
             continue
         c = loop_system(loop)
@@ -350,7 +352,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+    if out is None:  # the real stdout, which a reader may close first
+        try:
+            try:
+                return main(argv, sys.stdout)
+            finally:
+                sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        except BrokenPipeError:
+            # As the Python docs advise: point stdout at devnull, so that the
+            # interpreter's final flush stays quiet; exit 1, no traceback.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     args = _parser().parse_args(argv)
     try:
         return args.func(args, out)

@@ -10,8 +10,8 @@ space.  This module turns those facts into executable checks:
 * witness membership in the *other* engine's solution set is read off the
   witness's certificate (`certify.certificate_holds`, whose module
   docstring gives the algebra), with no LP.  `witness_in_pr_set` and
-  `witness_in_ms_denormalized` answer the same questions by one
-  feasibility query each, as a reference;
+  `witness_in_ms_denormalized` answer the same questions as a reference,
+  each by one `simplex._point` question on the engines' multiplier rows;
 * `cross_check` bundles verdict agreement, the two cross-memberships and
   exact space equality into one report.
 
@@ -51,14 +51,12 @@ from .ms import (
     Verdict,
     _conjoined_rows,
     _ms_signs,
-    _multiplier_system,
-    _names,
     ms_analyze,
     ms_space,
 )
-from .pr import build_pr_system, extraction_rows, pr_analyze, pr_space, with_affine_slot
+from .pr import _pr_rows, extraction_rows, pr_analyze, pr_space, with_affine_slot
 from .projection import equivalent, project
-from .simplex import satisfiable
+from .simplex import NONNEG, _point
 
 
 def cone_extend(space: RankingSpace) -> RankingSpace:
@@ -86,10 +84,9 @@ def witness_in_pr_set(m: LeqMatrixForm, f: RankingFunction) -> bool:
     query on the witness equations with the extraction rows pinned (run on
     the affine-slot extension so every valid offset is reachable)."""
     m = with_affine_slot(m)
-    base = build_pr_system(m)
     values = (f.mu0,) + f.mu
-    extra = tuple(LinConstraint(r, EQ, v) for r, v in zip(extraction_rows(m), values))
-    return satisfiable(base.with_rows(base.rows + extra))
+    pinned = [(r, EQ, v) for r, v in zip(extraction_rows(m), values)]
+    return _point(_pr_rows(m) + pinned, (NONNEG,) * (2 * m.n_rows)) is not None
 
 
 def witness_in_ms_denormalized(loop: LoopModel, f: RankingFunction) -> bool:
@@ -101,8 +98,7 @@ def witness_in_ms_denormalized(loop: LoopModel, f: RankingFunction) -> bool:
     width = 2 * m + 3  # the y and z blocks, then mu0
     rows = [(coeffs[:width] + (_dot(coeffs[width:], f.mu),), rel, k) for coeffs, rel, k in rows]
     rows.append(((0,) * width + (1,), GT, 0))
-    variables = _names("y", m) + _names("z", m + 2) + ("mu0", "t")
-    return satisfiable(_multiplier_system(variables, rows, _ms_signs(2 * m + 2, 1)))
+    return _point(rows, _ms_signs(2 * m + 2, 1)) is not None
 
 
 @dataclass(frozen=True)

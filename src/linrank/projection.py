@@ -303,19 +303,13 @@ def _project(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> list[Row
         rows = _irredundant(stepped) if grew else stepped
         del columns[idx]
 
-    # The columns left are `keep` in index order.  Permuting them can only
-    # flip an equality's leading sign, and it keeps distinct canonical rows
-    # distinct, so nothing is rescaled or pruned again.  After a growing
-    # last step the rows are already irredundant.
+    # The columns left are `keep` in index order.  A permuted coprime
+    # direction keeps its scale, so `_row` can only flip an equality's
+    # leading sign, and distinct canonical rows stay distinct: nothing is
+    # pruned again.  After a growing last step the rows are irredundant.
     if columns != list(keep):
         perm = [columns.index(col) for col in keep]
-        permuted = []
-        for d, rel, const in rows:
-            d = tuple(d[i] for i in perm)
-            if rel == EQ and next(v for v in d if v) < 0:
-                d, const = tuple(-v for v in d), -const
-            permuted.append((d, rel, const))
-        rows = permuted
+        rows = [_row(tuple(d[i] for i in perm), rel, const) for d, rel, const in rows]
     return rows if grew else _irredundant(rows)
 
 

@@ -309,7 +309,8 @@ def _solve_standard(rows, scales, objective, sign):
     oriented objective priced out on the condensed rows.
 
     Returns (status, point, ray).  Objective None asks for feasibility only,
-    answered right after phase 1 (see the module doc).
+    answered right after phase 1 (see the module doc), which a crash basis
+    covering every row skips: its point is then the answer.
     """
     m, n = len(rows), len(sign)
     rows = [[-e for e in row] if row[-1] < 0 else row for row in rows]
@@ -332,9 +333,6 @@ def _solve_standard(rows, scales, objective, sign):
                 else:
                     runs.append([j, j + 1])
     uncovered = [i for i in range(m) if basis[i] < 0]
-    if not uncovered and objective is None:
-        # The crash basis is feasible: its point is the answer.
-        return LpStatus.FEASIBLE, _basic_point(rows, scales, basis, sign), None
     nonbasic = list(range(n))
     for start, stop in reversed(runs):
         del nonbasic[start:stop]

@@ -5,9 +5,12 @@ Each op of perfbench's `decide` streams (seeds 1 and 2) and `space` streams
 runs it.  Its digest covers the report as perfbench's `digest_text` reads
 it: both verdicts and witnesses, the witnesses' cross-membership and, on
 `space`, whether the spaces are equal.  On `space` it also covers the
-rendered rows of `ms_space` and `pr_space`.  The streams are imported from
-perfbench read-only.  After a deliberate change of answer, regenerate the
-snapshot with
+rendered rows of `ms_space` and `pr_space`.  The same pass also folds every
+`simplex._point` answer met on the way, the point or None, into one digest
+per stream, stored with its answer count under "points": it moves only when
+a change moves an LP's point, so it gates changes that must keep every
+point.  The streams are imported from perfbench read-only.  After a
+deliberate change of answer, regenerate the snapshot with
 
     PYTHONPATH=src:. python tests/test_answer_golden.py
 """
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from linrank import equivalence, ms, pr, projection, simplex
 from linrank.ms import ms_space
 from linrank.pr import pr_space
 from linrank.simplex import find_point
@@ -48,15 +52,39 @@ def _op_digest(wl, name: str, op) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def stream_digests(name: str, seed: int) -> list[str]:
-    """One digest per op of the stream, in op order."""
+def stream_answers(name: str, seed: int) -> tuple[list[str], list]:
+    """One digest per op of the stream, in op order, and from the same pass
+    [digest, count] of the `_point` answers met: `_point` is rebound in
+    each module that holds it for the pass."""
     wl = _workloads().workload(name)
+    answers, count = hashlib.sha256(), 0
+    point = simplex._point
+
+    def recording(rows, signs):
+        nonlocal count
+        found = point(rows, signs)
+        answers.update(b"None\n" if found is None else f"{','.join(map(str, found))}\n".encode())
+        count += 1
+        return found
+
+    modules = (simplex, projection, ms, pr, equivalence)
+    holders = [module for module in modules if vars(module).get("_point") is point]
+    for module in holders:
+        module._point = recording
     find_point.cache_clear()
-    return [_op_digest(wl, name, op) for op in wl.inputs(seed)]
+    try:
+        digests = [_op_digest(wl, name, op) for op in wl.inputs(seed)]
+    finally:
+        for module in holders:
+            module._point = point
+    return digests, [answers.hexdigest()[:16], count]
 
 
 def records() -> dict:
-    return {f"{name}:{seed}": stream_digests(name, seed) for name, seed in STREAMS}
+    ops, points = {}, {}
+    for name, seed in STREAMS:
+        ops[f"{name}:{seed}"], points[f"{name}:{seed}"] = stream_answers(name, seed)
+    return {**ops, "points": points}
 
 
 def _snapshot() -> dict:
@@ -65,17 +93,22 @@ def _snapshot() -> dict:
 
 def test_snapshot_covers_every_stream_in_full():
     expected = _snapshot()
+    points = expected.pop("points")
     assert list(expected) == [f"{name}:{seed}" for name, seed in STREAMS]
     assert [len(v) for v in expected.values()] == [144, 144, 120, 120]
+    assert list(points) == list(expected)
+    assert all(len(digest) == 16 and count > 0 for digest, count in points.values())
 
 
 @pytest.mark.parametrize("name,seed", STREAMS)
 def test_op_answers_match_snapshot(name, seed):
-    expected = _snapshot()[f"{name}:{seed}"]
-    got = stream_digests(name, seed)
+    snapshot = _snapshot()
+    expected = snapshot[f"{name}:{seed}"]
+    got, points = stream_answers(name, seed)
     assert len(got) == len(expected)
     changed = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
     assert not changed, f"{len(changed)} {name} seed {seed} ops differ from the snapshot: {changed}"
+    assert points == snapshot["points"][f"{name}:{seed}"], "a `_point` answer differs"
 
 
 if __name__ == "__main__":
@@ -83,4 +116,5 @@ if __name__ == "__main__":
     data = records()
     body = ",\n".join(f'"{key}": {json.dumps(digests)}' for key, digests in data.items())
     SNAPSHOT.write_text("{\n" + body + "\n}\n", encoding="utf-8")
-    print(f"wrote {sum(map(len, data.values()))} op digests to {SNAPSHOT}", file=sys.stderr)
+    ops = sum(len(data[f"{name}:{seed}"]) for name, seed in STREAMS)
+    print(f"wrote {ops} op digests and {len(STREAMS)} point digests to {SNAPSHOT}", file=sys.stderr)

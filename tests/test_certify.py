@@ -230,3 +230,20 @@ def test_cross_check_answers_as_the_lps_do(seeded, monkeypatch):
     found, reports = answers()
     assert found == [(False, False)] * len(both)
     assert not any(r.all_consistent for r in reports)
+
+
+def test_certificate_of_the_wrong_length_is_not_accepted(golden):
+    """One more zero multiplier changes no sum, so only the length check
+    rejects it."""
+    m, _, f = next(_terminating(golden))
+    y, z = f.certificate
+    for pair in ((y + (0,), z), (y, z + (0,))):
+        assert not certificate_holds(m, dataclasses.replace(f, certificate=pair))
+
+
+def test_nonpositive_decrease_or_negative_bound_is_not_accepted(golden):
+    """Claiming less than the certificate proves passes every sum, so only
+    the sign check on delta and lower_bound rejects it."""
+    m, _, f = next(_terminating(golden))
+    for changed in (dataclasses.replace(f, delta=0), dataclasses.replace(f, lower_bound=-1)):
+        assert not certificate_holds(m, changed)

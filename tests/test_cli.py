@@ -1,6 +1,8 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from linrank.cli import build_parser, main
 from linrank.constraints import ConstraintError, ConstraintSystem, LinConstraint
+from linrank.equivalence import CrossCheckReport
 from linrank.ms import Verdict
 from linrank.projection import equivalent
 from linrank.rationals import parse_rational
@@ -361,3 +364,47 @@ def test_svg_space_without_nonnegative_point_is_trivial(tmp_path):
     code, text = run("space", str(path), "--method=svg", "--format=json")
     assert code == 0
     assert json.loads(text) == {"status": "trivially-terminating", "method": "svg"}
+
+
+@pytest.mark.parametrize("argv", [["check", str(LOOPS / "log2.loop")], ["bench", str(LOOPS)]])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    """`linrank bench loops | head -n 1`: the reader closes stdout before
+    the command writes, which ends the run with exit code 1 and nothing on
+    stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linrank", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""
+
+
+def _inconsistent(loop, compare_spaces=True):
+    return CrossCheckReport(
+        Verdict.unknown(), Verdict.trivially_terminating(), False, None, None, None
+    )
+
+
+# Each malformed input or failing run with its exit code: the argv, the
+# cli globals stubbed for it, the code and a fragment of stderr.
+REJECTIONS = [
+    (["bench", str(LOOPS / "log2.loop")], {}, 2, "error: not a directory: "),
+    (["selftest", "--count=2"], {"cross_check": _inconsistent}, 1, "inconsistency on loop 1: "),
+]
+
+
+@pytest.mark.parametrize("argv,stubs,code,message", REJECTIONS)
+def test_rejections_exit_with_their_code(monkeypatch, capsys, argv, stubs, code, message):
+    import linrank.cli as cli_mod
+
+    for name, stub in stubs.items():
+        monkeypatch.setattr(cli_mod, name, stub)
+    assert run(*argv)[0] == code
+    assert message in capsys.readouterr().err

@@ -256,3 +256,23 @@ def test_permutation_and_alt_on_random_guarded_loops():
 def test_verdict_agreement_with_affine_engine(log2_loop, countdown_loop, diverge_loop, unsat_loop):
     for loop in (log2_loop, countdown_loop, diverge_loop, unsat_loop):
         assert pr_analyze(loop).status == ms_analyze(loop).status
+
+
+_UNIT, _ZEROS = (Fraction(1),) + (Fraction(0),) * 5, (Fraction(0),) * 6
+
+
+@pytest.mark.parametrize(
+    "lam1,lam2,message",
+    [
+        # each pair passes every check before the one it fails
+        (LAMBDA1[:-1], LAMBDA2, "multiplier length does not match row count"),
+        (_UNIT, LAMBDA2, "(lam1 - lam2)^T A != 0"),
+        (_UNIT, _UNIT, "lam2^T (A + A') != 0"),
+        (_ZEROS, _ZEROS, "lam2^T b is not negative"),
+    ],
+)
+def test_witness_check_names_the_first_equation_it_fails(golden_matrix, lam1, lam2, message):
+    with pytest.raises(InvalidWitnessError) as info:
+        PrWitness(lam1, lam2).check(golden_matrix)
+    assert str(info.value) == message
+
