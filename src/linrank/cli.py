@@ -187,9 +187,12 @@ def cmd_space(args, out) -> int:
     method = "ms" if args.conditional else args.method  # --conditional runs only MS
     try:
         if args.conditional:
-            decreasing, bounded = ms_decreasing_space(loop), ms_bounded_space(loop)
+            spaces = {
+                "decreasing_space": ("decreasing candidates:", ms_decreasing_space(loop)),
+                "bounded_space": ("bounded candidates:", ms_bounded_space(loop)),
+            }
         else:
-            space = METHODS[method][1](loop)
+            spaces = {"space": ("ranking-function space:", METHODS[method][1](loop))}
     except UnsatisfiableLoopError:  # for svg: no point over Q+
         if args.format == "json":
             _emit({"status": "trivially-terminating", "method": method}, out)
@@ -199,27 +202,15 @@ def cmd_space(args, out) -> int:
             print("trivially-terminating: loop body is unsatisfiable", file=out)
         return EXIT_OK
 
-    if args.conditional:
-        if args.format == "json":
-            payload = {
-                "status": "ok",
-                "method": method,
-                "decreasing_space": _space_json(decreasing),
-                "bounded_space": _space_json(bounded),
-            }
-            _emit(payload, out)
-        else:
-            _print_space("decreasing candidates:", decreasing, out)
-            _print_space("bounded candidates:", bounded, out)
-        return EXIT_OK
-
     if args.format == "json":
-        payload = {"status": "ok", "method": method, "space": _space_json(space)}
+        payload = {"status": "ok", "method": method}
+        payload.update((key, _space_json(space)) for key, (_, space) in spaces.items())
         if method == "both":
             payload["engines_agree"] = True
         _emit(payload, out)
     else:
-        _print_space("ranking-function space:", space, out)
+        for title, space in spaces.values():
+            _print_space(title, space, out)
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certify import _dot, certificate_holds
 from .constraints import (
@@ -51,32 +50,27 @@ from .ms import (
     Verdict,
     _conjoined_rows,
     _ms_signs,
+    _multiplier_space,
     ms_analyze,
     ms_space,
 )
 from .pr import _pr_rows, extraction_rows, pr_analyze, pr_space, with_affine_slot
-from .projection import equivalent, project
-from .simplex import NONNEG, _point
+from .projection import equivalent
+from .simplex import FREE, NONNEG, _point
 
 
 def cone_extend(space: RankingSpace) -> RankingSpace:
     """Positive-scaling closure {k * <mu0, mu> : k > 0} of a full space.
 
-    Each row  a . params  rel  c  becomes  a . params - c*k  rel  0, k > 0
-    is added, and k is eliminated; strictness appears exactly where the
-    closure loses its boundary."""
+    Each row  a . params  rel  c  becomes  -c*k + a . params  rel  0 over
+    (k, params), k > 0 is added, and k is eliminated; strictness appears
+    exactly where the closure loses its boundary."""
     if space.kind != MS_FULL:
         raise ConstraintError("cone extension is defined for full spaces")
-    variables = space.params + ("k",)
-    rows = [
-        LinConstraint(row.coeffs + (-row.const,), row.rel, Fraction(0))
-        for row in space.constraints.rows
-    ]
-    rows.append(
-        LinConstraint((Fraction(0),) * len(space.params) + (Fraction(1),), GT, Fraction(0))
-    )
-    projected = project(ConstraintSystem(variables, tuple(rows)), space.params)
-    return RankingSpace(space.params, projected, space.kind)
+    n = len(space.params)
+    rows = [((-row.const,) + row.coeffs, row.rel, 0) for row in space.constraints.rows]
+    rows.append(((1,) + (0,) * n, GT, 0))
+    return _multiplier_space(rows, (FREE,) * (n + 1), space.params, space.kind)
 
 
 def witness_in_pr_set(m: LeqMatrixForm, f: RankingFunction) -> bool:

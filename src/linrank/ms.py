@@ -45,7 +45,7 @@ from .constraints import (
     loop_system,
     to_geq_matrix,
 )
-from .projection import _false_row, _project, _system, remove_redundant
+from .projection import _false_row, _project, _system
 from .rationals import Rational, rat
 from .simplex import FREE, NONNEG, _point, _triples, satisfiable
 
@@ -182,12 +182,14 @@ def _multiplier_system(variables, rows: list, signs: tuple[str, ...]) -> Constra
 def _multiplier_space(
     rows: list, signs: tuple[str, ...], params: tuple[str, ...], kind: str, defining=()
 ) -> RankingSpace:
-    """The projection of a multiplier system onto its trailing columns,
-    named `params`.  The system is the rows, then their sign rows, then for
-    each of `defining`, a combination of the multipliers, the equality
-    that gives it one more column.  It is empty iff `_point` finds no
-    point of the rows; otherwise its triples go to `_project` as they are,
-    which substitutes the columns its equalities hold before pairing."""
+    """The projection onto its trailing columns, named `params`, of row
+    triples in any form: a multiplier system, the rows of two spaces, or a
+    space's cone lift.  The system is the rows, the sign rows of the
+    `NONNEG` columns, then for each of `defining`, a combination of the
+    columns, the equality that gives it one more column.  It is empty, as
+    `0 < 0`, iff `_point` finds no point of the rows; otherwise its triples
+    go to `_project` as they are, which substitutes the columns its
+    equalities hold before pairing and removes redundancy."""
     if _point(rows, signs) is None:
         return RankingSpace(params, _system(params, [_false_row(len(params))]), kind)
     extra = len(defining)
@@ -263,11 +265,8 @@ def svg_global_space(clauses: Sequence[ConstraintSystem]) -> RankingSpace:
     params = spaces[0].params
     if any(s.params != params for s in spaces):
         raise ConstraintError("clauses have different arities")
-    rows: tuple[LinConstraint, ...] = ()
-    for s in spaces:
-        rows = rows + s.constraints.rows
-    merged = remove_redundant(ConstraintSystem(params, rows))
-    return RankingSpace(params, merged, SVG)
+    rows = [row for s in spaces for row in _triples(s.constraints)]
+    return _multiplier_space(rows, (FREE,) * len(params), params, SVG)
 
 
 def _ms_rows(c: ConstraintSystem) -> tuple[int, int, list, list]:
@@ -360,13 +359,13 @@ def ms_space(loop: LoopModel) -> RankingSpace:
     lower bound 0), as constraints over (mu0, mu1..muN).
 
     The conjoined system's y and z blocks share only (mu0, mu), so its
-    projection is computed block-by-block and conjoined; this is exact and
-    keeps each elimination small.  An unsatisfiable loop raises
-    UnsatisfiableLoopError."""
+    projection is computed block-by-block, and the two spaces' rows are
+    conjoined by `_multiplier_space`; this is exact and keeps each
+    elimination small.  An unsatisfiable loop raises UnsatisfiableLoopError."""
     n, m, decrease, bounded = _ms_rows(_require_satisfiable(loop))
     spaces = _ms_space(n, m, decrease, MS_DECREASING), _ms_space(n, m, bounded, MS_BOUNDED)
-    merged = remove_redundant(spaces[0].constraints.conjoin(spaces[1].constraints))
-    return RankingSpace(spaces[0].params, merged, MS_FULL)
+    rows = _triples(spaces[0].constraints) + _triples(spaces[1].constraints)
+    return _multiplier_space(rows, (FREE,) * (n + 1), spaces[0].params, MS_FULL)
 
 
 def ms_decreasing_space(loop: LoopModel) -> RankingSpace:

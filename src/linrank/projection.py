@@ -34,14 +34,12 @@ the exact greedy scan `_irredundant`, so no step ends with more rows than
 the larger of its input count and an irredundant system's.  The result
 gets one final scan, unless the last step already had one.  That is sound
 because `_project` only takes a feasible input, and the projection of a
-feasible system is feasible, as `_entailed` requires.  `project` checks
-that with one `satisfiable` call on its `ConstraintSystem`; the engines'
-space routes (`ms._multiplier_space`) check it with their own decision
-LP.  Both hand `_project` their row triples as they are, with no system
-built and no prune first: the sweep canonicalizes them.
-`remove_redundant` and `eliminate` make the same one check, so all three,
-and every engine space built on them, give an empty set as `0 < 0`, the
-one empty result.
+feasible system is feasible, as `_entailed` requires.  Two callers check
+that, then hand `_project` their row triples as they are (the sweep
+canonicalizes them): `project`, so `remove_redundant`, with one
+`satisfiable` call, and `ms._multiplier_space`, which builds every space
+of the engines and `cone_extend`'s closure, with one `_point` question.
+`eliminate` makes the same check; each gives an empty set as `0 < 0`.
 
 Entailment is one test, `_entailed`, in the space's own dimension: one
 `simplex._point` feasibility question per `<=` or `<` row, with no strict
@@ -316,13 +314,15 @@ def _project(rows: Iterable[tuple], width: int, keep: Sequence[int]) -> list[Row
 def equivalent(c1: ConstraintSystem, c2: ConstraintSystem) -> bool:
     """Exact solution-set equality of two (possibly strict) systems over the
     same variables: both empty, or each system entails every canonical row
-    of the other, by `_entailed`, which is exact for strict rows."""
+    of the other, by `_entailed`, which is exact for strict rows.  One
+    emptiness question, on c1: an empty c1 equals c2 iff c2 is empty too,
+    and a non-empty c1 is tested inside c2 before c2 inside c1."""
     if c1.variables != c2.variables:
         raise ConstraintError("cannot compare systems over different variables")
     rows1, rows2 = _canonical(c1.rows), _canonical(c2.rows)
     if set(rows1) == set(rows2):
         return True
-    sat1, sat2 = satisfiable(c1), satisfiable(c2)
-    if not sat1 or not sat2:
-        return sat1 == sat2
+    if not satisfiable(c1):
+        return not satisfiable(c2)
+    # A non-empty c1 inside c2 makes c2 non-empty, as `_entailed` needs of rows2.
     return all(_entailed(rows1, r) for r in rows2) and all(_entailed(rows2, r) for r in rows1)

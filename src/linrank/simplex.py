@@ -28,9 +28,9 @@ artificial still basic, which is zero, is a degenerate pivot.
 
 `solve` takes an `LpProblem`.  The engines ask only feasibility questions,
 and `_point`, the one caller of `solve` here, answers them: the four
-termination analyses and the space routes' emptiness checks hand it the
-engines' multiplier rows, projection's entailment test its Farkas rows,
-and `find_point` (so `satisfiable`) a `ConstraintSystem`'s rows.  Phase 2
+termination analyses hand it the engines' multiplier rows, the space
+builder its rows (multiplier rows, two spaces' rows or a cone lift),
+entailment its Farkas rows and `find_point` a system's rows.  Phase 2
 (pricing, the drive-out, rays) serves only an `LpProblem` with an
 objective, through the public `solve` and `lp`.  One rule decides strict
 rows, the one the paper's PR uses on its multiplier cone: in a

@@ -10,6 +10,7 @@ import pytest
 
 from linrank import parse_loop
 from linrank.constraints import ConstraintSystem
+from linrank.equivalence import random_loop
 from tests.oracles import feasible_points_sample
 
 LOOPS_DIR = Path(__file__).resolve().parents[1] / "loops"
@@ -61,6 +62,17 @@ def seed207_loop():
         " 4*x2 + 5*x1' + 2*x2' >= 21, -2*x1 + 5*x2 + 2*x1' <= 19,"
         " 5*x1 - 4*x2 - 3*x1' + 2*x2' <= -3, 2*x2 - 2*x2' >= 1\n"
     )
+
+
+def space_family() -> list:
+    """The satisfiable golden loops, then 60 seeded `random_loop`s that mix
+    `guarded` and `force_rank`: the family on which the space routes are
+    held to their reference routes."""
+    names = ("countdown.loop", "diverge.loop", "log2.loop", "log2_clp.loop")
+    loops = [load_loop(name) for name in names]
+    rng = random.Random(33)
+    loops += [random_loop(rng, force_rank=i % 3 == 0, guarded=i % 2 == 0) for i in range(60)]
+    return loops
 
 
 def sample_points(c: ConstraintSystem, rng: random.Random, want: int) -> list[tuple]:

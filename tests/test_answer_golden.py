@@ -7,9 +7,11 @@ it: both verdicts and witnesses, the witnesses' cross-membership and, on
 `space`, whether the spaces are equal.  On `space` it also covers the
 rendered rows of `ms_space` and `pr_space`.  The same pass also folds every
 `simplex._point` answer met on the way, the point or None, into one digest
-per stream, stored with its answer count under "points": it moves only when
-a change moves an LP's point, so it gates changes that must keep every
-point.  The streams are imported from perfbench read-only.  After a
+per stream, stored with its answer count under "points": it moves when a
+change moves an LP's point, and also when a question moves between
+`find_point`'s memo and `_point` (a memo hit asks `_point` nothing, and the
+memo is cleared once per stream), so it gates changes that must keep every
+point and every question.  The streams are imported from perfbench read-only.  After a
 deliberate change of answer, regenerate the snapshot with
 
     PYTHONPATH=src:. python tests/test_answer_golden.py

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linrank.constraints import ConstraintError, loop_system, to_leq_matrix
+from linrank.constraints import ConstraintError, ConstraintSystem, loop_system, to_leq_matrix
 from linrank.equivalence import (
     cone_extend,
     cross_check,
@@ -21,8 +21,9 @@ from linrank.ms import (
     ms_space,
 )
 from linrank.pr import pr_analyze
-from linrank.projection import equivalent
+from linrank.projection import equivalent, project
 from linrank.simplex import satisfiable
+from tests.conftest import space_family
 from tests.oracles import constraint, in_denormalized_space, system
 
 
@@ -61,6 +62,21 @@ def test_cone_extend_requires_full_space(log2_loop):
 
     with pytest.raises(ConstraintError):
         cone_extend(ms_decreasing_space(log2_loop))
+
+
+def _lifted_projection(space: RankingSpace) -> ConstraintSystem:
+    """The k-lifted system over (params, k), each row a.params rel c as
+    a.params - c*k rel 0 beside k > 0, projected onto the params."""
+    rows = [constraint(row.coeffs + (-row.const,), row.rel, 0) for row in space.constraints.rows]
+    rows.append(constraint((0,) * len(space.params) + (1,), ">", 0))
+    return project(system(space.params + ("k",), rows), space.params)
+
+
+def test_cone_extend_matches_the_projected_lift():
+    spaces = [ms_space(loop) for loop in space_family()]
+    assert sum(not space.is_empty() for space in spaces) >= 20
+    for space in spaces:
+        assert cone_extend(space).constraints.render() == _lifted_projection(space).render()
 
 
 def test_cone_extend_of_empty_space(diverge_loop):

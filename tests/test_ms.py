@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,10 +8,12 @@ import pytest
 
 from linrank import ms, parse_loop
 from linrank.constraints import (
+    ConstraintSystem,
     LinConstraint,
     loop_system,
     to_geq_matrix,
 )
+from linrank.equivalence import random_loop
 from linrank.ms import (
     RankingFunction,
     TerminationStatus,
@@ -25,9 +28,9 @@ from linrank.ms import (
     svg_space,
 )
 from linrank.pr import pr_alt_space, pr_space
-from linrank.projection import entails, equivalent, project
+from linrank.projection import entails, equivalent, project, remove_redundant
 from linrank.simplex import find_point, satisfiable
-from tests.conftest import sample_points
+from tests.conftest import sample_points, space_family
 from tests.oracles import (
     build_svg_system,
     conjoined_ms_system,
@@ -174,6 +177,30 @@ def test_svg_global_space_is_intersection(log2_clp_loop):
     assert equivalent(merged.constraints, conj)
 
 
+def test_svg_global_space_matches_remove_redundant_of_the_clause_spaces():
+    """Clauses of one arity, with planted ranking functions, in pairs and
+    triples: the global space has the rows that `remove_redundant` gives
+    the conjoined clause spaces, whether it is empty or not."""
+    empty = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        by_arity: dict[int, list] = {}
+        for _ in range(15):
+            c = loop_system(random_loop(rng, max_vars=3, max_rows=6, force_rank=True))
+            try:
+                by_arity.setdefault(c.n_vars, []).append((c, svg_space(c).constraints))
+            except UnsatisfiableLoopError:
+                pass
+        for clauses in by_arity.values():
+            for size in (2, 3):
+                for group in zip(*[iter(clauses)] * size):
+                    conjoined = functools.reduce(ConstraintSystem.conjoin, [s for _, s in group])
+                    merged = svg_global_space([c for c, _ in group])
+                    assert merged.constraints.render() == remove_redundant(conjoined).render()
+                    empty.append(merged.is_empty())
+    assert empty.count(True) >= 10 and empty.count(False) >= 10
+
+
 # --- rational affine engine -------------------------------------------------
 
 
@@ -253,6 +280,16 @@ def test_ms_space_via_single_conjoined_projection(log2_loop, countdown_loop):
         params = tuple(v for v in conj.variables if v.startswith("mu"))
         direct = project(conj, params)
         assert equivalent(direct, ms_space(loop).constraints)
+
+
+def test_ms_space_matches_remove_redundant_of_the_conditional_spaces():
+    non_empty = 0
+    for loop in space_family():
+        full = ms_space(loop)
+        parts = ms_decreasing_space(loop).constraints, ms_bounded_space(loop).constraints
+        assert full.constraints.render() == remove_redundant(parts[0].conjoin(parts[1])).render()
+        non_empty += not full.is_empty()
+    assert non_empty >= 20
 
 
 def test_ms_space_countdown(countdown_loop):

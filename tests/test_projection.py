@@ -171,6 +171,32 @@ def test_equivalent_empty_sets():
     empty2 = cs(("x",), [((1,), ">=", 1), ((1,), "<=", 0)])
     assert equivalent(empty1, empty2)
     assert not equivalent(empty1, cs(("x",), [((1,), ">=", 0)]))
+    non_empty = cs(("x",), [((1,), ">=", 0), ((1,), "<", 3)])
+    for empty in (empty2, cs(("x",), [((0,), "<", 0)])):
+        assert not equivalent(non_empty, empty)
+        assert not equivalent(empty, non_empty)
+
+
+def test_equivalent_asks_one_emptiness_question(monkeypatch):
+    """Two non-empty systems with different rows cost one `satisfiable`
+    call, on the first: once it lies inside the second, that is non-empty."""
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return satisfiable(c)
+
+    monkeypatch.setattr(projection, "satisfiable", counting)
+    triangle = cs(("x", "y"), [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((1, 1), "<=", 2)])
+    same = cs(
+        ("x", "y"), [((2, 2), "<=", 4), ((1, 0), ">=", 0), ((0, 1), ">=", 0), ((1, 0), "<", 5)]
+    )
+    smaller = cs(("x", "y"), [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((1, 1), "<", 2)])
+    cases = ((triangle, same, True), (same, smaller, False), (smaller, triangle, False))
+    for c1, c2, answer in cases:
+        calls.clear()
+        assert equivalent(c1, c2) is answer
+        assert calls == [c1]
 
 
 def test_elimination_order_insensitive():
